@@ -12,6 +12,7 @@ the evolving shape left the admissible neighbourhood.
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -79,10 +80,26 @@ def load_config(args):
     return cfg
 
 
-def _require(cfg, key):
-    if key not in cfg:
-        raise ValidationError(f"missing required parameter {key!r}")
-    return cfg[key]
+REQUIRED = object()
+
+
+def _number(cfg, key, kind, default):
+    """cfg[key] as a finite ``kind`` (int or float), or ``default`` if unset.
+
+    Pass REQUIRED as ``default`` for a parameter that must be given. Booleans,
+    strings, floats given for an int, NaN and infinities are rejected.
+    """
+    value = cfg.get(key)
+    if value is None:
+        if default is REQUIRED:
+            raise ValidationError(f"missing required parameter {key!r}")
+        return default
+    allowed = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ValidationError(f"{key} must be of type {kind.__name__}; got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{key} must be finite; got {value!r}")
+    return kind(value)
 
 
 def _model(cfg):
@@ -113,7 +130,7 @@ def _stepper_settings(cfg):
 
 def cmd_steady(cfg):
     model = _model(cfg)
-    A = float(_require(cfg, "A"))
+    A = _number(cfg, "A", float, REQUIRED)
     steady = steady_radius(A, model)
     out = _outdir(cfg)
 
@@ -138,12 +155,11 @@ def cmd_steady(cfg):
 
 def cmd_spectrum(cfg):
     model = _model(cfg)
-    A = float(_require(cfg, "A"))
-    G = float(_require(cfg, "G"))
-    R = cfg.get("R")
-    k_max = int(cfg.get("kmax", DEFAULT_K_MAX))
+    A = _number(cfg, "A", float, REQUIRED)
+    G = _number(cfg, "G", float, REQUIRED)
+    k_max = _number(cfg, "kmax", int, DEFAULT_K_MAX)
     params = ModelParameters(A=A, G=G, model=model,
-                             R=None if R is None else float(R))
+                             R=_number(cfg, "R", float, None))
     table = build_table(params, k_max=k_max)
     out = _outdir(cfg)
     write_csv(table, out / "spectrum.csv")
@@ -178,18 +194,16 @@ def _snapshot(t, shape, n_theta=256):
 
 def cmd_evolve(cfg):
     model = _model(cfg)
-    A = float(_require(cfg, "A"))
-    G = float(_require(cfg, "G"))
+    A = _number(cfg, "A", float, REQUIRED)
+    G = _number(cfg, "G", float, REQUIRED)
     mode = cfg.get("mode", "nonlinear")
     if mode not in ("linear", "nonlinear"):
         raise ValidationError(f"mode must be linear or nonlinear, got {mode!r}")
-    t_end = float(cfg.get("t_end", 1.0))
+    t_end = _number(cfg, "t_end", float, 1.0)
     if t_end < 0:
         raise ValidationError("t_end must be nonnegative")
-    R_override = cfg.get("R")
-    if R_override is not None:
-        R = float(R_override)
-    else:
+    R = _number(cfg, "R", float, None)
+    if R is None:
         R = steady_radius(A, model).R_A
 
     shape0 = _seed_shape(cfg, R)
@@ -199,10 +213,10 @@ def cmd_evolve(cfg):
     status = "completed"
 
     if mode == "linear":
-        k_max = max(int(cfg.get("kmax", DEFAULT_K_MAX)), k_top, 2)
+        k_max = max(_number(cfg, "kmax", int, DEFAULT_K_MAX), k_top, 2)
         table = build_table(ModelParameters(A=A, G=G, model=model, R=R),
                             k_max=k_max)
-        n_samples = int(cfg.get("n_samples", 200))
+        n_samples = _number(cfg, "n_samples", int, 200)
         times = np.linspace(0.0, t_end, n_samples + 1)
         traj = linear_trajectory(shape0, times, table)
         rows = [(t, s.sup_norm(), [s.amplitude(k) for k in range(k_top + 1)])
@@ -304,7 +318,7 @@ def cmd_sweep(cfg):
         sub["out"] = str(out / f"run_{i:03d}")
         jobs.append((sub, i))
 
-    workers = int(cfg.get("workers", 1))
+    workers = _number(cfg, "workers", int, 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             codes = dict(pool.map(_sweep_one, jobs))

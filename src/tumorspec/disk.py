@@ -9,6 +9,12 @@ avoid both the coordinate singularity at r = 0 and any 1/r evaluation there.
 
 Row 0 of every (n_r x n_theta) field array is the boundary r = 1; radii are
 stored descending.
+
+The Chebyshev toolkit at the top of this module (points, barycentric weights,
+interpolation and differentiation matrices, and the fold) is the only one in
+the package; :mod:`tumorspec.radial` builds its profile grid from it too.
+Interpolation uses the barycentric formula of Berrut & Trefethen,
+*Barycentric Lagrange Interpolation*, SIAM Review 46 (2004).
 """
 
 from dataclasses import dataclass, field
@@ -19,17 +25,68 @@ from scipy.linalg import lu_factor, lu_solve
 from .errors import ValidationError
 
 
+def chebyshev_points(N):
+    """The N + 1 Chebyshev points cos(j pi / N) of [-1, 1], descending."""
+    return np.cos(np.pi * np.arange(N + 1) / N)
+
+
+def chebyshev_nodes(n_nodes):
+    """Chebyshev-Lobatto nodes mapped to [0, 1], ascending, endpoints included."""
+    return 0.5 * (1.0 - chebyshev_points(n_nodes - 1))
+
+
+def barycentric_weights(n_nodes):
+    """Barycentric weights of n_nodes Chebyshev-Lobatto points (either order)."""
+    w = (-1.0) ** np.arange(n_nodes)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+def differentiation_matrix(nodes, weights):
+    """Nodal differentiation matrix from barycentric weights."""
+    x = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(x, 1.0)
+    d = (weights[None, :] / weights[:, None]) / x
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -d.sum(axis=1))
+    return d
+
+
+def barycentric_matrix(nodes, weights, x):
+    """Matrix taking samples at ``nodes`` to their interpolant at the points ``x``.
+
+    This is the second (true) barycentric formula; a point within 1e-15 of a
+    node gets that node's unit row.
+    """
+    dx = np.asarray(x, dtype=float)[:, None] - nodes[None, :]
+    hit = np.abs(dx) < 1e-15
+    dx[hit] = 1.0
+    m = weights / dx
+    m /= m.sum(axis=1, keepdims=True)
+    on_node = hit.any(axis=1)
+    m[on_node] = hit[on_node]
+    return m
+
+
 def chebyshev_matrix(N):
     """Differentiation matrix on the N+1 Chebyshev points cos(j pi / N)."""
-    x = np.cos(np.pi * np.arange(N + 1) / N)
-    c = np.ones(N + 1)
-    c[0] = c[-1] = 2.0
-    c *= (-1.0) ** np.arange(N + 1)
-    dx = x[:, None] - x[None, :] + np.eye(N + 1)
-    D = np.outer(c, 1.0 / c) / dx
-    np.fill_diagonal(D, 0.0)
-    np.fill_diagonal(D, -D.sum(axis=1))
-    return D, x
+    x = chebyshev_points(N)
+    return differentiation_matrix(x, barycentric_weights(N + 1)), x
+
+
+def fold_columns(M):
+    """Even and odd folds of the columns of M onto the positive Chebyshev points.
+
+    M acts on samples at the 2n points cos(j pi / (2n - 1)), where point
+    2n - 1 - i is the reflection of point i. Its action on an even (odd)
+    function sampled at the first n points is M[:, :n] + M[:, refl]
+    (M[:, :n] - M[:, refl]).
+    """
+    N = M.shape[1] - 1
+    n = (N + 1) // 2
+    refl = N - np.arange(n)
+    return M[:, :n] + M[:, refl], M[:, :n] - M[:, refl]
 
 
 @dataclass(frozen=True)
@@ -49,19 +106,18 @@ class DiskGrid:
             raise ValidationError("n_theta must be even")
         if self.n_r < 4:
             raise ValidationError("n_r must be at least 4")
-        N = 2 * self.n_r - 1
-        D, x = chebyshev_matrix(N)
-        D2 = D @ D
+        D, x = chebyshev_matrix(2 * self.n_r - 1)
         n = self.n_r
-        refl = N - np.arange(n)
+        D_even, D_odd = fold_columns(D[:n])
+        D2_even, D2_odd = fold_columns((D @ D)[:n])
         object.__setattr__(self, "r", x[:n])
         object.__setattr__(self, "theta", 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta)
         object.__setattr__(self, "k",
                            np.fft.fftfreq(self.n_theta, d=1.0 / self.n_theta).astype(int))
-        object.__setattr__(self, "D_even", D[:n, :n] + D[:n, refl])
-        object.__setattr__(self, "D_odd", D[:n, :n] - D[:n, refl])
-        object.__setattr__(self, "D2_even", D2[:n, :n] + D2[:n, refl])
-        object.__setattr__(self, "D2_odd", D2[:n, :n] - D2[:n, refl])
+        object.__setattr__(self, "D_even", D_even)
+        object.__setattr__(self, "D_odd", D_odd)
+        object.__setattr__(self, "D2_even", D2_even)
+        object.__setattr__(self, "D2_odd", D2_odd)
 
     @property
     def even_cols(self):
@@ -151,12 +207,10 @@ class MappedCoefficients:
     a_rt: np.ndarray
     scale: np.ndarray    # R**2 phi**2, multiplies the physical right-hand side
     h: np.ndarray        # 1 + rho on the boundary
-    beta: np.ndarray     # rho' / h on the boundary
-    J1: np.ndarray       # phi_r at r = 1
     R: float
 
     @classmethod
-    def from_boundary(cls, rho, rho_p, rho_pp, R, r_nodes):
+    def from_boundary(cls, rho, R, r_nodes):
         half = len(rho) // 2
         E = 0.5 * (rho + np.roll(rho, half))
         O = 0.5 * (rho - np.roll(rho, half))
@@ -179,10 +233,8 @@ class MappedCoefficients:
         a_rt = -2.0 * g
         a_r = dealias(-(phi**2) * J_r / J**3 + phi / J - g_t + g * g_r)
 
-        h = 1.0 + rho
         return cls(phi=phi, a_rr=a_rr, a_r=a_r, a_rt=a_rt,
-                   scale=(R * phi) ** 2, h=h, beta=dealias(rho_p / h),
-                   J1=1.0 + E + 2.0 * O, R=float(R))
+                   scale=(R * phi) ** 2, h=1.0 + rho, R=float(R))
 
 
 def apply_mapped_laplacian(grid: DiskGrid, coefs: MappedCoefficients, V):
@@ -258,28 +310,16 @@ def harmonic_extension(grid: DiskGrid, boundary):
 def eval_field_columns(grid: DiskGrid, V, radii):
     """Barycentric evaluation of each theta-column at a per-column radius.
 
-    Uses the parity identification to extend each column to the full
-    Chebyshev point set before interpolating, so the result is spectrally
-    accurate for any radius in (0, 1].
+    Column j continues to negative radii as the column at theta_j + pi, so
+    its even and odd parts under that half-turn see the even and odd folds of
+    the interpolation matrix on the full Chebyshev point set. The result is
+    spectrally accurate for any radius in [0, 1].
     """
     n = grid.n_r
-    N = 2 * n - 1
-    x = np.cos(np.pi * np.arange(N + 1) / N)
-    w = (-1.0) ** np.arange(N + 1)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    shift = grid.n_theta // 2
-    out = np.empty(grid.n_theta)
-    for j in range(grid.n_theta):
-        col = np.empty(N + 1)
-        col[:n] = V[:, j]
-        col[n:] = V[::-1, (j + shift) % grid.n_theta]
-        t = radii[j] if np.ndim(radii) else radii
-        diff = t - x
-        hit = np.abs(diff) < 1e-14
-        if np.any(hit):
-            out[j] = col[np.argmax(hit)]
-        else:
-            ww = w / diff
-            out[j] = np.dot(ww, col) / ww.sum()
-    return out
+    radii = np.broadcast_to(np.asarray(radii, dtype=float), (grid.n_theta,))
+    interp = barycentric_matrix(chebyshev_points(2 * n - 1),
+                                barycentric_weights(2 * n), radii)
+    even, odd = fold_columns(interp)
+    turned = np.roll(V, -(grid.n_theta // 2), axis=1)   # V(r, theta + pi)
+    return (np.einsum("ji,ij->j", even, 0.5 * (V + turned))
+            + np.einsum("ji,ij->j", odd, 0.5 * (V - turned)))

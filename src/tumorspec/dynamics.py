@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ValidationError
 from .fields import (BoundaryGeometry, GridSettings, solve_nutrient,
                      solve_pressure)
-from .disk import dealias, theta_derivative
+from .disk import MappedCoefficients, dealias, theta_derivative
 from .models import NutrientModel
 from .radial import solve_U
 from .shapes import ADMISSIBLE_SUP_NORM, ShapeState
@@ -38,17 +38,22 @@ class PhiResult:
 def phi(shape: ShapeState, A, G, model: NutrientModel,
         settings: GridSettings = GridSettings(), grid=None,
         radial_guess=None, nutrient_warm_start=None, n_modes=None):
-    """Evaluate the boundary velocity for the given shape."""
+    """Evaluate the boundary velocity for the given shape.
+
+    The boundary geometry and the mapped coefficients are built once here
+    and shared by both field solves.
+    """
     grid = grid or settings.make_grid()
     R = shape.radius_scale
     if radial_guess is None:
         radial_guess = solve_U(R * R, model)
 
-    nut = solve_nutrient(shape, model, settings, grid, radial_guess=radial_guess,
-                         initial_values=nutrient_warm_start)
-    pres = solve_pressure(shape, A, G, settings, grid)
-
     geom = BoundaryGeometry.from_shape(shape, grid.n_theta)
+    coefs = MappedCoefficients.from_boundary(geom.rho, R, grid.r)
+    nut = solve_nutrient(coefs, model, settings, grid, radial_guess=radial_guess,
+                         initial_values=nutrient_warm_start)
+    pres = solve_pressure(geom, coefs, A, G, settings, grid)
+
     h = 1.0 + geom.rho
     beta = geom.rho_p / h
     # phi_r at r = 1 of the blended map: 1 + E + 2 O with rho = E + O the

@@ -41,12 +41,10 @@ def linearized_mode_profile(k, rho_hat_k, v0: RadialProfile, u_k: RadialProfile)
     values = c * r**k * u_k.values
     derivs = c * (k * r**(max(k, 1) - 1) * u_k.values * (1 if k else 0)
                   + r**k * u_k.deriv_values)
-    deriv_at_0 = 0.0 if k != 1 else c * u_k.value_at_0
     return RadialProfile(grid=r, values=values,
                          deriv_at_1=complex(derivs[-1]) if np.iscomplexobj(values)
                          else float(derivs[-1]),
-                         deriv_at_0=deriv_at_0,
-                         provenance=f"A_k({k})", deriv_values=derivs)
+                         deriv_values=derivs)
 
 
 def fit_growth_rate(series):

@@ -21,6 +21,12 @@ differentiation matrices acts on the (N + 1)/2 positive nodes. Every row is
 multiplied by r**2, so no 1/r is ever formed. Profiles are returned on the
 N Chebyshev-Lobatto points of [0, 1], which hold the even interpolant (of
 degree at most N - 1) exactly.
+
+The Chebyshev points, barycentric weights and interpolation, differentiation
+matrices and the fold all come from :mod:`tumorspec.disk`. What is particular
+to the radial problems lives here: the Newton loop for U, the trailing
+Chebyshev-coefficient check that rejects an unresolved U, and the flux
+quadrature for U'(1).
 """
 
 import functools
@@ -28,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk import chebyshev_matrix
+from .disk import (barycentric_matrix, barycentric_weights, chebyshev_matrix,
+                   chebyshev_nodes, differentiation_matrix, fold_columns)
 from .errors import BracketError, SolverError, ValidationError
 from .models import NutrientModel
 
@@ -47,41 +54,6 @@ class SolverSettings:
             raise ValidationError("max_newton_iters must be at least 1")
         if self.n_nodes < 5 or self.n_nodes % 2 == 0:
             raise ValidationError("n_nodes must be odd and at least 5")
-
-
-def chebyshev_nodes(n_nodes):
-    """Chebyshev-Lobatto nodes mapped to [0, 1], ascending, endpoints included."""
-    j = np.arange(n_nodes)
-    return 0.5 * (1.0 - np.cos(np.pi * j / (n_nodes - 1)))
-
-
-def barycentric_weights(n_nodes):
-    w = (-1.0) ** np.arange(n_nodes)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
-def differentiation_matrix(nodes, weights):
-    """Nodal differentiation matrix from barycentric weights."""
-    x = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(x, 1.0)
-    d = (weights[None, :] / weights[:, None]) / x
-    np.fill_diagonal(d, 0.0)
-    np.fill_diagonal(d, -d.sum(axis=1))
-    return d
-
-
-def barycentric_matrix(nodes, weights, x):
-    """Matrix taking samples at ``nodes`` to their interpolant at the points ``x``."""
-    dx = np.asarray(x, dtype=float)[:, None] - nodes[None, :]
-    hit = np.abs(dx) < 1e-15
-    dx[hit] = 1.0
-    m = weights / dx
-    m /= m.sum(axis=1, keepdims=True)
-    on_node = hit.any(axis=1)
-    m[on_node] = hit[on_node]
-    return m
 
 
 @dataclass(frozen=True)
@@ -106,8 +78,6 @@ class _FoldedGrid:
 def _folded_grid(n_nodes):
     D, x = chebyshev_matrix(n_nodes)
     n = (n_nodes + 1) // 2
-    refl = n_nodes - np.arange(n)
-    D2 = D @ D
     p = np.arange(n)
     to_cheb = np.linalg.inv(np.cos(np.outer(p, 2 * p) * np.pi / n_nodes))
     # with s = 2r**2 - 1, int_0^1 r T_2p(r) dr = int_{-1}^1 T_p(s) ds / 4,
@@ -116,16 +86,17 @@ def _folded_grid(n_nodes):
     moments[::2] = 0.5 / (1.0 - p[::2] ** 2.0)
     to_grid = barycentric_matrix(x, barycentric_weights(n_nodes + 1),
                                  chebyshev_nodes(n_nodes))
-    fold = _FoldedGrid(r=x[:n],
-                       d1=D[:n, :n] + D[:n, refl],
-                       d2=D2[:n, :n] + D2[:n, refl],
-                       to_cheb=to_cheb,
-                       weights=moments @ to_cheb,
-                       even=to_grid[:, :n] + to_grid[:, refl],
-                       odd=to_grid[:, :n] - to_grid[:, refl])
-    for array in vars(fold).values():
+    even, odd = fold_columns(to_grid)
+    folded = _FoldedGrid(r=x[:n],
+                         d1=fold_columns(D[:n])[0],
+                         d2=fold_columns((D @ D)[:n])[0],
+                         to_cheb=to_cheb,
+                         weights=moments @ to_cheb,
+                         even=even,
+                         odd=odd)
+    for array in vars(folded).values():
         array.flags.writeable = False  # shared by every caller of the cache
-    return fold
+    return folded
 
 
 @dataclass(frozen=True)
@@ -139,8 +110,6 @@ class RadialProfile:
     grid: np.ndarray
     values: np.ndarray
     deriv_at_1: float
-    deriv_at_0: float
-    provenance: str
     deriv_values: np.ndarray = None
     fold_values: np.ndarray = field(default=None, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
@@ -189,9 +158,7 @@ def solve_U(lam, model: NutrientModel, settings: SolverSettings = SolverSettings
 
     if lam == 0.0:
         return RadialProfile(grid=grid, values=np.ones_like(grid),
-                             deriv_at_1=0.0, deriv_at_0=0.0,
-                             provenance="U(0)",
-                             deriv_values=np.zeros_like(grid),
+                             deriv_at_1=0.0, deriv_values=np.zeros_like(grid),
                              fold_values=np.ones_like(fold.r))
 
     op = fold.operator(1)
@@ -219,8 +186,7 @@ def solve_U(lam, model: NutrientModel, settings: SolverSettings = SolverSettings
             du = fold.d1 @ u
             du[0] = lam * (fold.weights @ model.f_at(u))
             return RadialProfile(grid=grid, values=fold.even @ u,
-                                 deriv_at_1=float(du[0]), deriv_at_0=0.0,
-                                 provenance=f"U({lam})",
+                                 deriv_at_1=float(du[0]),
                                  deriv_values=fold.odd @ du, fold_values=u)
     raise SolverError(
         f"Newton iteration for the center problem did not converge at lam={lam}; "
@@ -257,7 +223,6 @@ def solve_u_n(n, R_A, v0: RadialProfile, model: NutrientModel,
     c = values[0]
     return RadialProfile(grid=chebyshev_nodes(settings.n_nodes),
                          values=values / c, deriv_at_1=float(dw[0] / c),
-                         deriv_at_0=0.0, provenance=f"u_n({n})",
                          deriv_values=fold.odd @ dw / c)
 
 

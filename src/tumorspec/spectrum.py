@@ -62,9 +62,6 @@ class SpectrumTable:
             raise ValidationError(f"mode {k} beyond table range {self.k_max}")
         return float(self.mu[k])
 
-    def lambda_at(self, k):
-        return lambda_k(k, self.R)
-
 
 def lambda_k(k, R):
     """Principal symbol -|k|**3 / R**3."""

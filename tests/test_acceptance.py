@@ -3,7 +3,8 @@
 Each test exercises one headline guarantee of the package at its pinned
 tolerance and prints a single [PASS]/[FAIL] line (bypassing capture) so the
 gate is auditable from the raw pytest log. Time budgets are asserted after a
-one-time kernel warm-up so they measure the algorithm, not JIT compilation.
+one-time warm-up so they measure the algorithm, not first-call set-up such as
+module imports and the cached radial collocation matrices.
 """
 
 import time
@@ -27,8 +28,8 @@ from oracles import identity_g_star, identity_steady_A
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # first call compiles / loads the jitted integrator; exclude that from
-    # the per-criterion budgets
+    # the first radial solve builds and caches the folded collocation
+    # matrices; exclude that from the per-criterion budgets
     solve_U(1.0, identity_model())
 
 
@@ -189,15 +190,16 @@ def test_criterion_8_field_solvers(capsys, id_model, unit_steady, small_grid):
 
     # unperturbed nutrient against the shooting profile
     z = ShapeState.zero(4, R)
-    nut = solve_nutrient(z, id_model, small_grid, grid, radial_guess=v0)
+    gz = BoundaryGeometry.from_shape(z, grid.n_theta)
+    nut = solve_nutrient(MappedCoefficients.from_boundary(gz.rho, R, grid.r),
+                         id_model, small_grid, grid, radial_guess=v0)
     err_nut = float(np.max(np.abs(nut.values - v0.at(grid.r)[:, None])))
 
     # pressure mean-value property at the center
     s = ShapeState.from_modes([(2, 1e-2, 0.0), (5, 5e-3, 0.9)], R)
-    pres = solve_pressure(s, unit_steady.A, 2.0, small_grid, grid)
     geom = BoundaryGeometry.from_shape(s, grid.n_theta)
-    coefs = MappedCoefficients.from_boundary(geom.rho, geom.rho_p, geom.rho_pp,
-                                             R, grid.r)
+    coefs = MappedCoefficients.from_boundary(geom.rho, R, grid.r)
+    pres = solve_pressure(geom, coefs, unit_steady.A, 2.0, small_grid, grid)
     radii = np.array([mapped_radius(coefs, 0.5, j)
                       for j in range(grid.n_theta)])
     ring = eval_field_columns(grid, pres.values, radii)
@@ -210,10 +212,9 @@ def test_criterion_8_field_solvers(capsys, id_model, unit_steady, small_grid):
     errs = []
     for eps in (1e-2, 1e-3):
         sp = ShapeState.from_modes([(k, eps, 0.0)], R)
-        nutp = solve_nutrient(sp, id_model, small_grid, grid, radial_guess=v0)
         gp = BoundaryGeometry.from_shape(sp, grid.n_theta)
-        coefs_p = MappedCoefficients.from_boundary(gp.rho, gp.rho_p, gp.rho_pp,
-                                                   R, grid.r)
+        coefs_p = MappedCoefficients.from_boundary(gp.rho, R, grid.r)
+        nutp = solve_nutrient(coefs_p, id_model, small_grid, grid, radial_guess=v0)
         radii_p = np.array([mapped_radius(coefs_p, 0.6, j)
                             for j in range(grid.n_theta)])
         wnum = eval_field_columns(grid, nutp.values, radii_p)

@@ -99,8 +99,24 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--A", "0.5", "--G", "1.0",
                      "--model", "poly:-1", "--out", str(tmp_path)]) == 2
 
+    def test_nan_G_exits_2(self, tmp_path):
+        assert main(["spectrum", "--A", "0.5", "--G", "nan",
+                     "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "report.json").exists()
+
+    def test_mistyped_kmax_in_config_exits_2(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"A": 0.5, "G": 1.0, "kmax": "x"}))
+        assert main(["spectrum", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 2
+
 
 class TestEvolveCommand:
+    def test_infinite_t_end_exits_2(self, tmp_path):
+        assert main(["evolve", "--A", "0.5", "--G", "2.0", "--mode", "linear",
+                     "--t-end", "inf", "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_linear_mode_one_constant(self, tmp_path):
         code = main(["evolve", "--A", "0.5", "--G", "2.0", "--mode", "linear",
                      "--t-end", "1.0", "--seed-shape", "1:1e-3",

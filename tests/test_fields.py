@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tumorspec.disk import (MappedCoefficients, apply_mapped_laplacian,
+from tumorspec.disk import (MappedCoefficients, ModePreconditioner,
+                            apply_mapped_laplacian, barycentric_matrix,
+                            barycentric_weights, chebyshev_points,
                             eval_field_columns, mapped_radius,
                             theta_derivative)
-from tumorspec.fields import (BoundaryGeometry, center_value, curvature,
-                              harmonic_residual, solve_nutrient,
+from tumorspec.dynamics import phi
+from tumorspec.errors import SolverError
+from tumorspec.fields import (BoundaryGeometry, GridSettings, center_value,
+                              curvature, harmonic_residual, solve_nutrient,
                               solve_pressure)
 from tumorspec.linear import linearized_mode_profile
 from tumorspec.radial import solve_u_n
@@ -16,15 +21,14 @@ from tumorspec.shapes import ShapeState
 
 def _map_coefs(shape, grid):
     geom = BoundaryGeometry.from_shape(shape, grid.n_theta)
-    return MappedCoefficients.from_boundary(geom.rho, geom.rho_p, geom.rho_pp,
-                                            shape.radius_scale, grid.r)
+    return MappedCoefficients.from_boundary(geom.rho, shape.radius_scale, grid.r)
 
 
 class TestNutrientAtEquilibrium:
     def test_matches_radial_profile(self, unit_steady, id_model, small_grid):
         grid = small_grid.make_grid()
         z = ShapeState.zero(4, unit_steady.R_A)
-        nut = solve_nutrient(z, id_model, small_grid, grid,
+        nut = solve_nutrient(_map_coefs(z, grid), id_model, small_grid, grid,
                              radial_guess=unit_steady.v0)
         expected = unit_steady.v0.at(grid.r)[:, None]
         assert np.max(np.abs(nut.values - expected)) < 1e-8
@@ -33,7 +37,7 @@ class TestNutrientAtEquilibrium:
                                                   small_grid):
         grid = small_grid.make_grid()
         z = ShapeState.zero(4, unit_steady.R_A)
-        nut = solve_nutrient(z, id_model, small_grid, grid,
+        nut = solve_nutrient(_map_coefs(z, grid), id_model, small_grid, grid,
                              radial_guess=unit_steady.v0)
         assert np.max(np.abs(nut.normal_derivative_trace
                              - unit_steady.v0.deriv_at_1)) < 1e-8
@@ -41,7 +45,7 @@ class TestNutrientAtEquilibrium:
     def test_center_value(self, unit_steady, id_model, small_grid):
         grid = small_grid.make_grid()
         z = ShapeState.zero(4, unit_steady.R_A)
-        nut = solve_nutrient(z, id_model, small_grid, grid,
+        nut = solve_nutrient(_map_coefs(z, grid), id_model, small_grid, grid,
                              radial_guess=unit_steady.v0)
         assert center_value(grid, nut.values) == pytest.approx(
             unit_steady.v0.value_at_0, abs=1e-10)
@@ -50,7 +54,7 @@ class TestNutrientAtEquilibrium:
                                                    small_grid):
         grid = small_grid.make_grid()
         s = ShapeState.from_modes([(3, 5e-2, 0.4)], unit_steady.R_A)
-        nut = solve_nutrient(s, id_model, small_grid, grid,
+        nut = solve_nutrient(_map_coefs(s, grid), id_model, small_grid, grid,
                              radial_guess=unit_steady.v0)
         assert np.all(nut.values > 0.0)
         assert np.all(nut.values <= 1.0 + 1e-10)
@@ -63,7 +67,8 @@ class TestPressure:
         grid = small_grid.make_grid()
         z = ShapeState.zero(4, unit_steady.R_A)
         A, G = unit_steady.A, 2.0
-        pres = solve_pressure(z, A, G, small_grid, grid)
+        pres = solve_pressure(BoundaryGeometry.from_shape(z, grid.n_theta),
+                              _map_coefs(z, grid), A, G, small_grid, grid)
         expected = 1.0 / unit_steady.R_A - 0.25 * A * G * unit_steady.R_A**2
         assert np.max(np.abs(pres.values - expected)) < 1e-10
 
@@ -71,8 +76,9 @@ class TestPressure:
         grid = small_grid.make_grid()
         s = ShapeState.from_modes([(2, 1e-2, 0.0), (5, 5e-3, 0.9)],
                                   unit_steady.R_A)
-        pres = solve_pressure(s, unit_steady.A, 2.0, small_grid, grid)
         coefs = _map_coefs(s, grid)
+        pres = solve_pressure(BoundaryGeometry.from_shape(s, grid.n_theta),
+                              coefs, unit_steady.A, 2.0, small_grid, grid)
         # the mean over any interior physical circle equals the center value
         for frac in (0.3, 0.6):
             radii = np.array([mapped_radius(coefs, frac, j)
@@ -83,8 +89,10 @@ class TestPressure:
     def test_harmonic_residual_small(self, unit_steady, small_grid):
         grid = small_grid.make_grid()
         s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
-        pres = solve_pressure(s, unit_steady.A, 2.0, small_grid, grid)
-        assert harmonic_residual(grid, s, pres) < 1e-7
+        coefs = _map_coefs(s, grid)
+        pres = solve_pressure(BoundaryGeometry.from_shape(s, grid.n_theta),
+                              coefs, unit_steady.A, 2.0, small_grid, grid)
+        assert harmonic_residual(grid, coefs, pres) < 1e-7
 
     def test_normal_derivative_symbol(self, unit_steady, small_grid):
         # linearized boundary data curvature - A G R^2 h^2 / 4 excites mode k
@@ -95,12 +103,26 @@ class TestPressure:
         R = unit_steady.R_A
         A, G = unit_steady.A, 2.0
         s = ShapeState.from_modes([(k, eps, 0.0)], R)
-        pres = solve_pressure(s, A, G, small_grid, grid)
+        pres = solve_pressure(BoundaryGeometry.from_shape(s, grid.n_theta),
+                              _map_coefs(s, grid), A, G, small_grid, grid)
         spec_b = np.fft.rfft(pres.boundary_trace) / grid.n_theta
         spec_d = np.fft.rfft(pres.normal_derivative_trace) / grid.n_theta
         assert spec_d[k] == pytest.approx(k * spec_b[k], rel=1e-4)
         expected = (k**2 - 1.0) / R - 0.5 * A * G * R**2
         assert 2.0 * spec_b[k].real / eps == pytest.approx(expected, rel=1e-3)
+
+    def test_stalled_krylov_raises(self, unit_steady, monkeypatch):
+        # without a preconditioner GMRES ends far above the tolerance; the
+        # solve must report that instead of probing a dense matrix
+        monkeypatch.setattr(ModePreconditioner, "solve_interior",
+                            lambda self, residual: residual)
+        settings_16 = GridSettings(n_r=16, n_theta=32)
+        grid = settings_16.make_grid()
+        s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
+        with pytest.raises(SolverError, match="relative residual"):
+            solve_pressure(BoundaryGeometry.from_shape(s, grid.n_theta),
+                           _map_coefs(s, grid), unit_steady.A, 2.0,
+                           settings_16, grid)
 
 
 class TestPerturbedNutrient:
@@ -113,8 +135,8 @@ class TestPerturbedNutrient:
         errs = []
         for eps in (1e-2, 1e-3):
             s = ShapeState.from_modes([(k, eps, 0.0)], R)
-            nut = solve_nutrient(s, id_model, small_grid, grid, radial_guess=v0)
             coefs = _map_coefs(s, grid)
+            nut = solve_nutrient(coefs, id_model, small_grid, grid, radial_guess=v0)
             prof = linearized_mode_profile(k, 1.0, v0, uk)
             frac = 0.6
             radii = np.array([mapped_radius(coefs, frac, j)
@@ -202,3 +224,46 @@ class TestNormalFieldFactor:
         h = 1.0 + geom.rho
         assert np.allclose(geom.normal_field_factor,
                            np.sqrt(h**2 + geom.rho_p**2) / h, atol=1e-14)
+
+
+class TestSingleMapPerVelocity:
+    def test_phi_builds_one_geometry_and_one_map(self, unit_steady, id_model,
+                                                 small_grid, monkeypatch):
+        calls = {"geometry": 0, "map": 0}
+
+        def counted(key, build):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return build(*args, **kwargs)
+            return staticmethod(wrapper)
+
+        monkeypatch.setattr(BoundaryGeometry, "from_shape",
+                            counted("geometry", BoundaryGeometry.from_shape))
+        monkeypatch.setattr(MappedCoefficients, "from_boundary",
+                            counted("map", MappedCoefficients.from_boundary))
+        s = ShapeState.from_modes([(2, 1e-3, 0.0)], unit_steady.R_A)
+        phi(s, unit_steady.A, 2.0, id_model, small_grid,
+            radial_guess=unit_steady.v0)
+        assert calls == {"geometry": 1, "map": 1}
+
+
+class TestBarycentricMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    def test_reproduces_polynomials(self, N, seed):
+        # a polynomial of degree <= N is its own interpolant on N + 1 points
+        gen = np.random.default_rng(seed)
+        coef = gen.uniform(-1.0, 1.0, N + 1)
+        nodes = chebyshev_points(N)
+        x = gen.uniform(-1.0, 1.0, 20)
+        m = barycentric_matrix(nodes, barycentric_weights(N + 1), x)
+        exact = np.polynomial.chebyshev.chebval(x, coef)
+        interp = m @ np.polynomial.chebyshev.chebval(nodes, coef)
+        assert np.max(np.abs(interp - exact)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(N=st.integers(1, 64))
+    def test_unit_rows_at_nodes(self, N):
+        nodes = chebyshev_points(N)
+        m = barycentric_matrix(nodes, barycentric_weights(N + 1), nodes[::-1])
+        assert np.array_equal(m, np.eye(N + 1)[::-1])
