@@ -86,20 +86,40 @@ REQUIRED = object()
 def _number(cfg, key, kind, default):
     """cfg[key] as a finite ``kind`` (int or float), or ``default`` if unset.
 
-    Pass REQUIRED as ``default`` for a parameter that must be given. Booleans,
-    strings, floats given for an int, NaN and infinities are rejected.
+    Pass REQUIRED as ``default`` for a parameter that must be given.
     """
     value = cfg.get(key)
     if value is None:
         if default is REQUIRED:
             raise ValidationError(f"missing required parameter {key!r}")
         return default
+    return _checked_number(value, key, kind)
+
+
+def _checked_number(value, name, kind):
+    """value as a finite ``kind`` (int or float).
+
+    Booleans, strings, floats given for an int, NaN and infinities are
+    rejected.
+    """
     allowed = int if kind is int else (int, float)
     if isinstance(value, bool) or not isinstance(value, allowed):
-        raise ValidationError(f"{key} must be of type {kind.__name__}; got {value!r}")
+        raise ValidationError(f"{name} must be of type {kind.__name__}; got {value!r}")
     if not math.isfinite(value):
-        raise ValidationError(f"{key} must be finite; got {value!r}")
+        raise ValidationError(f"{name} must be finite; got {value!r}")
     return kind(value)
+
+
+def _positive_settings(cls, cfg, kinds):
+    """``cls`` built from the keys of ``kinds`` present in cfg, each positive."""
+    kw = {}
+    for key, kind in kinds.items():
+        value = _number(cfg, key, kind, None)
+        if value is not None:
+            if value <= 0:
+                raise ValidationError(f"{key} must be positive; got {value!r}")
+            kw[key] = value
+    return cls(**kw)
 
 
 def _model(cfg):
@@ -113,19 +133,15 @@ def _outdir(cfg):
 
 
 def _grid_settings(cfg):
-    kw = {}
-    for key in ("n_r", "n_theta", "newton_tol", "max_newton_iters", "krylov_tol"):
-        if key in cfg:
-            kw[key] = cfg[key]
-    return GridSettings(**kw)
+    return _positive_settings(GridSettings, cfg, {
+        "n_r": int, "n_theta": int, "newton_tol": float,
+        "max_newton_iters": int, "krylov_tol": float})
 
 
 def _stepper_settings(cfg):
-    kw = {}
-    for key in ("dt_init", "dt_min", "dt_max", "err_target"):
-        if key in cfg:
-            kw[key] = cfg[key]
-    return StepperSettings(**kw)
+    return _positive_settings(StepperSettings, cfg, {
+        "dt_init": float, "dt_min": float, "dt_max": float,
+        "err_target": float})
 
 
 def cmd_steady(cfg):
@@ -175,8 +191,19 @@ def _seed_shape(cfg, R):
         return ShapeState.zero(8, R)
     if isinstance(spec, str):
         modes = parse_seed_shape(spec)
+    elif isinstance(spec, list):
+        modes = []
+        for entry in spec:
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise ValidationError(
+                    f"bad seed_shape entry {entry!r}; expected [k, amp, phase]")
+            k, amp, phase = entry
+            modes.append((_checked_number(k, "seed_shape k", int),
+                          _checked_number(amp, "seed_shape amplitude", float),
+                          _checked_number(phase, "seed_shape phase", float)))
     else:
-        modes = [(int(k), float(a), float(p)) for k, a, p in spec]
+        raise ValidationError(
+            f"seed_shape must be a string or a list; got {spec!r}")
     return ShapeState.from_modes(modes, R)
 
 

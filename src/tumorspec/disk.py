@@ -18,9 +18,9 @@ Interpolation uses the barycentric formula of Berrut & Trefethen,
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ValidationError
 
@@ -119,44 +119,23 @@ class DiskGrid:
         object.__setattr__(self, "D2_even", D2_even)
         object.__setattr__(self, "D2_odd", D2_odd)
 
-    @property
-    def even_cols(self):
-        return np.abs(self.k) % 2 == 0
-
-    def radial_matrix(self, parity):
-        return self.D_even if parity == 0 else self.D_odd
-
-    def radial_matrix2(self, parity):
-        return self.D2_even if parity == 0 else self.D2_odd
-
     def fold_derivative(self, Vh, order=1):
-        """Apply the parity-correct radial derivative to a theta-spectrum array."""
-        out = np.empty_like(Vh)
-        even = self.even_cols
+        """Parity-correct radial derivative of an rfft theta-spectrum array.
+
+        Column q is angular mode q >= 0, so the even modes are the columns
+        0::2 and the odd modes the columns 1::2.
+        """
         De = self.D_even if order == 1 else self.D2_even
         Do = self.D_odd if order == 1 else self.D2_odd
-        out[:, even] = De @ Vh[:, even]
-        out[:, ~even] = Do @ Vh[:, ~even]
+        out = np.empty_like(Vh)
+        out[:, 0::2] = De @ Vh[:, 0::2]
+        out[:, 1::2] = Do @ Vh[:, 1::2]
         return out
 
-    def mode_operator(self, q, potential=None):
-        """Radial collocation operator for angular mode q with Dirichlet row.
-
-        Returns the (n_r x n_r) matrix of r**2 d2/dr2 + r d/dr - q**2
-        minus the diagonal potential (already carrying the r**2 scaling of
-        the mapped operator), with row 0 replaced by the identity
-        (boundary value row).
-        """
-        q = abs(int(q))
-        p = q % 2
-        L = (np.diag(self.r**2) @ self.radial_matrix2(p)
-             + np.diag(self.r) @ self.radial_matrix(p)
-             - float(q**2) * np.eye(self.n_r))
-        if potential is not None:
-            L = L - np.diag(potential)
-        L[0, :] = 0.0
-        L[0, 0] = 1.0
-        return L
+    @cached_property
+    def laplace_preconditioner(self):
+        """The potential-free ModePreconditioner, built on first use."""
+        return ModePreconditioner(self)
 
 
 def theta_derivative(values, order=1):
@@ -239,14 +218,12 @@ class MappedCoefficients:
 
 def apply_mapped_laplacian(grid: DiskGrid, coefs: MappedCoefficients, V):
     """Scaled Laplacian R**2 phi**2 * Delta acting on mapped-grid samples."""
-    Vh = np.fft.fft(V, axis=1)
+    Vh = np.fft.rfft(V, axis=1)
+    k = np.arange(Vh.shape[1])
     Vrh = grid.fold_derivative(Vh, order=1)
-    Vrrh = grid.fold_derivative(Vh, order=2)
-    ik = 1j * grid.k
-    Vr = np.fft.ifft(Vrh, axis=1).real
-    Vrr = np.fft.ifft(Vrrh, axis=1).real
-    Vtt = np.fft.ifft(-grid.k**2 * Vh, axis=1).real
-    Vrt = np.fft.ifft(ik * Vrh, axis=1).real
+    Vr, Vrr, Vtt, Vrt = np.fft.irfft(
+        np.stack([Vrh, grid.fold_derivative(Vh, order=2), -k**2 * Vh,
+                  1j * k * Vrh]), n=grid.n_theta, axis=-1)
     return coefs.a_rr * Vrr + coefs.a_r * Vr + Vtt + coefs.a_rt * Vrt
 
 
@@ -268,36 +245,45 @@ def mapped_radius(coefs: MappedCoefficients, s_over_R, theta_index):
 
 def boundary_radial_derivative(grid: DiskGrid, V):
     """d/dr at r = 1 of a mapped-grid field."""
-    Vh = np.fft.fft(V, axis=1)
-    Vrh = grid.fold_derivative(Vh, order=1)
-    return np.fft.ifft(Vrh, axis=1).real[0, :]
+    Vrh = grid.fold_derivative(np.fft.rfft(V, axis=1), order=1)
+    return np.fft.irfft(Vrh[0], n=grid.n_theta)
 
 
 class ModePreconditioner:
-    """Per-angular-mode LU factorizations of the radial collocation operator.
+    """Inverses of the radial collocation operators of every angular mode.
 
-    Exact for angularly constant coefficients; used as the preconditioner of
-    the Krylov solves of the mapped (variable-coefficient) problems.
+    Mode q >= 0 sees r**2 d2/dr2 + r d/dr - q**2 minus the diagonal
+    ``potential`` (already carrying the r**2 scaling of the mapped operator),
+    with the parity-q fold of the radial derivatives. Its boundary row is the
+    identity and the boundary data are zero, so the interior values of the
+    solution are the inverse of the interior block applied to the interior
+    residual. Those blocks are built as one (n_q, n_r - 1, n_r - 1) stack and
+    inverted together. Exact for angularly constant coefficients; used as
+    the preconditioner of the Krylov solves of the mapped
+    (variable-coefficient) problems.
     """
 
     def __init__(self, grid: DiskGrid, potential=None):
-        self.grid = grid
-        self._lu = {}
-        for q in range(grid.n_theta // 2 + 1):
-            self._lu[q] = lu_factor(grid.mode_operator(q, potential))
+        self.n_theta = grid.n_theta
+        q = np.arange(grid.n_theta // 2 + 1)
+        r = grid.r[1:, None]
+        even = r**2 * grid.D2_even[1:, 1:] + r * grid.D_even[1:, 1:]
+        odd = r**2 * grid.D2_odd[1:, 1:] + r * grid.D_odd[1:, 1:]
+        L = np.where((q % 2 == 0)[:, None, None], even, odd)
+        shift = (q**2)[:, None] + (0.0 if potential is None
+                                   else np.asarray(potential, dtype=float)[1:])
+        interior = np.arange(grid.n_r - 1)
+        L[:, interior, interior] -= shift
+        self._inv = np.linalg.inv(L)
 
     def solve_interior(self, residual):
         """Solve with zero boundary data; residual has n_r - 1 interior rows."""
-        grid = self.grid
-        n = grid.n_theta
-        Rh = np.fft.fft(residual, axis=1)
-        out = np.empty_like(Rh)
-        for q in range(n // 2 + 1):
-            cols = [q] if q in (0, n // 2) else [q, n - q]
-            rhs = np.zeros((grid.n_r, len(cols)), dtype=complex)
-            rhs[1:, :] = Rh[:, cols]
-            out[:, cols] = lu_solve(self._lu[q], rhs, check_finite=False)[1:, :]
-        return np.fft.ifft(out, axis=1).real
+        Rh = np.fft.rfft(residual, axis=1)
+        n_int, n_q = Rh.shape
+        # real and imaginary parts as the two columns of each mode's rhs
+        parts = np.ascontiguousarray(Rh.T).view(float).reshape(n_q, n_int, 2)
+        out = (self._inv @ parts).view(complex).reshape(n_q, n_int)
+        return np.fft.irfft(out.T, n=self.n_theta, axis=1)
 
 
 def harmonic_extension(grid: DiskGrid, boundary):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SolverError, ValidationError
 from .fields import (BoundaryGeometry, GridSettings, solve_nutrient,
                      solve_pressure)
 from .disk import MappedCoefficients, dealias, theta_derivative
@@ -186,6 +186,9 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
         dt *= min(5.0, max(0.2, factor))
         dt = min(dt, stepper.dt_max)
         if dt < stepper.dt_min:
-            raise ValidationError("time step underflow in nonlinear evolution")
+            raise SolverError(
+                f"time step underflow in nonlinear evolution: dt = {dt:.3e} "
+                f"< dt_min = {stepper.dt_min:.3e} at t = {t:.6g}, "
+                f"last error estimate {err:.3e} (target {stepper.err_target:.3e})")
 
     return Trajectory(points=tuple(points), status=status)

@@ -5,8 +5,9 @@ r = R (1 + rho(theta)) and pulled back to the unit disk with the blended
 radial map s = R phi(r, theta) (see
 :class:`tumorspec.disk.MappedCoefficients`). The caller builds that map once
 per shape and passes it to both solves. The collocation systems are solved
-by GMRES preconditioned with the per-angular-mode radial factorizations; a
-Krylov iteration that ends above the roundoff floor raises SolverError. The
+by GMRES preconditioned with the per-angular-mode radial inverses; the
+pressure one does not depend on the shape and is kept on the grid. A Krylov
+iteration that ends above the roundoff floor raises SolverError. The
 semilinear nutrient problem wraps this in a Newton iteration.
 """
 
@@ -138,10 +139,9 @@ def solve_pressure(geom: BoundaryGeometry, coefs: MappedCoefficients, A, G,
     """
     boundary = dealias(geom.curvature
                        - 0.25 * A * G * coefs.R**2 * (1.0 + geom.rho) ** 2)
-    precond = ModePreconditioner(grid)
     init = harmonic_extension(grid, boundary)
     V = _interior_solve(grid, coefs, None, boundary, np.zeros_like(init),
-                        precond, init, settings.krylov_tol)
+                        grid.laplace_preconditioner, init, settings.krylov_tol)
     return DiskField(n_r=grid.n_r, n_theta=grid.n_theta, values=V,
                      boundary_trace=V[0, :].copy(),
                      normal_derivative_trace=boundary_radial_derivative(grid, V),

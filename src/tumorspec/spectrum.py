@@ -93,7 +93,7 @@ def build_table(params: ModelParameters, k_max=DEFAULT_K_MAX,
         boundary_ratio(k, R, v0, params.model, settings) for k in ks
     ])
     denom = _mode_denominator(params.A, ratio, f1)
-    lam = -ks.astype(float) ** 3 / R**3
+    lam = -ks.astype(float) ** 3 / R**3 + 0.0   # + 0.0 makes lambda_0 0, not -0
     mu = (-ks.astype(float) ** 3 + ks) / R**3 - params.G * denom
 
     with np.errstate(divide="ignore", invalid="ignore"):

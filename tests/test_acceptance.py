@@ -14,8 +14,8 @@ import pytest
 
 from tumorspec.disk import (MappedCoefficients, eval_field_columns,
                             mapped_radius, theta_derivative)
-from tumorspec.fields import (BoundaryGeometry, GridSettings, center_value,
-                              curvature, solve_nutrient, solve_pressure)
+from tumorspec.fields import (BoundaryGeometry, center_value, curvature,
+                              solve_nutrient, solve_pressure)
 from tumorspec.linear import evolve_linear, fit_growth_rate, linearized_mode_profile
 from tumorspec.models import identity_model
 from tumorspec.radial import appendix_series, boundary_ratio, solve_U, solve_u_n

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,15 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 2
 
+    def test_no_negative_zero(self, tmp_path):
+        # lambda_0 = -0 / R**3 used to be written as "-0"
+        assert main(["spectrum", "--A", "0.5", "--G", "2.0", "--kmax", "8",
+                     "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "spectrum.csv")
+        assert rows[1][1] == "0"
+        assert not any(re.fullmatch(r"-0(\.0*)?(e[-+]?\d+)?", cell)
+                       for row in rows for cell in row)
+
 
 class TestEvolveCommand:
     def test_infinite_t_end_exits_2(self, tmp_path):
@@ -182,6 +192,32 @@ class TestEvolveCommand:
         cfg_path.write_text(json.dumps({"A": 0.5, "G": 1.0, "mode": "sideways"}))
         assert main(["evolve", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("bad", [
+        {"n_r": "x"},                         # used to raise TypeError
+        {"krylov_tol": -1},                   # used to reach gmres' atol check
+        {"seed_shape": [["a", 1e-3, 0]]},     # used to raise ValueError
+    ], ids=["n_r_string", "negative_krylov_tol", "seed_shape_string_mode"])
+    def test_bad_grid_stepper_or_seed_value_exits_2(self, tmp_path, bad):
+        cfg = {"A": 0.5, "G": 2.0, "mode": "nonlinear", "t_end": 0.01,
+               "seed_shape": "2:1e-3", "n_r": 16, "n_theta": 32, **bad}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["evolve", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_time_step_underflow_exits_3(self, tmp_path, capsys):
+        # no step can meet an error target far below roundoff
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(
+            {"n_r": 16, "n_theta": 32, "err_target": 1e-30}))
+        assert main(["evolve", "--config", str(cfg_path), "--A", "0.5",
+                     "--G", "2.0", "--mode", "nonlinear", "--t-end", "0.1",
+                     "--seed-shape", "2:1e-3", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "time step underflow" in err
+        assert "dt = " in err and "at t = " in err and "error estimate" in err
 
 
 class TestAppendixCheckCommand:

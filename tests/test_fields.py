@@ -9,7 +9,7 @@ from tumorspec.disk import (MappedCoefficients, ModePreconditioner,
                             barycentric_weights, chebyshev_points,
                             eval_field_columns, mapped_radius,
                             theta_derivative)
-from tumorspec.dynamics import phi
+from tumorspec.dynamics import evolve_nonlinear, phi
 from tumorspec.errors import SolverError
 from tumorspec.fields import (BoundaryGeometry, GridSettings, center_value,
                               curvature, harmonic_residual, solve_nutrient,
@@ -245,6 +245,46 @@ class TestSingleMapPerVelocity:
         phi(s, unit_steady.A, 2.0, id_model, small_grid,
             radial_guess=unit_steady.v0)
         assert calls == {"geometry": 1, "map": 1}
+
+
+class TestModePreconditioner:
+    @pytest.mark.parametrize("n_r, n_theta", [(16, 32), (64, 128)])
+    @pytest.mark.parametrize("with_potential", [False, True])
+    def test_inverts_operator_on_unperturbed_disk(self, n_r, n_theta,
+                                                  with_potential, rng):
+        # with rho = 0 the mapped operator r**2 v_rr + r v_r + v_tt minus a
+        # radial potential has angularly constant coefficients, so the
+        # per-mode inverses are exact: solving for the operator applied to
+        # any field with zero boundary row gives that field back. (Applying
+        # the operator after the solve instead amplifies the solve's
+        # roundoff by the size of the D2 rows next to the boundary, about
+        # 1e-8 relative on 64 x 128 for either this or an LU solve.)
+        grid = GridSettings(n_r=n_r, n_theta=n_theta).make_grid()
+        coefs = MappedCoefficients.from_boundary(np.zeros(n_theta), 1.7, grid.r)
+        potential = 2.0 * grid.r**2 * (1.0 + grid.r**2) if with_potential else None
+        V = rng.standard_normal((n_r, n_theta))
+        V[0, :] = 0.0
+        res = apply_mapped_laplacian(grid, coefs, V)
+        if with_potential:
+            res -= potential[:, None] * V
+        back = ModePreconditioner(grid, potential).solve_interior(res[1:, :])
+        assert np.max(np.abs(back - V[1:, :])) <= 1e-10 * np.max(np.abs(V))
+
+    def test_one_laplace_preconditioner_per_grid(self, unit_steady, id_model,
+                                                 monkeypatch):
+        built = []
+        init = ModePreconditioner.__init__
+
+        def counted(self, grid, potential=None):
+            built.append(potential is None)
+            init(self, grid, potential)
+
+        monkeypatch.setattr(ModePreconditioner, "__init__", counted)
+        s = ShapeState.from_modes([(2, 1e-3, 0.0)], unit_steady.R_A)
+        traj = evolve_nonlinear(s, 0.01, unit_steady.A, 2.0, id_model,
+                                GridSettings(n_r=16, n_theta=32))
+        assert len(traj.points) >= 3          # several velocity evaluations
+        assert built.count(True) == 1         # one pressure preconditioner
 
 
 class TestBarycentricMatrix:

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from tumorspec.errors import SolverError, ValidationError
-from tumorspec.models import identity_model
 from tumorspec.radial import (SolverSettings, appendix_series, boundary_ratio,
                               ode_residual_on_midpoints, solve_U, solve_u_n,
                               steady_radius)
 
-from oracles import bessel_i, bessel_i_prime, identity_ratio, identity_steady_A
+from oracles import bessel_i, identity_ratio, identity_steady_A
 from shooting_reference import SHOOTING_REFERENCE
 
 

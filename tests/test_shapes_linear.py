@@ -9,7 +9,7 @@ from tumorspec.linear import (evolve_linear, fit_growth_rate,
 from tumorspec.radial import solve_u_n
 from tumorspec.shapes import ShapeState, theta_grid
 
-from oracles import bessel_i, bessel_i_prime
+from oracles import bessel_i
 
 
 def random_small_shape(rng, radius_scale=1.0, n_modes=8, amp=1e-3,

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from tumorspec.errors import ValidationError
-from tumorspec.radial import steady_radius
 from tumorspec.spectrum import (ModelParameters, build_table,
                                 classify_stability, g_star, g_threshold,
                                 l_G_index, lambda_k, mu_k)
 
-from oracles import (identity_g_star, identity_g_threshold, identity_mu,
-                     identity_steady_A)
+from oracles import identity_g_star, identity_g_threshold, identity_mu
 
 
 class TestNeutralMode:
