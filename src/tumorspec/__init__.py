@@ -5,13 +5,13 @@ dynamics, and linear / fully nonlinear shape evolution with spectral field
 solves on the perturbed domain.
 """
 
-from .dynamics import (PhiResult, StepperSettings, Trajectory,
-                       TrajectoryPoint, evolve_nonlinear, phi)
+from .dynamics import (PhiResult, Trajectory, TrajectoryPoint,
+                       evolve_nonlinear, phi)
 from .errors import (BracketError, DomainValidityError, SolverError,
                      TumorSpecError, ValidationError)
-from .fields import (BoundaryGeometry, DiskField, GridSettings, center_value,
-                     curvature, harmonic_residual, solve_nutrient,
-                     solve_pressure)
+from .disk import DiskGrid
+from .fields import (BoundaryGeometry, DiskField, center_value, curvature,
+                     harmonic_residual, solve_nutrient, solve_pressure)
 from .linear import (GrowthFit, evolve_linear, fit_growth_rate,
                      linear_trajectory, linearized_mode_profile)
 from .models import (NutrientModel, identity_model, parse_model_spec,
@@ -28,10 +28,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ADMISSIBLE_SUP_NORM", "BoundaryGeometry", "BracketError",
-    "DEFAULT_K_MAX", "DiskField", "DomainValidityError", "GridSettings",
+    "DEFAULT_K_MAX", "DiskField", "DiskGrid", "DomainValidityError",
     "GrowthFit", "ModelParameters", "NutrientModel", "PhiResult",
     "RadialProfile", "ShapeState", "SolverError", "SolverSettings",
-    "SpectrumTable", "StabilityReport", "SteadyState", "StepperSettings",
+    "SpectrumTable", "StabilityReport", "SteadyState",
     "Trajectory", "TrajectoryPoint", "TumorSpecError",
     "ValidationError", "appendix_series", "boundary_ratio", "build_table",
     "center_value", "classify_stability", "curvature", "evolve_linear",

@@ -1,27 +1,30 @@
 """Command-line front end.
 
 Subcommands: steady, spectrum, evolve, appendix-check, sweep. Configuration
-is a single JSON document; command-line flags override config fields. All
-numeric CSV output uses 17 significant digits and carries a header row, and
-identical configurations produce byte-identical files.
+is a single JSON document; command-line flags override config fields, and
+load_config checks the merged keys once against SCHEMA, so commands read
+only checked values. All numeric CSV output uses 17 significant digits and
+carries a header row, and identical configurations produce byte-identical
+files.
 
-Exit codes: 0 success, 2 validation error, 3 solver failure, 4 halt because
-the evolving shape left the admissible neighbourhood.
+Exit codes: 0 success, 2 validation error (an unknown key is one), 3 solver
+failure, 4 halt because the evolving shape left the admissible
+neighbourhood. A sweep returns the worst code of its runs.
 """
 
 import argparse
 import csv
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import StepperSettings, evolve_nonlinear
+from .disk import DiskGrid
+from .dynamics import ERR_TARGET, evolve_nonlinear
 from .errors import SolverError, ValidationError
-from .fields import GridSettings
 from .linear import fit_growth_rate, linear_trajectory
 from .models import parse_model_spec
 from .radial import (appendix_series, boundary_ratio, solve_U, solve_u_n,
@@ -60,99 +63,140 @@ def parse_seed_shape(text):
     return modes
 
 
+def _real(value, key):
+    """value as a finite float; booleans, strings, NaN and infinities fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{key} must be a number; got {value!r}")
+    if not abs(value) <= sys.float_info.max:   # also catches NaN and huge ints
+        raise ValidationError(f"{key} must be finite; got {value!r}")
+    return float(value)
+
+
+def _instance(kind, noun):
+    def check(value, key):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValidationError(f"{key} must be {noun}; got {value!r}")
+        return value
+    return check
+
+
+_integer = _instance(int, "an integer")
+_text = _instance(str, "a string")
+
+
+def _positive(check):
+    def positive(value, key):
+        value = check(value, key)
+        if value <= 0:
+            raise ValidationError(f"{key} must be positive; got {value!r}")
+        return value
+    return positive
+
+
+def _mode(value, key):
+    if value not in ("linear", "nonlinear"):
+        raise ValidationError(f"{key} must be linear or nonlinear; got {value!r}")
+    return value
+
+
+def _seed_shape(value, key):
+    """Either seed-shape form as a list of (k, amplitude, phase) triples."""
+    if isinstance(value, str):
+        value = parse_seed_shape(value)
+    if not isinstance(value, list):
+        raise ValidationError(f"{key} must be a string or a list; got {value!r}")
+    modes = []
+    for entry in value:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise ValidationError(
+                f"bad {key} entry {entry!r}; expected [k, amp, phase]")
+        k, amp, phase = entry
+        modes.append((_integer(k, f"{key} k"), _real(amp, f"{key} amplitude"),
+                      _real(phase, f"{key} phase")))
+    return modes
+
+
+def _sweep(value, key):
+    if not (isinstance(value, dict) and set(value) == {"parameter", "values"}
+            and value["parameter"] in ("A", "G")
+            and isinstance(value["values"], list) and value["values"]):
+        raise ValidationError(
+            f'{key} must be an object {{"parameter": "A"|"G", "values": [...]}} '
+            f"with at least one value; got {value!r}")
+    return {"parameter": value["parameter"],
+            "values": [_real(v, f"{key} value") for v in value["values"]]}
+
+
+# key: (check of its type and of any range nothing downstream enforces,
+# default). The library checks A in (0, f(1)), R > 0, kmax >= 2, n_r >= 4,
+# even n_theta, t_end >= 0, and the seed shape's modes and admissibility.
+SCHEMA = {
+    "A": (_real, None),
+    "G": (_real, None),
+    "R": (_real, None),                   # None: the steady radius R_A
+    "model": (_text, "identity"),
+    "kmax": (_integer, DEFAULT_K_MAX),
+    "mode": (_mode, "nonlinear"),
+    "t_end": (_real, 1.0),
+    "seed_shape": (_seed_shape, None),    # None: the equilibrium
+    "n_samples": (_positive(_integer), 200),
+    "n_r": (_integer, DiskGrid.n_r),
+    "n_theta": (_integer, DiskGrid.n_theta),
+    "err_target": (_positive(_real), ERR_TARGET),
+    "workers": (_positive(_integer), 1),
+    "sweep": (_sweep, None),
+    "out": (_text, "."),
+}
+
+
 def load_config(args):
-    """Merge the JSON config (if any) with flag overrides."""
+    """Merge the JSON config (if any) with the flags and check it against SCHEMA.
+
+    Returns a value for every key of SCHEMA; an unset key (or a null) takes
+    its default.
+    """
     cfg = {}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ValidationError(f"config file not found: {path}")
         try:
-            cfg = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            cfg = json.loads(Path(args.config).read_bytes())
+        except OSError as exc:
+            raise ValidationError(f"cannot read config: {exc}") from exc
+        except ValueError as exc:
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ValidationError("config must be a JSON object")
-    for key in ("A", "G", "model", "kmax", "mode", "t_end", "seed_shape", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
+    for key, val in vars(args).items():
+        if key not in ("command", "config") and val is not None:
             cfg[key] = val
-    return cfg
+    unknown = sorted(set(cfg) - set(SCHEMA))
+    if unknown:
+        raise ValidationError(f"unknown config keys {unknown}; "
+                              f"known keys: {', '.join(SCHEMA)}")
+    return {key: default if cfg.get(key) is None else check(cfg[key], key)
+            for key, (check, default) in SCHEMA.items()}
 
 
-REQUIRED = object()
-
-
-def _number(cfg, key, kind, default):
-    """cfg[key] as a finite ``kind`` (int or float), or ``default`` if unset.
-
-    Pass REQUIRED as ``default`` for a parameter that must be given.
-    """
-    value = cfg.get(key)
-    if value is None:
-        if default is REQUIRED:
-            raise ValidationError(f"missing required parameter {key!r}")
-        return default
-    return _checked_number(value, key, kind)
-
-
-def _checked_number(value, name, kind):
-    """value as a finite ``kind`` (int or float).
-
-    Booleans, strings, floats given for an int, NaN and infinities are
-    rejected.
-    """
-    allowed = int if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        raise ValidationError(f"{name} must be of type {kind.__name__}; got {value!r}")
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite; got {value!r}")
-    return kind(value)
-
-
-def _positive_settings(cls, cfg, kinds):
-    """``cls`` built from the keys of ``kinds`` present in cfg, each positive."""
-    kw = {}
-    for key, kind in kinds.items():
-        value = _number(cfg, key, kind, None)
-        if value is not None:
-            if value <= 0:
-                raise ValidationError(f"{key} must be positive; got {value!r}")
-            kw[key] = value
-    return cls(**kw)
-
-
-def _model(cfg):
-    return parse_model_spec(cfg.get("model", "identity"))
+def _required(cfg, key):
+    if cfg[key] is None:
+        raise ValidationError(f"missing required parameter {key!r}")
+    return cfg[key]
 
 
 def _outdir(cfg):
-    out = Path(cfg.get("out", "."))
+    out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _grid_settings(cfg):
-    return _positive_settings(GridSettings, cfg, {
-        "n_r": int, "n_theta": int, "newton_tol": float,
-        "max_newton_iters": int, "krylov_tol": float})
-
-
-def _stepper_settings(cfg):
-    return _positive_settings(StepperSettings, cfg, {
-        "dt_init": float, "dt_min": float, "dt_max": float,
-        "err_target": float})
-
-
 def cmd_steady(cfg):
-    model = _model(cfg)
-    A = _number(cfg, "A", float, REQUIRED)
+    model = parse_model_spec(cfg["model"])
+    A = _required(cfg, "A")
     steady = steady_radius(A, model)
     out = _outdir(cfg)
 
     report = {
         "A": A,
-        "model": cfg.get("model", "identity"),
+        "model": cfg["model"],
         "R_A": steady.R_A,
         "alpha_A": steady.alpha_A,
         "profile_file": "profile.csv",
@@ -170,12 +214,9 @@ def cmd_steady(cfg):
 
 
 def cmd_spectrum(cfg):
-    model = _model(cfg)
-    A = _number(cfg, "A", float, REQUIRED)
-    G = _number(cfg, "G", float, REQUIRED)
-    k_max = _number(cfg, "kmax", int, DEFAULT_K_MAX)
-    params = ModelParameters(A=A, G=G, model=model,
-                             R=_number(cfg, "R", float, None))
+    params = ModelParameters(A=_required(cfg, "A"), G=_required(cfg, "G"),
+                             model=parse_model_spec(cfg["model"]), R=cfg["R"])
+    k_max = cfg["kmax"]
     table = build_table(params, k_max=k_max)
     out = _outdir(cfg)
     write_csv(table, out / "spectrum.csv")
@@ -185,34 +226,13 @@ def cmd_spectrum(cfg):
     return EXIT_OK
 
 
-def _seed_shape(cfg, R):
-    spec = cfg.get("seed_shape")
-    if spec is None:
-        return ShapeState.zero(8, R)
-    if isinstance(spec, str):
-        modes = parse_seed_shape(spec)
-    elif isinstance(spec, list):
-        modes = []
-        for entry in spec:
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise ValidationError(
-                    f"bad seed_shape entry {entry!r}; expected [k, amp, phase]")
-            k, amp, phase = entry
-            modes.append((_checked_number(k, "seed_shape k", int),
-                          _checked_number(amp, "seed_shape amplitude", float),
-                          _checked_number(phase, "seed_shape phase", float)))
-    else:
-        raise ValidationError(
-            f"seed_shape must be a string or a list; got {spec!r}")
-    return ShapeState.from_modes(modes, R)
-
-
-def _write_trajectory(path, rows, k_top):
+def _write_trajectory(path, shapes, k_top):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "sup_norm"] + [f"amp_{k}" for k in range(k_top + 1)])
-        for t, sup, amps in rows:
-            writer.writerow([_fmt(t), _fmt(sup)] + [_fmt(a) for a in amps])
+        for t, s in shapes:
+            writer.writerow([_fmt(t), _fmt(s.sup_norm())]
+                            + [_fmt(s.amplitude(k)) for k in range(k_top + 1)])
 
 
 def _snapshot(t, shape, n_theta=256):
@@ -220,46 +240,34 @@ def _snapshot(t, shape, n_theta=256):
 
 
 def cmd_evolve(cfg):
-    model = _model(cfg)
-    A = _number(cfg, "A", float, REQUIRED)
-    G = _number(cfg, "G", float, REQUIRED)
-    mode = cfg.get("mode", "nonlinear")
-    if mode not in ("linear", "nonlinear"):
-        raise ValidationError(f"mode must be linear or nonlinear, got {mode!r}")
-    t_end = _number(cfg, "t_end", float, 1.0)
-    if t_end < 0:
-        raise ValidationError("t_end must be nonnegative")
-    R = _number(cfg, "R", float, None)
+    model = parse_model_spec(cfg["model"])
+    A = _required(cfg, "A")
+    G = _required(cfg, "G")
+    mode, t_end, R = cfg["mode"], cfg["t_end"], cfg["R"]
     if R is None:
         R = steady_radius(A, model).R_A
 
-    shape0 = _seed_shape(cfg, R)
+    if cfg["seed_shape"] is None:
+        shape0 = ShapeState.zero(8, R)
+    else:
+        shape0 = ShapeState.from_modes(cfg["seed_shape"], R)
     shape0.require_admissible()
     k_top = max(8, shape0.n_modes)
     out = _outdir(cfg)
     status = "completed"
 
     if mode == "linear":
-        k_max = max(_number(cfg, "kmax", int, DEFAULT_K_MAX), k_top, 2)
+        k_max = max(cfg["kmax"], k_top, 2)
         table = build_table(ModelParameters(A=A, G=G, model=model, R=R),
                             k_max=k_max)
-        n_samples = _number(cfg, "n_samples", int, 200)
-        times = np.linspace(0.0, t_end, n_samples + 1)
-        traj = linear_trajectory(shape0, times, table)
-        rows = [(t, s.sup_norm(), [s.amplitude(k) for k in range(k_top + 1)])
-                for t, s in traj]
-        shapes = traj
+        times = np.linspace(0.0, t_end, cfg["n_samples"] + 1)
+        shapes = linear_trajectory(shape0, times, table)
     else:
-        traj = evolve_nonlinear(shape0, t_end, A, G, model,
-                                grid_settings=_grid_settings(cfg),
-                                stepper=_stepper_settings(cfg))
+        grid = DiskGrid(n_r=cfg["n_r"], n_theta=cfg["n_theta"])
+        traj = evolve_nonlinear(shape0, t_end, A, G, model, grid,
+                                cfg["err_target"])
         status = traj.status
-        rows = [(p.t, p.sup_norm,
-                 [p.shape.amplitude(k) for k in range(k_top + 1)])
-                for p in traj.points]
         shapes = [(p.t, p.shape) for p in traj.points]
-
-    _write_trajectory(out / "trajectory.csv", rows, k_top)
 
     rates = {}
     seeded = [k for k in range(1, k_top + 1)
@@ -269,6 +277,8 @@ def cmd_evolve(cfg):
         if len(series) >= 3:
             fit = fit_growth_rate(series)
             rates[str(k)] = {"rate": fit.rate, "residual": fit.residual}
+
+    _write_trajectory(out / "trajectory.csv", shapes, k_top)
 
     snap = {
         "status": status,
@@ -289,7 +299,7 @@ def cmd_evolve(cfg):
 
 def cmd_appendix_check(cfg):
     """Compare the closed-form series solutions with the ODE solver."""
-    model = _model(cfg)
+    model = parse_model_spec(cfg["model"])
     if model.kind != "identity":
         raise ValidationError("the series check is defined for the identity model")
     out = _outdir(cfg)
@@ -317,50 +327,34 @@ def cmd_appendix_check(cfg):
     return EXIT_OK if ok else EXIT_SOLVER
 
 
-def _sweep_one(payload):
-    cfg, index = payload
-    return index, cmd_spectrum(cfg)
-
-
 def cmd_sweep(cfg):
-    """Fan out independent spectrum runs over a parameter list."""
-    sweep = cfg.get("sweep")
-    if not isinstance(sweep, dict):
-        raise ValidationError(
-            'sweep requires a config with a "sweep" object: '
-            '{"parameter": "A"|"G", "values": [...]}')
-    param = sweep.get("parameter")
-    values = sweep.get("values")
-    if param not in ("A", "G"):
-        raise ValidationError('sweep parameter must be "A" or "G"')
-    if not isinstance(values, list) or not values:
-        raise ValidationError("sweep values must be a nonempty list")
+    """Fan out independent spectrum runs over a parameter list.
+
+    Each run's errors map to its own exit code, recorded in sweep.json; the
+    sweep returns the worst one.
+    """
+    sweep = _required(cfg, "sweep")
+    param, values = sweep["parameter"], sweep["values"]
 
     out = _outdir(cfg)
-    jobs = []
-    for i, value in enumerate(values):
-        sub = dict(cfg)
-        sub.pop("sweep", None)
-        sub[param] = float(value)
-        sub["out"] = str(out / f"run_{i:03d}")
-        jobs.append((sub, i))
-
-    workers = _number(cfg, "workers", int, 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            codes = dict(pool.map(_sweep_one, jobs))
+    jobs = [dict(cfg, **{param: value, "out": str(out / f"run_{i:03d}")})
+            for i, value in enumerate(values)]
+    run = partial(_guarded, cmd_spectrum)
+    if cfg["workers"] > 1:
+        with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
+            codes = list(pool.map(run, jobs))
     else:
-        codes = dict(map(_sweep_one, jobs))
+        codes = list(map(run, jobs))
 
     index = {"parameter": param,
-             "runs": [{"index": i, param: float(v), "dir": f"run_{i:03d}"}
-                      for i, v in enumerate(values)]}
+             "runs": [{"index": i, param: v, "dir": f"run_{i:03d}",
+                       "exit_code": code}
+                      for i, (v, code) in enumerate(zip(values, codes))]}
     with open(out / "sweep.json", "w") as fh:
         json.dump(index, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    worst = max(codes.values())
     print(f"swept {param} over {len(values)} values -> {out}")
-    return worst
+    return max(codes)
 
 
 def build_parser():
@@ -401,18 +395,21 @@ COMMANDS = {
 }
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _guarded(fn, *args):
+    """fn(*args), with validation and solver errors reported as exit codes."""
     try:
-        cfg = load_config(args)
-        return COMMANDS[args.command](cfg)
+        return fn(*args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    return _guarded(lambda: COMMANDS[args.command](load_config(args)))
 
 
 if __name__ == "__main__":

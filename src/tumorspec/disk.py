@@ -102,8 +102,8 @@ class DiskGrid:
     D2_odd: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_theta % 2:
-            raise ValidationError("n_theta must be even")
+        if self.n_theta <= 0 or self.n_theta % 2:
+            raise ValidationError("n_theta must be positive and even")
         if self.n_r < 4:
             raise ValidationError("n_r must be at least 4")
         D, x = chebyshev_matrix(2 * self.n_r - 1)

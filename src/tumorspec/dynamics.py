@@ -19,12 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .fields import (BoundaryGeometry, GridSettings, solve_nutrient,
-                     solve_pressure)
-from .disk import MappedCoefficients, dealias, theta_derivative
+from .fields import BoundaryGeometry, solve_nutrient, solve_pressure
+from .disk import DiskGrid, MappedCoefficients, dealias, theta_derivative
 from .models import NutrientModel
 from .radial import solve_U
 from .shapes import ADMISSIBLE_SUP_NORM, ShapeState
+
+ERR_TARGET = 1e-6     # default bound on the step-doubling error estimate
+DT_INIT = 1e-3
+DT_MIN = 1e-10        # a step size below this is a SolverError
+DT_MAX = 0.25
 
 
 @dataclass(frozen=True)
@@ -35,24 +39,24 @@ class PhiResult:
     pressure: object
 
 
-def phi(shape: ShapeState, A, G, model: NutrientModel,
-        settings: GridSettings = GridSettings(), grid=None,
+def phi(shape: ShapeState, A, G, model: NutrientModel, grid: DiskGrid = None,
         radial_guess=None, nutrient_warm_start=None, n_modes=None):
     """Evaluate the boundary velocity for the given shape.
 
+    The fields are solved on ``grid`` (the default 64x128 DiskGrid if None).
     The boundary geometry and the mapped coefficients are built once here
     and shared by both field solves.
     """
-    grid = grid or settings.make_grid()
+    grid = grid or DiskGrid()
     R = shape.radius_scale
     if radial_guess is None:
         radial_guess = solve_U(R * R, model)
 
     geom = BoundaryGeometry.from_shape(shape, grid.n_theta)
     coefs = MappedCoefficients.from_boundary(geom.rho, R, grid.r)
-    nut = solve_nutrient(coefs, model, settings, grid, radial_guess=radial_guess,
+    nut = solve_nutrient(coefs, model, grid, radial_guess=radial_guess,
                          initial_values=nutrient_warm_start)
-    pres = solve_pressure(geom, coefs, A, G, settings, grid)
+    pres = solve_pressure(geom, coefs, A, G, grid)
 
     h = 1.0 + geom.rho
     beta = geom.rho_p / h
@@ -79,19 +83,10 @@ def phi(shape: ShapeState, A, G, model: NutrientModel,
 
 
 @dataclass(frozen=True)
-class StepperSettings:
-    dt_init: float = 1e-3
-    dt_min: float = 1e-10
-    dt_max: float = 0.25
-    err_target: float = 1e-6
-
-
-@dataclass(frozen=True)
 class TrajectoryPoint:
     t: float
     shape: ShapeState
     sup_norm: float
-    phi_norm: float
 
 
 @dataclass(frozen=True)
@@ -103,27 +98,25 @@ class Trajectory:
     def times(self):
         return np.array([p.t for p in self.points])
 
-    def amplitude_series(self, k):
-        return [(p.t, p.shape.amplitude(k)) for p in self.points]
-
     @property
     def final_shape(self):
         return self.points[-1].shape
 
 
 def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
-                     grid_settings: GridSettings = GridSettings(),
-                     stepper: StepperSettings = StepperSettings()):
+                     grid: DiskGrid = None, err_target=ERR_TARGET):
     """Integrate the boundary evolution up to t_end.
 
-    Halts with status "left_neighbourhood" if the sup-norm reaches the
-    admissibility bound 1/4. Each accepted step costs two velocity
-    evaluations (one full step, two half steps sharing the first).
+    The fields are solved on ``grid`` (the default 64x128 DiskGrid if None),
+    and a step is accepted when its step-doubling error estimate is at most
+    ``err_target``. Halts with status "left_neighbourhood" if the sup-norm
+    reaches the admissibility bound 1/4. Each accepted step costs two
+    velocity evaluations (one full step, two half steps sharing the first).
     """
     shape0.require_admissible()
     if t_end < 0:
         raise ValidationError("t_end must be nonnegative")
-    grid = grid_settings.make_grid()
+    grid = grid or DiskGrid()
     n_modes = grid.n_theta // 3
     R = shape0.radius_scale
     lam = -np.arange(n_modes + 1, dtype=float) ** 3 / R**3
@@ -142,12 +135,11 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
     t = 0.0
     state = make_shape(c)
     warm = None
-    result = phi(state, A, G, model, grid_settings, grid,
-                 radial_guess=radial_guess, n_modes=n_modes)
-    points = [TrajectoryPoint(t=0.0, shape=state, sup_norm=state.sup_norm(),
-                              phi_norm=float(np.max(np.abs(result.values))))]
+    result = phi(state, A, G, model, grid, radial_guess=radial_guess,
+                 n_modes=n_modes)
+    points = [TrajectoryPoint(t=0.0, shape=state, sup_norm=state.sup_norm())]
     status = "completed"
-    dt = min(stepper.dt_init, max(t_end, stepper.dt_min))
+    dt = min(DT_INIT, max(t_end, DT_MIN))
 
     while t < t_end - 1e-14:
         dt = min(dt, t_end - t)
@@ -157,38 +149,30 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
         if shape_h.sup_norm() >= ADMISSIBLE_SUP_NORM:
             status = "left_neighbourhood"
             break
-        res_h = phi(shape_h, A, G, model, grid_settings, grid,
-                    radial_guess=radial_guess, nutrient_warm_start=warm,
-                    n_modes=n_modes)
+        res_h = phi(shape_h, A, G, model, grid, radial_guess=radial_guess,
+                    nutrient_warm_start=warm, n_modes=n_modes)
         c2 = imex_step(ch, res_h.coeffs, 0.5 * dt)
 
         err = float(np.max(np.abs(c2 - c1)))
-        if err <= stepper.err_target:
+        if err <= err_target:
             t += dt
             state = make_shape(2.0 * c2 - c1)  # local extrapolation
             sup = state.sup_norm()
+            points.append(TrajectoryPoint(t=t, shape=state, sup_norm=sup))
             warm = res_h.nutrient.values
             if sup >= ADMISSIBLE_SUP_NORM:
-                # the velocity is undefined outside the admissible set; carry
-                # the half-step value forward for the halt record
-                points.append(TrajectoryPoint(
-                    t=t, shape=state, sup_norm=sup,
-                    phi_norm=float(np.max(np.abs(res_h.values)))))
+                # the velocity is undefined outside the admissible set
                 status = "left_neighbourhood"
                 break
-            result = phi(state, A, G, model, grid_settings, grid,
-                         radial_guess=radial_guess, nutrient_warm_start=warm,
-                         n_modes=n_modes)
-            points.append(TrajectoryPoint(
-                t=t, shape=state, sup_norm=sup,
-                phi_norm=float(np.max(np.abs(result.values)))))
-        factor = 5.0 if err == 0.0 else 0.9 * np.sqrt(stepper.err_target / err)
+            result = phi(state, A, G, model, grid, radial_guess=radial_guess,
+                         nutrient_warm_start=warm, n_modes=n_modes)
+        factor = 5.0 if err == 0.0 else 0.9 * np.sqrt(err_target / err)
         dt *= min(5.0, max(0.2, factor))
-        dt = min(dt, stepper.dt_max)
-        if dt < stepper.dt_min:
+        dt = min(dt, DT_MAX)
+        if dt < DT_MIN:
             raise SolverError(
                 f"time step underflow in nonlinear evolution: dt = {dt:.3e} "
-                f"< dt_min = {stepper.dt_min:.3e} at t = {t:.6g}, "
-                f"last error estimate {err:.3e} (target {stepper.err_target:.3e})")
+                f"< dt_min = {DT_MIN:.3e} at t = {t:.6g}, "
+                f"last error estimate {err:.3e} (target {err_target:.3e})")
 
     return Trajectory(points=tuple(points), status=status)

@@ -4,11 +4,14 @@ Both Dirichlet problems are posed on the physical domain bounded by
 r = R (1 + rho(theta)) and pulled back to the unit disk with the blended
 radial map s = R phi(r, theta) (see
 :class:`tumorspec.disk.MappedCoefficients`). The caller builds that map once
-per shape and passes it to both solves. The collocation systems are solved
-by GMRES preconditioned with the per-angular-mode radial inverses; the
-pressure one does not depend on the shape and is kept on the grid. A Krylov
-iteration that ends above the roundoff floor raises SolverError. The
-semilinear nutrient problem wraps this in a Newton iteration.
+per shape and passes it to both solves, together with the
+:class:`tumorspec.disk.DiskGrid` whose nodes the map was built on; the grid
+is the only resolution setting. The collocation systems are solved by GMRES
+preconditioned with the per-angular-mode radial inverses; the pressure one
+does not depend on the shape and is kept on the grid. A Krylov iteration
+that ends above the roundoff floor raises SolverError. The semilinear
+nutrient problem wraps this in a Newton iteration. The tolerances of both
+loops are the module constants below.
 """
 
 from dataclasses import dataclass
@@ -24,17 +27,9 @@ from .models import NutrientModel
 from .radial import RadialProfile
 from .shapes import ShapeState
 
-
-@dataclass(frozen=True)
-class GridSettings:
-    n_r: int = 64
-    n_theta: int = 128
-    newton_tol: float = 1e-10
-    max_newton_iters: int = 30
-    krylov_tol: float = 1e-11
-
-    def make_grid(self):
-        return DiskGrid(n_r=self.n_r, n_theta=self.n_theta)
+NEWTON_TOL = 1e-10        # max interior residual that ends the nutrient Newton loop
+MAX_NEWTON_ITERS = 30
+KRYLOV_TOL = 1e-11        # relative GMRES tolerance of the field solves
 
 
 @dataclass(frozen=True)
@@ -43,7 +38,6 @@ class BoundaryGeometry:
     rho_p: np.ndarray
     rho_pp: np.ndarray
     curvature: np.ndarray
-    normal_field_factor: np.ndarray   # |grad N| at the mapped boundary
 
     @classmethod
     def from_shape(cls, shape: ShapeState, n_theta):
@@ -55,9 +49,7 @@ class BoundaryGeometry:
         h = 1.0 + rho
         denom = h**2 + rho_p**2
         kappa = dealias((h**2 + 2.0 * rho_p**2 - h * rho_pp) / (R * denom**1.5))
-        factor = np.sqrt(1.0 + (rho_p / h) ** 2)
-        return cls(rho=rho, rho_p=rho_p, rho_pp=rho_pp, curvature=kappa,
-                   normal_field_factor=factor)
+        return cls(rho=rho, rho_p=rho_p, rho_pp=rho_pp, curvature=kappa)
 
 
 def curvature(shape: ShapeState, n_theta=None):
@@ -132,7 +124,7 @@ def _interior_solve(grid, coefs, potential, boundary_values, rhs, precond,
 
 
 def solve_pressure(geom: BoundaryGeometry, coefs: MappedCoefficients, A, G,
-                   settings: GridSettings, grid: DiskGrid):
+                   grid: DiskGrid):
     """Harmonic pressure with curvature + mitosis boundary data.
 
     ``geom`` and ``coefs`` describe one shape, ``coefs`` on the nodes of ``grid``.
@@ -141,15 +133,14 @@ def solve_pressure(geom: BoundaryGeometry, coefs: MappedCoefficients, A, G,
                        - 0.25 * A * G * coefs.R**2 * (1.0 + geom.rho) ** 2)
     init = harmonic_extension(grid, boundary)
     V = _interior_solve(grid, coefs, None, boundary, np.zeros_like(init),
-                        grid.laplace_preconditioner, init, settings.krylov_tol)
+                        grid.laplace_preconditioner, init, KRYLOV_TOL)
     return DiskField(n_r=grid.n_r, n_theta=grid.n_theta, values=V,
                      boundary_trace=V[0, :].copy(),
                      normal_derivative_trace=boundary_radial_derivative(grid, V),
                      r=grid.r, theta=grid.theta)
 
 
-def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel,
-                   settings: GridSettings, grid: DiskGrid,
+def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGrid,
                    radial_guess: RadialProfile = None,
                    initial_values: np.ndarray = None):
     """Semilinear nutrient problem, Newton iteration on the mapped disk.
@@ -170,14 +161,14 @@ def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel,
     v[0, :] = 1.0
 
     history = []
-    for _ in range(settings.max_newton_iters):
+    for _ in range(MAX_NEWTON_ITERS):
         F = apply_mapped_laplacian(grid, coefs, v) - scale * model.f_at(v)
         res = float(np.max(np.abs(F[1:, :])))
         history.append(res)
-        if res <= settings.newton_tol:
+        if res <= NEWTON_TOL:
             break
         if len(history) >= 2 and res > 0.5 * history[-2] \
-                and res <= 1e3 * settings.newton_tol:
+                and res <= 1e3 * NEWTON_TOL:
             # roundoff floor of the collocation operator; no further progress
             break
         potential = scale * model.fprime_at(v)
@@ -187,7 +178,7 @@ def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel,
         # one Newton correction: J delta = -F with zero boundary data
         delta = _interior_solve(grid, coefs, potential, np.zeros(grid.n_theta),
                                 rhs, precond, np.zeros_like(v),
-                                max(settings.krylov_tol, 1e-4 * res))
+                                max(KRYLOV_TOL, 1e-4 * res))
         v = v + delta
         v[0, :] = 1.0
     else:

@@ -25,8 +25,11 @@ def evolve_linear(shape: ShapeState, t, table: SpectrumTable):
     if shape.n_modes > table.k_max:
         raise ValidationError(
             f"shape retains {shape.n_modes} modes but table stops at {table.k_max}")
-    factors = np.exp(table.mu[:shape.n_modes + 1] * t)
-    return shape.with_coeffs(shape.coeffs * factors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = shape.coeffs * np.exp(table.mu[:shape.n_modes + 1] * t)
+    # an absent mode stays absent where exp(mu t) overflows; a present one
+    # that overflows makes the shape non-finite, which ShapeState rejects
+    return shape.with_coeffs(np.where(shape.coeffs == 0, 0.0, coeffs))
 
 
 def linearized_mode_profile(k, rho_hat_k, v0: RadialProfile, u_k: RadialProfile):
@@ -60,7 +63,11 @@ def fit_growth_rate(series):
     a = np.array([p[1] for p in pts])
     if np.any(a <= 0):
         raise ValidationError("amplitudes must be positive for a log fit")
-    slope, intercept = np.polyfit(t, np.log(a), 1)
+    try:
+        slope, intercept = np.polyfit(t, np.log(a), 1)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(
+            "the samples span too short a time to fit a rate") from exc
     residual = float(np.max(np.abs(np.log(a) - (slope * t + intercept))))
     return GrowthFit(rate=float(slope), residual=residual)
 

@@ -32,6 +32,8 @@ class NutrientModel:
             if not self.coefficients:
                 raise ValidationError("polynomial model needs coefficients")
             coeffs = np.concatenate(([0.0], np.asarray(self.coefficients, dtype=float)))
+            if not np.all(np.isfinite(coeffs)):
+                raise ValidationError("polynomial coefficients must be finite")
         else:
             raise ValidationError(f"unknown model kind {self.kind!r}")
         deriv = coeffs[1:] * np.arange(1, len(coeffs))

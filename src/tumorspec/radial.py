@@ -117,19 +117,11 @@ class RadialProfile:
     def __post_init__(self):
         object.__setattr__(self, "_weights", barycentric_weights(len(self.grid)))
 
-    def _interpolate(self, samples, r):
-        r_arr = np.asarray(r, dtype=float)
-        out = barycentric_matrix(self.grid, self._weights, r_arr.ravel()) @ samples
-        return out.reshape(r_arr.shape) if np.ndim(r) else out[0].item()
-
     def at(self, r):
         """Barycentric evaluation at scalar or array radii."""
-        return self._interpolate(self.values, r)
-
-    def deriv_at(self, r):
-        if self.deriv_values is None:
-            raise ValueError("profile carries no derivative samples")
-        return self._interpolate(self.deriv_values, r)
+        r_arr = np.asarray(r, dtype=float)
+        out = barycentric_matrix(self.grid, self._weights, r_arr.ravel()) @ self.values
+        return out.reshape(r_arr.shape) if np.ndim(r) else out[0].item()
 
     @property
     def value_at_1(self):

@@ -29,6 +29,8 @@ class ShapeState:
         c = np.asarray(self.coeffs, dtype=complex)
         if c.shape != (self.n_modes + 1,):
             raise ValidationError("coeffs must have length n_modes + 1")
+        if not np.all(np.isfinite(c)):
+            raise ValidationError("shape coefficients must be finite")
         if abs(c[0].imag) > 1e-14 * max(1.0, abs(c[0])):
             raise ValidationError("mode zero must be real")
         object.__setattr__(self, "coeffs", c)
@@ -51,7 +53,8 @@ class ShapeState:
         """Build from (k, amplitude, phase) triples: sum of amp*cos(k theta + phase)."""
         modes = list(modes)
         if n_modes is None:
-            n_modes = max((k for k, _, _ in modes), default=0)
+            # floored at 0 so that a negative k fails the range check below
+            n_modes = max([0] + [k for k, _, _ in modes])
         c = np.zeros(n_modes + 1, dtype=complex)
         for k, amp, phase in modes:
             if k < 0 or k > n_modes:

@@ -93,13 +93,15 @@ def build_table(params: ModelParameters, k_max=DEFAULT_K_MAX,
         boundary_ratio(k, R, v0, params.model, settings) for k in ks
     ])
     denom = _mode_denominator(params.A, ratio, f1)
-    lam = -ks.astype(float) ** 3 / R**3 + 0.0   # + 0.0 makes lambda_0 0, not -0
-    mu = (-ks.astype(float) ** 3 + ks) / R**3 - params.G * denom
-
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lam = -ks.astype(float) ** 3 / R**3 + 0.0   # + 0.0 makes lambda_0 0, not -0
+        mu = (-ks.astype(float) ** 3 + ks) / R**3 - params.G * denom
         g_thr = np.where(np.abs(denom) > DENOM_TOL,
                          (-ks.astype(float) ** 3 + ks) / R**3 / denom,
                          np.nan)
+    if not np.all(np.isfinite(lam) & np.isfinite(mu)) or np.any(np.isinf(g_thr)):
+        raise ValidationError(
+            f"the spectrum at R = {R}, G = {params.G} overflows double precision")
 
     return SpectrumTable(k_max=k_max, R=float(R), A=params.A, G=params.G,
                          f_of_one=f1, ratio=ratio, lam=lam, mu=mu,

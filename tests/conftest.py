@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tumorspec.fields import GridSettings
+from tumorspec.disk import DiskGrid
 from tumorspec.models import identity_model, polynomial_model
 from tumorspec.radial import steady_radius
 from tumorspec.spectrum import ModelParameters, build_table
@@ -40,7 +40,7 @@ def unit_table(id_model, unit_radius_A):
 
 @pytest.fixture(scope="session")
 def small_grid():
-    return GridSettings(n_r=32, n_theta=64)
+    return DiskGrid(n_r=32, n_theta=64)
 
 
 @pytest.fixture

@@ -185,21 +185,21 @@ def test_criterion_7b_lattice_decay(capsys, id_model, small_grid):
 
 def test_criterion_8_field_solvers(capsys, id_model, unit_steady, small_grid):
     t0 = time.perf_counter()
-    grid = small_grid.make_grid()
+    grid = small_grid
     R, v0 = unit_steady.R_A, unit_steady.v0
 
     # unperturbed nutrient against the shooting profile
     z = ShapeState.zero(4, R)
     gz = BoundaryGeometry.from_shape(z, grid.n_theta)
     nut = solve_nutrient(MappedCoefficients.from_boundary(gz.rho, R, grid.r),
-                         id_model, small_grid, grid, radial_guess=v0)
+                         id_model, grid, radial_guess=v0)
     err_nut = float(np.max(np.abs(nut.values - v0.at(grid.r)[:, None])))
 
     # pressure mean-value property at the center
     s = ShapeState.from_modes([(2, 1e-2, 0.0), (5, 5e-3, 0.9)], R)
     geom = BoundaryGeometry.from_shape(s, grid.n_theta)
     coefs = MappedCoefficients.from_boundary(geom.rho, R, grid.r)
-    pres = solve_pressure(geom, coefs, unit_steady.A, 2.0, small_grid, grid)
+    pres = solve_pressure(geom, coefs, unit_steady.A, 2.0, grid)
     radii = np.array([mapped_radius(coefs, 0.5, j)
                       for j in range(grid.n_theta)])
     ring = eval_field_columns(grid, pres.values, radii)
@@ -214,7 +214,7 @@ def test_criterion_8_field_solvers(capsys, id_model, unit_steady, small_grid):
         sp = ShapeState.from_modes([(k, eps, 0.0)], R)
         gp = BoundaryGeometry.from_shape(sp, grid.n_theta)
         coefs_p = MappedCoefficients.from_boundary(gp.rho, R, grid.r)
-        nutp = solve_nutrient(coefs_p, id_model, small_grid, grid, radial_guess=v0)
+        nutp = solve_nutrient(coefs_p, id_model, grid, radial_guess=v0)
         radii_p = np.array([mapped_radius(coefs_p, 0.6, j)
                             for j in range(grid.n_theta)])
         wnum = eval_field_columns(grid, nutp.values, radii_p)

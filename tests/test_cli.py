@@ -2,12 +2,20 @@
 
 import csv
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tumorspec.cli import main, parse_seed_shape
+import tumorspec
+from tumorspec.cli import SCHEMA, main, parse_seed_shape
 from tumorspec.errors import ValidationError
 
 from oracles import identity_steady_A
@@ -16,6 +24,20 @@ from oracles import identity_steady_A
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def _reject_constant(token):
+    raise AssertionError(f"non-finite JSON token {token}")
+
+
+def assert_finite_artifacts(out):
+    """Every number in every CSV and JSON file under ``out`` is finite."""
+    for path in out.rglob("*"):
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+        elif path.suffix == ".csv":
+            for row in read_csv(path)[1:]:
+                assert all(math.isfinite(float(cell)) for cell in row if cell), path
 
 
 class TestSeedShapeParsing:
@@ -99,6 +121,8 @@ class TestSpectrumCommand:
     def test_bad_model_exits_2(self, tmp_path):
         assert main(["spectrum", "--A", "0.5", "--G", "1.0",
                      "--model", "poly:-1", "--out", str(tmp_path)]) == 2
+        assert main(["spectrum", "--A", "0.5", "--G", "1.0",
+                     "--model", "poly:1,inf", "--out", str(tmp_path)]) == 2
 
     def test_nan_G_exits_2(self, tmp_path):
         assert main(["spectrum", "--A", "0.5", "--G", "nan",
@@ -183,6 +207,33 @@ class TestEvolveCommand:
         snap = json.loads((tmp_path / "snapshots.json").read_text())
         assert snap["status"] == "left_neighbourhood"
 
+    def test_linear_equilibrium_stays_zero(self, tmp_path):
+        # above threshold exp(mu_2 t) overflows; an absent mode must stay 0
+        assert main(["evolve", "--A", "0.5", "--G", "2.0", "--mode", "linear",
+                     "--t-end", "1e6", "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "trajectory.csv")
+        assert all(float(cell) == 0.0 for row in rows[1:] for cell in row[1:])
+        assert_finite_artifacts(tmp_path)
+
+    def test_nonlinear_output_independent_of_blas_threads(self, tmp_path):
+        # the default 64x128 grid, three accepted steps
+        src = str(Path(tumorspec.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+            subprocess.run(
+                [sys.executable, "-m", "tumorspec.cli", "evolve", "--A", "0.5",
+                 "--G", "2.0", "--seed-shape", "3:1e-3,2:5e-4:0.3",
+                 "--t-end", "0.005", "--out", str(out)],
+                env=env, check=True, capture_output=True)
+            outputs.append([(out / name).read_bytes()
+                            for name in ("trajectory.csv", "snapshots.json")])
+        assert len(read_csv(tmp_path / "1" / "trajectory.csv")) >= 4
+        assert outputs[0] == outputs[1]
+
     def test_inadmissible_seed_exits_2(self, tmp_path):
         assert main(["evolve", "--A", "0.5", "--G", "1.0",
                      "--seed-shape", "2:0.3", "--out", str(tmp_path)]) == 2
@@ -250,3 +301,141 @@ class TestSweepCommand:
 
     def test_requires_sweep_object(self, tmp_path):
         assert main(["sweep", "--A", "0.5", "--out", str(tmp_path)]) == 2
+
+    def test_failed_run_recorded_and_worst_code_returned(self, tmp_path):
+        # A = 2 is outside (0, f(1)) for the identity model
+        cfg = {"G": 1, "kmax": 4, "sweep": {"parameter": "A", "values": [0.5, 2.0]},
+               "out": str(tmp_path)}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        index = json.loads((tmp_path / "sweep.json").read_text())
+        assert [run["exit_code"] for run in index["runs"]] == [0, 2]
+        assert (tmp_path / "run_000" / "spectrum.csv").exists()
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("command, cfg, flags", [
+        ("spectrum", {"A": 0.5, "G": 1.0, "model": 5}, []),
+        ("spectrum", {"A": 0.5, "G": 1.0, "n_thetaa": 64}, []),
+        ("evolve", {"A": 0.5, "G": 1.0, "mode": "linear", "n_samples": -1}, []),
+        ("evolve", {"A": 0.5, "G": 1.0, "mode": "linear", "n_samples": 0}, []),
+        ("evolve", {"A": 0.5, "G": 1.0, "mode": "linear"}, ["--seed-shape", "2:nan"]),
+        ("evolve", {"A": 0.5, "G": 1.0, "mode": "linear"}, ["--seed-shape", "2:inf"]),
+        ("evolve", {"A": 0.5, "G": 1.0, "mode": "linear"}, ["--seed-shape=-2:1e-3"]),
+        ("sweep", {"A": 0.5, "sweep": {"parameter": "G", "values": ["x"]}}, []),
+        ("sweep", {"A": 0.5, "sweep": {"parameter": "G", "values": [1, "nan"]}}, []),
+        ("spectrum", {"A": 0.5, "G": 1.0, "R": 1e-200, "kmax": 4}, []),
+        ("evolve", {"A": 0.5, "G": 2.0, "mode": "linear", "t_end": 1e6},
+         ["--seed-shape", "2:1e-3"]),
+        ("evolve", {"A": 0.5, "G": 2.0, "mode": "linear", "t_end": 0.0},
+         ["--seed-shape", "2:1e-3"]),
+    ], ids=["model_number", "unknown_key", "negative_n_samples", "zero_n_samples",
+            "nan_seed", "inf_seed", "negative_seed_mode", "sweep_value_string",
+            "sweep_value_nan_string", "spectrum_overflow", "linear_flow_overflow",
+            "rate_fit_without_time_span"])
+    def test_exits_2_before_any_artifact(self, tmp_path, command, cfg, flags):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]
+                    + flags) == 2
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_unknown_key_lists_known_keys(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"A": 0.5, "dt_min": 1e-9}))
+        assert main(["steady", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "'dt_min'" in err and all(key in err for key in SCHEMA)
+
+    def test_unreadable_config_exits_2(self, tmp_path):
+        assert main(["steady", "--config", str(tmp_path)]) == 2
+        assert main(["steady", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+# Each run starts from an in-range A and G and in-range values for some other
+# keys, then gives up to two keys any value: a wrong type, NaN, an infinity, a
+# huge or negative number, or an unknown key. Sizes (kmax, n_samples, n_r,
+# n_theta, workers, seed modes, sweep length) are never large, because no
+# upper bound on them is enforced and a large one costs memory and time in
+# proportion; mode is never "nonlinear" or unset, which would start a field
+# solve.
+_WRONG = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
+                   st.lists(st.integers(0, 3), max_size=2), st.just({}))
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ANY = st.floats() | st.integers(-10**400, 10**400) | _WRONG
+_ANY_SIZE = st.floats() | st.integers(-10**400, 0) | _WRONG
+
+
+def _seed_text(triples):
+    return ",".join(":".join(str(v) for v in t) for t in triples)
+
+
+def _seed_shape(numbers):
+    triple = st.tuples(st.integers(-2, 10), numbers, numbers)
+    return (st.lists(triple, min_size=1, max_size=3).map(_seed_text)
+            | st.lists(triple.map(list), max_size=3))
+
+
+def _sweep(parameter, value):
+    return st.fixed_dictionaries({"parameter": parameter,
+                                  "values": st.lists(value, min_size=1, max_size=3)})
+
+
+_GOOD = {
+    "A": st.floats(0.05, 0.95) | _FINITE,
+    "G": st.floats(-5.0, 500.0) | _FINITE,
+    "R": st.floats(0.2, 5.0) | _FINITE,
+    "model": st.sampled_from(["identity", "poly:1,0.3"]),
+    "kmax": st.integers(-2, 8),
+    "t_end": st.floats(0.0, 10.0) | _FINITE,
+    "seed_shape": _seed_shape(st.floats(-0.1, 0.1) | _FINITE),
+    "n_samples": st.integers(1, 50),
+    "n_r": st.integers(4, 80),
+    "n_theta": st.integers(1, 80).map(lambda n: 2 * n),
+    "err_target": st.floats(1e-12, 1.0),
+    "workers": st.just(1),
+}
+_BAD = {key: _ANY for key in _GOOD}
+_BAD.update(dict.fromkeys(["kmax", "n_samples", "n_r", "n_theta", "workers"],
+                          _ANY_SIZE))
+_BAD.update(
+    model=st.sampled_from(["poly:-1", "poly:x", "poly:nan", "poly:1,inf", "cubic"]) | _ANY,
+    seed_shape=_seed_shape(_ANY) | _WRONG,
+    sweep=_sweep(st.sampled_from(["R"]) | _WRONG, st.floats(0.05, 3.0))
+    | _sweep(st.sampled_from(["A", "G"]), _ANY) | _WRONG,
+    n_thetaa=st.integers(), krylov_tol=_FINITE)
+_MODE = st.sampled_from(["linear", "linear", "linear", "sideways", 1, True, ["linear"]])
+
+
+@st.composite
+def _runs(draw):
+    command = draw(st.sampled_from(["steady", "spectrum", "evolve", "sweep"]))
+    cfg = {"A": draw(st.floats(0.05, 0.95)), "G": draw(st.floats(-5.0, 500.0))}
+    if command == "evolve":
+        cfg["mode"] = draw(_MODE)
+    if command == "sweep":
+        cfg["sweep"] = draw(_sweep(st.sampled_from(["A", "G"]),
+                                   st.floats(0.05, 3.0) | _FINITE))
+    for key in draw(st.lists(st.sampled_from(sorted(_GOOD)), unique=True)):
+        cfg[key] = draw(_GOOD[key])
+    for key in draw(st.lists(st.sampled_from(sorted(_BAD)), unique=True,
+                             max_size=2)):
+        cfg[key] = draw(_BAD[key])
+    return command, cfg
+
+
+class TestCommandLineFuzz:
+    @settings(max_examples=250, deadline=None)
+    @given(run=_runs())
+    def test_exit_code_and_finite_artifacts(self, run):
+        command, cfg = run
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            cfg_path = Path(tmp) / "run.json"
+            cfg_path.write_text(json.dumps(cfg))
+            code = main([command, "--config", str(cfg_path), "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            assert_finite_artifacts(out)

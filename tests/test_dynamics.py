@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from tumorspec.dynamics import StepperSettings, evolve_nonlinear, phi
+from tumorspec.dynamics import evolve_nonlinear, phi
 from tumorspec.errors import ValidationError
-from tumorspec.fields import GridSettings
+from tumorspec.disk import DiskGrid
 from tumorspec.linear import fit_growth_rate
 from tumorspec.shapes import ShapeState
 from tumorspec.spectrum import (ModelParameters, build_table, g_star,
@@ -112,7 +112,7 @@ class TestNonlinearEvolution:
         G = 3.0 * gs_val
         seed = ShapeState.from_modes([(2, 0.15, 0.0)], table.R)
         traj = evolve_nonlinear(seed, 50.0, A, G, id_model, small_grid,
-                                StepperSettings(err_target=1e-5))
+                                err_target=1e-5)
         assert traj.status == "left_neighbourhood"
         assert traj.points[-1].t < 50.0
 
@@ -128,7 +128,7 @@ class TestNonlinearEvolution:
         k = 3
         rates = []
         for n_r, n_theta in ((24, 48), (32, 64)):
-            gs = GridSettings(n_r=n_r, n_theta=n_theta)
+            gs = DiskGrid(n_r=n_r, n_theta=n_theta)
             seed = ShapeState.from_modes([(k, 1e-3, 0.0)], table.R)
             traj = evolve_nonlinear(seed, 0.4, A, G, id_model, gs)
             rates.append(fit_growth_rate(

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tumorspec.disk import (MappedCoefficients, ModePreconditioner,
+from tumorspec.disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
                             apply_mapped_laplacian, barycentric_matrix,
                             barycentric_weights, chebyshev_points,
                             eval_field_columns, mapped_radius,
                             theta_derivative)
 from tumorspec.dynamics import evolve_nonlinear, phi
 from tumorspec.errors import SolverError
-from tumorspec.fields import (BoundaryGeometry, GridSettings, center_value,
-                              curvature, harmonic_residual, solve_nutrient,
-                              solve_pressure)
+from tumorspec.fields import (BoundaryGeometry, center_value, curvature,
+                              harmonic_residual, solve_nutrient, solve_pressure)
 from tumorspec.linear import linearized_mode_profile
 from tumorspec.radial import solve_u_n
 from tumorspec.shapes import ShapeState
@@ -26,35 +25,35 @@ def _map_coefs(shape, grid):
 
 class TestNutrientAtEquilibrium:
     def test_matches_radial_profile(self, unit_steady, id_model, small_grid):
-        grid = small_grid.make_grid()
+        grid = small_grid
         z = ShapeState.zero(4, unit_steady.R_A)
-        nut = solve_nutrient(_map_coefs(z, grid), id_model, small_grid, grid,
+        nut = solve_nutrient(_map_coefs(z, grid), id_model, grid,
                              radial_guess=unit_steady.v0)
         expected = unit_steady.v0.at(grid.r)[:, None]
         assert np.max(np.abs(nut.values - expected)) < 1e-8
 
     def test_boundary_derivative_matches_shooting(self, unit_steady, id_model,
                                                   small_grid):
-        grid = small_grid.make_grid()
+        grid = small_grid
         z = ShapeState.zero(4, unit_steady.R_A)
-        nut = solve_nutrient(_map_coefs(z, grid), id_model, small_grid, grid,
+        nut = solve_nutrient(_map_coefs(z, grid), id_model, grid,
                              radial_guess=unit_steady.v0)
         assert np.max(np.abs(nut.normal_derivative_trace
                              - unit_steady.v0.deriv_at_1)) < 1e-8
 
     def test_center_value(self, unit_steady, id_model, small_grid):
-        grid = small_grid.make_grid()
+        grid = small_grid
         z = ShapeState.zero(4, unit_steady.R_A)
-        nut = solve_nutrient(_map_coefs(z, grid), id_model, small_grid, grid,
+        nut = solve_nutrient(_map_coefs(z, grid), id_model, grid,
                              radial_guess=unit_steady.v0)
         assert center_value(grid, nut.values) == pytest.approx(
             unit_steady.v0.value_at_0, abs=1e-10)
 
     def test_maximum_principle_on_perturbed_domain(self, unit_steady, id_model,
                                                    small_grid):
-        grid = small_grid.make_grid()
+        grid = small_grid
         s = ShapeState.from_modes([(3, 5e-2, 0.4)], unit_steady.R_A)
-        nut = solve_nutrient(_map_coefs(s, grid), id_model, small_grid, grid,
+        nut = solve_nutrient(_map_coefs(s, grid), id_model, grid,
                              radial_guess=unit_steady.v0)
         assert np.all(nut.values > 0.0)
         assert np.all(nut.values <= 1.0 + 1e-10)
@@ -64,21 +63,21 @@ class TestPressure:
     def test_constant_for_disk_with_balanced_data(self, unit_steady, small_grid):
         # on the unperturbed disk the boundary data is constant, so the
         # harmonic extension is that constant
-        grid = small_grid.make_grid()
+        grid = small_grid
         z = ShapeState.zero(4, unit_steady.R_A)
         A, G = unit_steady.A, 2.0
         pres = solve_pressure(BoundaryGeometry.from_shape(z, grid.n_theta),
-                              _map_coefs(z, grid), A, G, small_grid, grid)
+                              _map_coefs(z, grid), A, G, grid)
         expected = 1.0 / unit_steady.R_A - 0.25 * A * G * unit_steady.R_A**2
         assert np.max(np.abs(pres.values - expected)) < 1e-10
 
     def test_center_mean_value_property(self, unit_steady, small_grid):
-        grid = small_grid.make_grid()
+        grid = small_grid
         s = ShapeState.from_modes([(2, 1e-2, 0.0), (5, 5e-3, 0.9)],
                                   unit_steady.R_A)
         coefs = _map_coefs(s, grid)
         pres = solve_pressure(BoundaryGeometry.from_shape(s, grid.n_theta),
-                              coefs, unit_steady.A, 2.0, small_grid, grid)
+                              coefs, unit_steady.A, 2.0, grid)
         # the mean over any interior physical circle equals the center value
         for frac in (0.3, 0.6):
             radii = np.array([mapped_radius(coefs, frac, j)
@@ -87,24 +86,24 @@ class TestPressure:
             assert abs(center_value(grid, pres.values) - ring.mean()) < 1e-8
 
     def test_harmonic_residual_small(self, unit_steady, small_grid):
-        grid = small_grid.make_grid()
+        grid = small_grid
         s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
         coefs = _map_coefs(s, grid)
         pres = solve_pressure(BoundaryGeometry.from_shape(s, grid.n_theta),
-                              coefs, unit_steady.A, 2.0, small_grid, grid)
+                              coefs, unit_steady.A, 2.0, grid)
         assert harmonic_residual(grid, coefs, pres) < 1e-7
 
     def test_normal_derivative_symbol(self, unit_steady, small_grid):
         # linearized boundary data curvature - A G R^2 h^2 / 4 excites mode k
         # with the harmonic r^|k| profile; check dq/dr against |k| times the
         # boundary coefficient
-        grid = small_grid.make_grid()
+        grid = small_grid
         eps, k = 1e-4, 4
         R = unit_steady.R_A
         A, G = unit_steady.A, 2.0
         s = ShapeState.from_modes([(k, eps, 0.0)], R)
         pres = solve_pressure(BoundaryGeometry.from_shape(s, grid.n_theta),
-                              _map_coefs(s, grid), A, G, small_grid, grid)
+                              _map_coefs(s, grid), A, G, grid)
         spec_b = np.fft.rfft(pres.boundary_trace) / grid.n_theta
         spec_d = np.fft.rfft(pres.normal_derivative_trace) / grid.n_theta
         assert spec_d[k] == pytest.approx(k * spec_b[k], rel=1e-4)
@@ -116,27 +115,25 @@ class TestPressure:
         # solve must report that instead of probing a dense matrix
         monkeypatch.setattr(ModePreconditioner, "solve_interior",
                             lambda self, residual: residual)
-        settings_16 = GridSettings(n_r=16, n_theta=32)
-        grid = settings_16.make_grid()
+        grid = DiskGrid(n_r=16, n_theta=32)
         s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
         with pytest.raises(SolverError, match="relative residual"):
             solve_pressure(BoundaryGeometry.from_shape(s, grid.n_theta),
-                           _map_coefs(s, grid), unit_steady.A, 2.0,
-                           settings_16, grid)
+                           _map_coefs(s, grid), unit_steady.A, 2.0, grid)
 
 
 class TestPerturbedNutrient:
     @pytest.mark.parametrize("k", [2, 3])
     def test_matches_linearized_profile_to_second_order(self, k, unit_steady,
                                                         id_model, small_grid):
-        grid = small_grid.make_grid()
+        grid = small_grid
         R, v0 = unit_steady.R_A, unit_steady.v0
         uk = solve_u_n(k, R, v0, id_model)
         errs = []
         for eps in (1e-2, 1e-3):
             s = ShapeState.from_modes([(k, eps, 0.0)], R)
             coefs = _map_coefs(s, grid)
-            nut = solve_nutrient(coefs, id_model, small_grid, grid, radial_guess=v0)
+            nut = solve_nutrient(coefs, id_model, grid, radial_guess=v0)
             prof = linearized_mode_profile(k, 1.0, v0, uk)
             frac = 0.6
             radii = np.array([mapped_radius(coefs, frac, j)
@@ -152,7 +149,7 @@ class TestMappedOperator:
     @pytest.mark.parametrize("rho_mode", [2, 3])
     def test_exact_harmonics_in_kernel(self, rho_mode, small_grid):
         # Re(z^m) is harmonic; its pullback must sit in the operator kernel
-        grid = small_grid.make_grid()
+        grid = small_grid
         R = 2.0
         s = ShapeState.from_modes([(rho_mode, 1e-2, 0.3)], R)
         coefs = _map_coefs(s, grid)
@@ -163,7 +160,7 @@ class TestMappedOperator:
             assert np.max(np.abs(res[1:, :])) < 1e-5 * R**m
 
     def test_reduces_to_polar_laplacian_unperturbed(self, small_grid):
-        grid = small_grid.make_grid()
+        grid = small_grid
         s = ShapeState.zero(4, 1.5)
         coefs = _map_coefs(s, grid)
         V = grid.r[:, None] ** 2 * np.cos(2.0 * grid.theta[None, :])
@@ -171,7 +168,7 @@ class TestMappedOperator:
         assert np.max(np.abs(res)) < 1e-8
 
     def test_mapped_radius_inverts_map(self, small_grid):
-        grid = small_grid.make_grid()
+        grid = small_grid
         s = ShapeState.from_modes([(3, 2e-2, 0.7)], 1.0)
         coefs = _map_coefs(s, grid)
         for j in (0, 5, 17):
@@ -217,15 +214,6 @@ class TestCurvature:
         assert np.max(np.abs(got - expected)) < 1e-10
 
 
-class TestNormalFieldFactor:
-    def test_matches_metric_identity(self, rng):
-        s = ShapeState.from_modes([(3, 1e-2, 0.2), (5, 5e-3, 1.1)], 1.0)
-        geom = BoundaryGeometry.from_shape(s, 64)
-        h = 1.0 + geom.rho
-        assert np.allclose(geom.normal_field_factor,
-                           np.sqrt(h**2 + geom.rho_p**2) / h, atol=1e-14)
-
-
 class TestSingleMapPerVelocity:
     def test_phi_builds_one_geometry_and_one_map(self, unit_steady, id_model,
                                                  small_grid, monkeypatch):
@@ -259,7 +247,7 @@ class TestModePreconditioner:
         # the operator after the solve instead amplifies the solve's
         # roundoff by the size of the D2 rows next to the boundary, about
         # 1e-8 relative on 64 x 128 for either this or an LU solve.)
-        grid = GridSettings(n_r=n_r, n_theta=n_theta).make_grid()
+        grid = DiskGrid(n_r=n_r, n_theta=n_theta)
         coefs = MappedCoefficients.from_boundary(np.zeros(n_theta), 1.7, grid.r)
         potential = 2.0 * grid.r**2 * (1.0 + grid.r**2) if with_potential else None
         V = rng.standard_normal((n_r, n_theta))
@@ -282,7 +270,7 @@ class TestModePreconditioner:
         monkeypatch.setattr(ModePreconditioner, "__init__", counted)
         s = ShapeState.from_modes([(2, 1e-3, 0.0)], unit_steady.R_A)
         traj = evolve_nonlinear(s, 0.01, unit_steady.A, 2.0, id_model,
-                                GridSettings(n_r=16, n_theta=32))
+                                DiskGrid(n_r=16, n_theta=32))
         assert len(traj.points) >= 3          # several velocity evaluations
         assert built.count(True) == 1         # one pressure preconditioner
 

@@ -57,6 +57,8 @@ class TestShapeState:
     def test_lattice_validation(self):
         with pytest.raises(ValidationError):
             ShapeState.from_modes([(3, 1e-3, 0.0)], 1.0, n_modes=8, periodicity=2)
+        with pytest.raises(ValidationError):
+            ShapeState.from_modes([(-2, 1e-3, 0.0)], 1.0)
         s = ShapeState.from_modes([(4, 1e-3, 0.0)], 1.0, n_modes=8, periodicity=2)
         assert s.periodicity == 2
 
