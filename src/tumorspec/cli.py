@@ -226,13 +226,11 @@ def cmd_spectrum(cfg):
     return EXIT_OK
 
 
-def _write_trajectory(path, shapes, k_top):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "sup_norm"] + [f"amp_{k}" for k in range(k_top + 1)])
-        for t, s in shapes:
-            writer.writerow([_fmt(t), _fmt(s.sup_norm())]
-                            + [_fmt(s.amplitude(k)) for k in range(k_top + 1)])
+def _trajectory_rows(shapes, k_top):
+    ks = range(k_top + 1)
+    return [["t", "sup_norm"] + [f"amp_{k}" for k in ks]] + [
+        [_fmt(t), _fmt(s.sup_norm())] + [_fmt(s.amplitude(k)) for k in ks]
+        for t, s in shapes]
 
 
 def _snapshot(t, shape, n_theta=256):
@@ -241,11 +239,12 @@ def _snapshot(t, shape, n_theta=256):
 
 def cmd_evolve(cfg):
     model = parse_model_spec(cfg["model"])
-    A = _required(cfg, "A")
-    G = _required(cfg, "G")
+    A, G = _required(cfg, "A"), _required(cfg, "G")
     mode, t_end, R = cfg["mode"], cfg["t_end"], cfg["R"]
     if R is None:
         R = steady_radius(A, model).R_A
+    # checks A (and R) for both modes
+    params = ModelParameters(A=A, G=G, model=model, R=R)
 
     if cfg["seed_shape"] is None:
         shape0 = ShapeState.zero(8, R)
@@ -258,8 +257,7 @@ def cmd_evolve(cfg):
 
     if mode == "linear":
         k_max = max(cfg["kmax"], k_top, 2)
-        table = build_table(ModelParameters(A=A, G=G, model=model, R=R),
-                            k_max=k_max)
+        table = build_table(params, k_max=k_max)
         times = np.linspace(0.0, t_end, cfg["n_samples"] + 1)
         shapes = linear_trajectory(shape0, times, table)
     else:
@@ -278,8 +276,9 @@ def cmd_evolve(cfg):
             fit = fit_growth_rate(series)
             rates[str(k)] = {"rate": fit.rate, "residual": fit.residual}
 
-    _write_trajectory(out / "trajectory.csv", shapes, k_top)
-
+    # everything is computed before the first file is opened, so a shape
+    # that cannot be sampled leaves no artifact
+    rows = _trajectory_rows(shapes, k_top)
     snap = {
         "status": status,
         "mode": mode,
@@ -290,6 +289,8 @@ def cmd_evolve(cfg):
         "fitted_rates": rates,
         "snapshots": [_snapshot(*shapes[0]), _snapshot(*shapes[-1])],
     }
+    with open(out / "trajectory.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
     with open(out / "snapshots.json", "w") as fh:
         json.dump(snap, fh, indent=2, sort_keys=True)
         fh.write("\n")

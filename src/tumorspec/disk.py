@@ -10,6 +10,12 @@ avoid both the coordinate singularity at r = 0 and any 1/r evaluation there.
 Row 0 of every (n_r x n_theta) field array is the boundary r = 1; radii are
 stored descending.
 
+A perturbed domain is pulled back to this disk by one map per shape,
+:class:`MappedCoefficients`: it splits rho into its half-turn parts once and
+holds the transformed Laplacian's coefficients together with the boundary
+quantities (h, beta, phi_r(1), curvature) that the field solves and the
+boundary velocity read.
+
 The Chebyshev toolkit at the top of this module (points, barycentric weights,
 interpolation and differentiation matrices, and the fold) is the only one in
 the package; :mod:`tumorspec.radial` builds its profile grid from it too.
@@ -159,9 +165,18 @@ def dealias(values):
     return np.fft.irfft(spec, n=n, axis=-1)
 
 
+def boundary_curvature(rho, rho_p, R):
+    """Curvature of the polar curve s = R (1 + rho(theta)); rho_p = rho'."""
+    h = 1.0 + rho
+    rho_pp = theta_derivative(rho, 2)
+    denom = h**2 + rho_p**2
+    return dealias((h**2 + 2.0 * rho_p**2 - h * rho_pp) / (R * denom**1.5))
+
+
 @dataclass
 class MappedCoefficients:
-    """Coefficient arrays of the Laplacian under the blended radial map.
+    """The map of one shape: the blended radial map, its boundary quantities
+    and the coefficients of the Laplacian it transforms to.
 
     The physical radius is s = R phi(r, theta) with
 
@@ -179,6 +194,8 @@ class MappedCoefficients:
         a_r  = -phi**2 J_r / J**3 + phi/J - g_theta + g g_r.
 
     It is invertible on the whole admissible set: J >= 1 - 3 sup|rho| > 0.
+    The boundary quantities (h, beta, J1, curvature) are the ones the
+    pressure data and the boundary velocity read.
     """
     phi: np.ndarray      # (n_r, n_theta) mapped radius / R
     a_rr: np.ndarray
@@ -186,13 +203,19 @@ class MappedCoefficients:
     a_rt: np.ndarray
     scale: np.ndarray    # R**2 phi**2, multiplies the physical right-hand side
     h: np.ndarray        # 1 + rho on the boundary
+    E: np.ndarray        # half-turn even part of rho
+    O: np.ndarray        # half-turn odd part of rho
+    beta: np.ndarray     # rho' / h
+    J1: np.ndarray       # phi_r at r = 1, that is 1 + E + 2 O
+    curvature: np.ndarray
     R: float
 
     @classmethod
     def from_boundary(cls, rho, R, r_nodes):
-        half = len(rho) // 2
-        E = 0.5 * (rho + np.roll(rho, half))
-        O = 0.5 * (rho - np.roll(rho, half))
+        """The map of the shape rho (samples on the angular grid) at r_nodes."""
+        turned = np.roll(rho, len(rho) // 2)     # rho(theta + pi)
+        E = 0.5 * (rho + turned)
+        O = 0.5 * (rho - turned)
         Ep = theta_derivative(E, 1)
         Op = theta_derivative(O, 1)
         Epp = theta_derivative(E, 2)
@@ -212,8 +235,12 @@ class MappedCoefficients:
         a_rt = -2.0 * g
         a_r = dealias(-(phi**2) * J_r / J**3 + phi / J - g_t + g * g_r)
 
-        return cls(phi=phi, a_rr=a_rr, a_r=a_r, a_rt=a_rt,
-                   scale=(R * phi) ** 2, h=1.0 + rho, R=float(R))
+        h = 1.0 + rho
+        rho_p = theta_derivative(rho, 1)
+        return cls(phi=phi, a_rr=a_rr, a_r=a_r, a_rt=a_rt, scale=(R * phi) ** 2,
+                   h=h, E=E, O=O, beta=rho_p / h,
+                   J1=1.0 + 1.5 * rho - 0.5 * turned,
+                   curvature=boundary_curvature(rho, rho_p, R), R=float(R))
 
 
 def apply_mapped_laplacian(grid: DiskGrid, coefs: MappedCoefficients, V):
@@ -233,14 +260,10 @@ def mapped_radius(coefs: MappedCoefficients, s_over_R, theta_index):
     theta_index selects the angular column; s_over_R = s / R must lie in
     [0, phi(1, theta)].
     """
-    half = coefs.h.shape[0] // 2
-    E = 0.5 * (coefs.h - 1.0 + np.roll(coefs.h - 1.0, half))[theta_index]
-    O = 0.5 * (coefs.h - 1.0 - np.roll(coefs.h - 1.0, half))[theta_index]
-    c1 = 1.0 + E
-    if abs(O) < 1e-15:
-        return s_over_R / c1
-    disc = c1 * c1 + 4.0 * O * s_over_R
-    return (-c1 + np.sqrt(disc)) / (2.0 * O)
+    c1 = 1.0 + coefs.E[theta_index]
+    O = coefs.O[theta_index]
+    # the root of O r**2 + c1 r = s in the form without cancellation
+    return 2.0 * s_over_R / (c1 + np.sqrt(c1 * c1 + 4.0 * O * s_over_R))
 
 
 def boundary_radial_derivative(grid: DiskGrid, V):

@@ -8,10 +8,12 @@ normal factor, and the mitosis drift:
     h = 1 + rho,  beta = rho'/h,  c = (1 + beta**2) h / phi_r(1),
 
 with all traces taken at the mapped boundary r = 1 and phi_r the radial
-Jacobian of the blended map there. Time stepping treats the
-stiff cubic principal symbol -|k|**3/R**3 implicitly per Fourier mode and the
-remainder explicitly; step doubling supplies both the error estimate and a
-second-order extrapolated update.
+Jacobian of the blended map there. Each evaluation builds the map of the
+shape once (:class:`tumorspec.disk.MappedCoefficients`); both field solves
+and the boundary factors h, beta and phi_r(1) are read from it. Time
+stepping treats the stiff cubic principal symbol -|k|**3/R**3 implicitly per
+Fourier mode and the remainder explicitly; step doubling supplies both the
+error estimate and a second-order extrapolated update.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .fields import BoundaryGeometry, solve_nutrient, solve_pressure
+from .fields import solve_nutrient, solve_pressure
 from .disk import DiskGrid, MappedCoefficients, dealias, theta_derivative
 from .models import NutrientModel
 from .radial import solve_U
@@ -34,52 +36,43 @@ DT_MAX = 0.25
 @dataclass(frozen=True)
 class PhiResult:
     values: np.ndarray        # boundary velocity on the angular grid
-    coeffs: np.ndarray        # its Fourier coefficients, k = 0..n_modes
+    coeffs: np.ndarray        # its Fourier coefficients, k = 0..n_theta // 3
     nutrient: object
-    pressure: object
 
 
 def phi(shape: ShapeState, A, G, model: NutrientModel, grid: DiskGrid = None,
-        radial_guess=None, nutrient_warm_start=None, n_modes=None):
+        radial_guess=None, nutrient_warm_start=None):
     """Evaluate the boundary velocity for the given shape.
 
     The fields are solved on ``grid`` (the default 64x128 DiskGrid if None).
-    The boundary geometry and the mapped coefficients are built once here
-    and shared by both field solves.
+    The map of the shape is built once here and shared by both field solves.
     """
+    shape.require_admissible()
     grid = grid or DiskGrid()
     R = shape.radius_scale
     if radial_guess is None:
         radial_guess = solve_U(R * R, model)
 
-    geom = BoundaryGeometry.from_shape(shape, grid.n_theta)
-    coefs = MappedCoefficients.from_boundary(geom.rho, R, grid.r)
+    coefs = MappedCoefficients.from_boundary(shape.to_grid(grid.n_theta), R, grid.r)
     nut = solve_nutrient(coefs, model, grid, radial_guess=radial_guess,
                          initial_values=nutrient_warm_start)
-    pres = solve_pressure(geom, coefs, A, G, grid)
+    pres = solve_pressure(coefs, A, G, grid)
 
-    h = 1.0 + geom.rho
-    beta = geom.rho_p / h
-    # phi_r at r = 1 of the blended map: 1 + E + 2 O with rho = E + O the
-    # half-turn even/odd split
-    J1 = 1.0 + 1.5 * geom.rho - 0.5 * np.roll(geom.rho, grid.n_theta // 2)
-
+    h, beta = coefs.h, coefs.beta
     v_r = nut.normal_derivative_trace
     v_t = theta_derivative(nut.boundary_trace)
     q_r = pres.normal_derivative_trace
     q_t = theta_derivative(pres.boundary_trace)
 
-    radial_factor = (1.0 + beta**2) * h / J1
+    radial_factor = (1.0 + beta**2) * h / coefs.J1
     values = (radial_factor * (G * v_r - q_r) - beta * (G * v_t - q_t)) \
         / (R * R * h) - 0.5 * A * G * h
     values = dealias(values)
 
-    if n_modes is None:
-        n_modes = grid.n_theta // 3
     spec = np.fft.rfft(values) / grid.n_theta
-    coeffs = spec[:n_modes + 1].copy()
+    coeffs = spec[:grid.n_theta // 3 + 1].copy()
     coeffs[0] = coeffs[0].real
-    return PhiResult(values=values, coeffs=coeffs, nutrient=nut, pressure=pres)
+    return PhiResult(values=values, coeffs=coeffs, nutrient=nut)
 
 
 @dataclass(frozen=True)
@@ -135,8 +128,7 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
     t = 0.0
     state = make_shape(c)
     warm = None
-    result = phi(state, A, G, model, grid, radial_guess=radial_guess,
-                 n_modes=n_modes)
+    result = phi(state, A, G, model, grid, radial_guess=radial_guess)
     points = [TrajectoryPoint(t=0.0, shape=state, sup_norm=state.sup_norm())]
     status = "completed"
     dt = min(DT_INIT, max(t_end, DT_MIN))
@@ -150,7 +142,7 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
             status = "left_neighbourhood"
             break
         res_h = phi(shape_h, A, G, model, grid, radial_guess=radial_guess,
-                    nutrient_warm_start=warm, n_modes=n_modes)
+                    nutrient_warm_start=warm)
         c2 = imex_step(ch, res_h.coeffs, 0.5 * dt)
 
         err = float(np.max(np.abs(c2 - c1)))
@@ -165,7 +157,7 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
                 status = "left_neighbourhood"
                 break
             result = phi(state, A, G, model, grid, radial_guess=radial_guess,
-                         nutrient_warm_start=warm, n_modes=n_modes)
+                         nutrient_warm_start=warm)
         factor = 5.0 if err == 0.0 else 0.9 * np.sqrt(err_target / err)
         dt *= min(5.0, max(0.2, factor))
         dt = min(dt, DT_MAX)

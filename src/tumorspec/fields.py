@@ -2,16 +2,22 @@
 
 Both Dirichlet problems are posed on the physical domain bounded by
 r = R (1 + rho(theta)) and pulled back to the unit disk with the blended
-radial map s = R phi(r, theta) (see
-:class:`tumorspec.disk.MappedCoefficients`). The caller builds that map once
-per shape and passes it to both solves, together with the
-:class:`tumorspec.disk.DiskGrid` whose nodes the map was built on; the grid
-is the only resolution setting. The collocation systems are solved by GMRES
+radial map s = R phi(r, theta). One :class:`tumorspec.disk.MappedCoefficients`
+holds that map for a shape: the operator coefficients, and the boundary
+quantities (h = 1 + rho, the curvature) that the pressure data read. The
+caller builds it once per shape and passes it to both solves, together with
+the :class:`tumorspec.disk.DiskGrid` whose nodes it was built on; the grid is
+the only resolution setting.
+
+Every linear solve is for a correction with zero boundary data: the pressure
+starts from the harmonic extension of its boundary data and adds the
+correction for the interior residual of the mapped Laplacian, and each
+nutrient Newton step adds the correction for the interior residual of the
+semilinear equation. The collocation systems are solved by GMRES
 preconditioned with the per-angular-mode radial inverses; the pressure one
 does not depend on the shape and is kept on the grid. A Krylov iteration
-that ends above the roundoff floor raises SolverError. The semilinear
-nutrient problem wraps this in a Newton iteration. The tolerances of both
-loops are the module constants below.
+that ends above the roundoff floor raises SolverError. The tolerances of
+both loops are the module constants below.
 """
 
 from dataclasses import dataclass
@@ -20,8 +26,9 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
-                   apply_mapped_laplacian, boundary_radial_derivative, dealias,
-                   eval_field_columns, harmonic_extension, theta_derivative)
+                   apply_mapped_laplacian, boundary_curvature,
+                   boundary_radial_derivative, dealias, eval_field_columns,
+                   harmonic_extension, theta_derivative)
 from .errors import SolverError
 from .models import NutrientModel
 from .radial import RadialProfile
@@ -32,73 +39,47 @@ MAX_NEWTON_ITERS = 30
 KRYLOV_TOL = 1e-11        # relative GMRES tolerance of the field solves
 
 
-@dataclass(frozen=True)
-class BoundaryGeometry:
-    rho: np.ndarray
-    rho_p: np.ndarray
-    rho_pp: np.ndarray
-    curvature: np.ndarray
-
-    @classmethod
-    def from_shape(cls, shape: ShapeState, n_theta):
-        shape.require_admissible()
-        R = shape.radius_scale
-        rho = shape.to_grid(n_theta)
-        rho_p = theta_derivative(rho, 1)
-        rho_pp = theta_derivative(rho, 2)
-        h = 1.0 + rho
-        denom = h**2 + rho_p**2
-        kappa = dealias((h**2 + 2.0 * rho_p**2 - h * rho_pp) / (R * denom**1.5))
-        return cls(rho=rho, rho_p=rho_p, rho_pp=rho_pp, curvature=kappa)
-
-
 def curvature(shape: ShapeState, n_theta=None):
     """Pointwise curvature of the perturbed boundary on the angular grid."""
     if n_theta is None:
         n_theta = max(64, 4 * (shape.n_modes + 1))
         n_theta += n_theta % 2
-    return BoundaryGeometry.from_shape(shape, n_theta).curvature
+    shape.require_admissible()
+    rho = shape.to_grid(n_theta)
+    return boundary_curvature(rho, theta_derivative(rho, 1), shape.radius_scale)
 
 
 @dataclass(frozen=True)
 class DiskField:
-    n_r: int
-    n_theta: int
     values: np.ndarray                    # row 0 = boundary, radii descending
-    boundary_trace: np.ndarray
     normal_derivative_trace: np.ndarray   # d/dr at r = 1 in mapped coordinates
-    r: np.ndarray
-    theta: np.ndarray
+
+    @property
+    def boundary_trace(self):
+        return self.values[0]
 
 
-def _interior_solve(grid, coefs, potential, boundary_values, rhs, precond,
-                    initial, krylov_tol):
-    """Solve the mapped Dirichlet problem; returns the full field array.
+def _interior_solve(grid, coefs, potential, rhs, precond, tol):
+    """Interior values of the correction with zero boundary data.
 
-    potential is either None or an (n_r, n_theta) array subtracted from the
-    operator; boundary_values fixes row 0.
+    Solves (mapped Laplacian - potential) W = rhs on the interior rows, with
+    W = 0 on the boundary row; potential is None or an (n_r, n_theta) array,
+    and rhs holds the n_r - 1 interior rows.
     """
     n_int = (grid.n_r - 1) * grid.n_theta
-
-    def full_apply(V):
-        out = apply_mapped_laplacian(grid, coefs, V)
-        if potential is not None:
-            out = out - potential * V
-        return out
-
-    V0 = initial.copy()
-    V0[0, :] = boundary_values
 
     def matvec(w):
         W = np.zeros((grid.n_r, grid.n_theta))
         W[1:, :] = w.reshape(grid.n_r - 1, grid.n_theta)
-        return full_apply(W)[1:, :].ravel()
+        out = apply_mapped_laplacian(grid, coefs, W)
+        if potential is not None:
+            out = out - potential * W
+        return out[1:, :].ravel()
 
-    rhs_int = (rhs - full_apply(V0))[1:, :]
-    b = rhs_int.ravel()
+    b = rhs.ravel()
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return V0
+        return np.zeros_like(rhs)
 
     op = LinearOperator((n_int, n_int), matvec=matvec)
     prec = LinearOperator(
@@ -106,7 +87,7 @@ def _interior_solve(grid, coefs, potential, boundary_values, rhs, precond,
         matvec=lambda w: precond.solve_interior(
             w.reshape(grid.n_r - 1, grid.n_theta)).ravel())
 
-    x, info = gmres(op, b, M=prec, rtol=krylov_tol, atol=0.25 * krylov_tol * bnorm,
+    x, info = gmres(op, b, M=prec, rtol=tol, atol=0.25 * tol * bnorm,
                     maxiter=10, restart=60)
     if info != 0:
         # the preconditioned iteration stalls once the unpreconditioned
@@ -117,27 +98,22 @@ def _interior_solve(grid, coefs, potential, boundary_values, rhs, precond,
             raise SolverError(
                 f"GMRES did not converge (info={info}); relative residual "
                 f"{achieved:.3e} on {n_int} unknowns")
-
-    V = V0.copy()
-    V[1:, :] += x.reshape(grid.n_r - 1, grid.n_theta)
-    return V
+    return x.reshape(grid.n_r - 1, grid.n_theta)
 
 
-def solve_pressure(geom: BoundaryGeometry, coefs: MappedCoefficients, A, G,
-                   grid: DiskGrid):
+def solve_pressure(coefs: MappedCoefficients, A, G, grid: DiskGrid):
     """Harmonic pressure with curvature + mitosis boundary data.
 
-    ``geom`` and ``coefs`` describe one shape, ``coefs`` on the nodes of ``grid``.
+    ``coefs`` is the map of the domain on the nodes of ``grid``.
     """
-    boundary = dealias(geom.curvature
-                       - 0.25 * A * G * coefs.R**2 * (1.0 + geom.rho) ** 2)
-    init = harmonic_extension(grid, boundary)
-    V = _interior_solve(grid, coefs, None, boundary, np.zeros_like(init),
-                        grid.laplace_preconditioner, init, KRYLOV_TOL)
-    return DiskField(n_r=grid.n_r, n_theta=grid.n_theta, values=V,
-                     boundary_trace=V[0, :].copy(),
-                     normal_derivative_trace=boundary_radial_derivative(grid, V),
-                     r=grid.r, theta=grid.theta)
+    boundary = dealias(coefs.curvature - 0.25 * A * G * coefs.R**2 * coefs.h**2)
+    V = harmonic_extension(grid, boundary)
+    V[0, :] = boundary
+    V[1:, :] += _interior_solve(grid, coefs, None,
+                                -apply_mapped_laplacian(grid, coefs, V)[1:, :],
+                                grid.laplace_preconditioner, KRYLOV_TOL)
+    return DiskField(values=V,
+                     normal_derivative_trace=boundary_radial_derivative(grid, V))
 
 
 def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGrid,
@@ -173,23 +149,16 @@ def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGr
             break
         potential = scale * model.fprime_at(v)
         precond = ModePreconditioner(grid, potential.mean(axis=1))
-        rhs = np.zeros_like(v)
-        rhs[1:, :] = -F[1:, :]
         # one Newton correction: J delta = -F with zero boundary data
-        delta = _interior_solve(grid, coefs, potential, np.zeros(grid.n_theta),
-                                rhs, precond, np.zeros_like(v),
-                                max(KRYLOV_TOL, 1e-4 * res))
-        v = v + delta
-        v[0, :] = 1.0
+        v[1:, :] += _interior_solve(grid, coefs, potential, -F[1:, :], precond,
+                                    max(KRYLOV_TOL, 1e-4 * res))
     else:
         raise SolverError(
             "nutrient Newton iteration did not converge; residual history: "
             + ", ".join(f"{r:.3e}" for r in history))
 
-    return DiskField(n_r=grid.n_r, n_theta=grid.n_theta, values=v,
-                     boundary_trace=v[0, :].copy(),
-                     normal_derivative_trace=boundary_radial_derivative(grid, v),
-                     r=grid.r, theta=grid.theta)
+    return DiskField(values=v,
+                     normal_derivative_trace=boundary_radial_derivative(grid, v))
 
 
 def center_value(grid: DiskGrid, values):

@@ -15,7 +15,7 @@ model.
 Both families are singular at r = 0 and have even solutions. They are
 discretised by Chebyshev collocation on the folded grid of
 :mod:`tumorspec.disk` (Trefethen, *Spectral Methods in MATLAB*, ch. 11): an
-odd degree N = ``n_nodes`` places the N + 1 Chebyshev points of [-1, 1]
+odd degree N = ``N_NODES`` places the N + 1 Chebyshev points of [-1, 1]
 symmetrically about the origin but never on it, and the even fold of the
 differentiation matrices acts on the (N + 1)/2 positive nodes. Every row is
 multiplied by r**2, so no 1/r is ever formed. Profiles are returned on the
@@ -39,21 +39,10 @@ from .disk import (barycentric_matrix, barycentric_weights, chebyshev_matrix,
 from .errors import BracketError, SolverError, ValidationError
 from .models import NutrientModel
 
-
-@dataclass(frozen=True)
-class SolverSettings:
-    abs_tol: float = 1e-14
-    rel_tol: float = 1e-12
-    max_newton_iters: int = 60
-    n_nodes: int = 65
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValidationError("tolerances must be positive")
-        if self.max_newton_iters < 1:
-            raise ValidationError("max_newton_iters must be at least 1")
-        if self.n_nodes < 5 or self.n_nodes % 2 == 0:
-            raise ValidationError("n_nodes must be odd and at least 5")
+ABS_TOL = 1e-14           # Newton on U stops once its update is at most
+REL_TOL = 1e-12           # REL_TOL * max|U| + ABS_TOL
+MAX_NEWTON_ITERS = 60
+N_NODES = 65              # odd collocation degree of the folded grid (>= 5)
 
 
 @dataclass(frozen=True)
@@ -132,21 +121,21 @@ class RadialProfile:
         return float(self.values[0])
 
 
-def solve_U(lam, model: NutrientModel, settings: SolverSettings = SolverSettings()):
+def solve_U(lam, model: NutrientModel):
     """Solve the parameter-dependent center problem by collocation and Newton.
 
     Newton iterates on W = U - 1 from W = 0 and stops once its update falls
-    below ``rel_tol * max|U| + abs_tol``. A SolverError is raised when that
-    takes more than ``max_newton_iters`` steps (it carries the residual
+    below ``REL_TOL * max|U| + ABS_TOL``. A SolverError is raised when that
+    takes more than ``MAX_NEWTON_ITERS`` steps (it carries the residual
     history), and when the trailing Chebyshev coefficients of U show that
-    ``n_nodes`` does not resolve it. The boundary flux
+    ``N_NODES`` does not resolve it. The boundary flux
     U'(1) = lam * int_0^1 r f(U) dr is taken by quadrature, which is better
     conditioned than differentiating U at r = 1.
     """
     if lam < 0:
         raise ValidationError("lam must be nonnegative")
-    fold = _folded_grid(settings.n_nodes)
-    grid = chebyshev_nodes(settings.n_nodes)
+    fold = _folded_grid(N_NODES)
+    grid = chebyshev_nodes(N_NODES)
 
     if lam == 0.0:
         return RadialProfile(grid=grid, values=np.ones_like(grid),
@@ -158,7 +147,7 @@ def solve_U(lam, model: NutrientModel, settings: SolverSettings = SolverSettings
     scale[0] = 0.0
     w = np.zeros_like(fold.r)
     history = []
-    for _ in range(settings.max_newton_iters):
+    for _ in range(MAX_NEWTON_ITERS):
         F = op @ w - scale * model.f_at(1.0 + w)
         history.append(float(np.max(np.abs(F))))
         try:
@@ -168,12 +157,12 @@ def solve_U(lam, model: NutrientModel, settings: SolverSettings = SolverSettings
         w = w + step
         if not np.all(np.isfinite(w)):
             break
-        if np.max(np.abs(step)) <= settings.rel_tol * np.max(np.abs(1.0 + w)) + settings.abs_tol:
+        if np.max(np.abs(step)) <= REL_TOL * np.max(np.abs(1.0 + w)) + ABS_TOL:
             u = 1.0 + w
             tail = float(np.max(np.abs(fold.to_cheb[-2:] @ u)))
-            if tail > 100.0 * settings.rel_tol:
+            if tail > 100.0 * REL_TOL:
                 raise SolverError(
-                    f"U at lam={lam} is not resolved by {settings.n_nodes} nodes "
+                    f"U at lam={lam} is not resolved by {N_NODES} nodes "
                     f"(trailing Chebyshev coefficient {tail:.1e}); increase n_nodes")
             du = fold.d1 @ u
             du[0] = lam * (fold.weights @ model.f_at(u))
@@ -185,7 +174,7 @@ def solve_U(lam, model: NutrientModel, settings: SolverSettings = SolverSettings
         "residual history: " + ", ".join(f"{r:.3e}" for r in history))
 
 
-def _solve_mode(n, R_A, v0, model, settings):
+def _solve_mode(n, R_A, v0, model):
     """Solve w = u - 1 for the mode-n equation with u(1) = 1 on the folded nodes.
 
     In this deviation form, w'' + (2n+1)/r w' - R**2 f'(v0) w = R**2 f'(v0)
@@ -196,7 +185,7 @@ def _solve_mode(n, R_A, v0, model, settings):
         raise ValidationError("n must be nonnegative")
     if R_A <= 0:
         raise ValidationError("R_A must be positive")
-    fold = _folded_grid(settings.n_nodes)
+    fold = _folded_grid(N_NODES)
     v = v0.fold_values
     if v is None or len(v) != len(fold.r):
         v = v0.at(fold.r)
@@ -206,21 +195,20 @@ def _solve_mode(n, R_A, v0, model, settings):
     return w, fold.d1 @ w
 
 
-def solve_u_n(n, R_A, v0: RadialProfile, model: NutrientModel,
-              settings: SolverSettings = SolverSettings()):
+def solve_u_n(n, R_A, v0: RadialProfile, model: NutrientModel):
     """Solve the mode-n linear equation, normalised to u(0) = 1."""
-    w, dw = _solve_mode(n, R_A, v0, model, settings)
-    fold = _folded_grid(settings.n_nodes)
+    w, dw = _solve_mode(n, R_A, v0, model)
+    fold = _folded_grid(N_NODES)
     values = fold.even @ (1.0 + w)
     c = values[0]
-    return RadialProfile(grid=chebyshev_nodes(settings.n_nodes),
+    return RadialProfile(grid=chebyshev_nodes(N_NODES),
                          values=values / c, deriv_at_1=float(dw[0] / c),
                          deriv_values=fold.odd @ dw / c)
 
 
-def boundary_ratio(n, R_A, v0, model, settings=SolverSettings()):
+def boundary_ratio(n, R_A, v0, model):
     """Return u_n'(1) / u_n(1)."""
-    return float(_solve_mode(n, R_A, v0, model, settings)[1][0])
+    return float(_solve_mode(n, R_A, v0, model)[1][0])
 
 
 @dataclass(frozen=True)
@@ -231,8 +219,7 @@ class SteadyState:
     A: float
 
 
-def steady_radius(A, model: NutrientModel, settings: SolverSettings = SolverSettings(),
-                  R_max=16.0):
+def steady_radius(A, model: NutrientModel, R_max=16.0):
     """Locate the steady radius and its radial nutrient profile.
 
     The steady radius solves dU/dr(1, R**2) = A R**2 / 2; the left side is
@@ -244,7 +231,7 @@ def steady_radius(A, model: NutrientModel, settings: SolverSettings = SolverSett
         raise ValidationError(f"A must lie in (0, f(1)) = (0, {f1}); got {A}")
 
     def g(R):
-        return solve_U(R * R, model, settings).deriv_at_1 - A * R * R / 2.0
+        return solve_U(R * R, model).deriv_at_1 - A * R * R / 2.0
 
     lo = 1e-3
     g_lo = g(lo)
@@ -264,7 +251,7 @@ def steady_radius(A, model: NutrientModel, settings: SolverSettings = SolverSett
     from scipy.optimize import brentq
     R_A = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
-    v0 = solve_U(R_A * R_A, model, settings)
+    v0 = solve_U(R_A * R_A, model)
     alpha_A = R_A * R_A * (f1 - A / 2.0)
     return SteadyState(R_A=float(R_A), alpha_A=float(alpha_A), v0=v0, A=float(A))
 

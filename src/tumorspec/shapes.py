@@ -94,7 +94,12 @@ class ShapeState:
                 f"n_theta={n_theta} cannot resolve {self.n_modes} modes")
         spec = np.zeros(n_theta // 2 + 1, dtype=complex)
         spec[:self.n_modes + 1] = self.coeffs
-        return np.fft.irfft(spec * n_theta, n=n_theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.fft.irfft(spec * n_theta, n=n_theta)
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(
+                f"the samples of rho on {n_theta} angles overflow double precision")
+        return values
 
     def sup_norm(self, oversample=8):
         n = max(64, oversample * (self.n_modes + 1))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .models import NutrientModel
-from .radial import SolverSettings, boundary_ratio, solve_U, steady_radius
+from .radial import boundary_ratio, solve_U, steady_radius
 
 DENOM_TOL = 1e-12
 DEFAULT_K_MAX = 64
@@ -74,23 +74,22 @@ def _mode_denominator(A, ratio_k, f_of_one):
     return 0.5 * A * ratio_k + A - f_of_one
 
 
-def build_table(params: ModelParameters, k_max=DEFAULT_K_MAX,
-                settings: SolverSettings = SolverSettings()):
+def build_table(params: ModelParameters, k_max=DEFAULT_K_MAX):
     """Compute ratios and the full symbol for modes 0..k_max."""
     if k_max < 2:
         raise ValidationError("k_max must be at least 2")
     if params.R is None:
-        steady = steady_radius(params.A, params.model, settings)
+        steady = steady_radius(params.A, params.model)
         R = steady.R_A
         v0 = steady.v0
     else:
         R = params.R
-        v0 = solve_U(R * R, params.model, settings)
+        v0 = solve_U(R * R, params.model)
 
     f1 = params.model.f_of_one
     ks = np.arange(k_max + 1)
     ratio = np.array([
-        boundary_ratio(k, R, v0, params.model, settings) for k in ks
+        boundary_ratio(k, R, v0, params.model) for k in ks
     ])
     denom = _mode_denominator(params.A, ratio, f1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -14,8 +14,8 @@ import pytest
 
 from tumorspec.disk import (MappedCoefficients, eval_field_columns,
                             mapped_radius, theta_derivative)
-from tumorspec.fields import (BoundaryGeometry, center_value, curvature,
-                              solve_nutrient, solve_pressure)
+from tumorspec.fields import (center_value, curvature, solve_nutrient,
+                              solve_pressure)
 from tumorspec.linear import evolve_linear, fit_growth_rate, linearized_mode_profile
 from tumorspec.models import identity_model
 from tumorspec.radial import appendix_series, boundary_ratio, solve_U, solve_u_n
@@ -190,16 +190,15 @@ def test_criterion_8_field_solvers(capsys, id_model, unit_steady, small_grid):
 
     # unperturbed nutrient against the shooting profile
     z = ShapeState.zero(4, R)
-    gz = BoundaryGeometry.from_shape(z, grid.n_theta)
-    nut = solve_nutrient(MappedCoefficients.from_boundary(gz.rho, R, grid.r),
+    nut = solve_nutrient(MappedCoefficients.from_boundary(z.to_grid(grid.n_theta),
+                                                          R, grid.r),
                          id_model, grid, radial_guess=v0)
     err_nut = float(np.max(np.abs(nut.values - v0.at(grid.r)[:, None])))
 
     # pressure mean-value property at the center
     s = ShapeState.from_modes([(2, 1e-2, 0.0), (5, 5e-3, 0.9)], R)
-    geom = BoundaryGeometry.from_shape(s, grid.n_theta)
-    coefs = MappedCoefficients.from_boundary(geom.rho, R, grid.r)
-    pres = solve_pressure(geom, coefs, unit_steady.A, 2.0, grid)
+    coefs = MappedCoefficients.from_boundary(s.to_grid(grid.n_theta), R, grid.r)
+    pres = solve_pressure(coefs, unit_steady.A, 2.0, grid)
     radii = np.array([mapped_radius(coefs, 0.5, j)
                       for j in range(grid.n_theta)])
     ring = eval_field_columns(grid, pres.values, radii)
@@ -212,8 +211,8 @@ def test_criterion_8_field_solvers(capsys, id_model, unit_steady, small_grid):
     errs = []
     for eps in (1e-2, 1e-3):
         sp = ShapeState.from_modes([(k, eps, 0.0)], R)
-        gp = BoundaryGeometry.from_shape(sp, grid.n_theta)
-        coefs_p = MappedCoefficients.from_boundary(gp.rho, R, grid.r)
+        coefs_p = MappedCoefficients.from_boundary(sp.to_grid(grid.n_theta),
+                                                   R, grid.r)
         nutp = solve_nutrient(coefs_p, id_model, grid, radial_guess=v0)
         radii_p = np.array([mapped_radius(coefs_p, 0.6, j)
                             for j in range(grid.n_theta)])

@@ -330,10 +330,15 @@ class TestInvalidInput:
          ["--seed-shape", "2:1e-3"]),
         ("evolve", {"A": 0.5, "G": 2.0, "mode": "linear", "t_end": 0.0},
          ["--seed-shape", "2:1e-3"]),
+        ("evolve", {"A": 5, "G": 1, "R": 1, "mode": "nonlinear", "t_end": 0.01,
+                    "n_r": 16, "n_theta": 32}, []),
+        ("evolve", {"A": 0.5, "G": 2, "mode": "linear", "t_end": 9900},
+         ["--seed-shape", "2:0.2"]),
     ], ids=["model_number", "unknown_key", "negative_n_samples", "zero_n_samples",
             "nan_seed", "inf_seed", "negative_seed_mode", "sweep_value_string",
             "sweep_value_nan_string", "spectrum_overflow", "linear_flow_overflow",
-            "rate_fit_without_time_span"])
+            "rate_fit_without_time_span", "nonlinear_A_out_of_range",
+            "linear_samples_overflow"])
     def test_exits_2_before_any_artifact(self, tmp_path, command, cfg, flags):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(cfg))

@@ -11,16 +11,16 @@ from tumorspec.disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
                             theta_derivative)
 from tumorspec.dynamics import evolve_nonlinear, phi
 from tumorspec.errors import SolverError
-from tumorspec.fields import (BoundaryGeometry, center_value, curvature,
-                              harmonic_residual, solve_nutrient, solve_pressure)
+from tumorspec.fields import (center_value, curvature, harmonic_residual,
+                              solve_nutrient, solve_pressure)
 from tumorspec.linear import linearized_mode_profile
 from tumorspec.radial import solve_u_n
 from tumorspec.shapes import ShapeState
 
 
 def _map_coefs(shape, grid):
-    geom = BoundaryGeometry.from_shape(shape, grid.n_theta)
-    return MappedCoefficients.from_boundary(geom.rho, shape.radius_scale, grid.r)
+    return MappedCoefficients.from_boundary(shape.to_grid(grid.n_theta),
+                                            shape.radius_scale, grid.r)
 
 
 class TestNutrientAtEquilibrium:
@@ -66,8 +66,7 @@ class TestPressure:
         grid = small_grid
         z = ShapeState.zero(4, unit_steady.R_A)
         A, G = unit_steady.A, 2.0
-        pres = solve_pressure(BoundaryGeometry.from_shape(z, grid.n_theta),
-                              _map_coefs(z, grid), A, G, grid)
+        pres = solve_pressure(_map_coefs(z, grid), A, G, grid)
         expected = 1.0 / unit_steady.R_A - 0.25 * A * G * unit_steady.R_A**2
         assert np.max(np.abs(pres.values - expected)) < 1e-10
 
@@ -76,8 +75,7 @@ class TestPressure:
         s = ShapeState.from_modes([(2, 1e-2, 0.0), (5, 5e-3, 0.9)],
                                   unit_steady.R_A)
         coefs = _map_coefs(s, grid)
-        pres = solve_pressure(BoundaryGeometry.from_shape(s, grid.n_theta),
-                              coefs, unit_steady.A, 2.0, grid)
+        pres = solve_pressure(coefs, unit_steady.A, 2.0, grid)
         # the mean over any interior physical circle equals the center value
         for frac in (0.3, 0.6):
             radii = np.array([mapped_radius(coefs, frac, j)
@@ -89,8 +87,7 @@ class TestPressure:
         grid = small_grid
         s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
         coefs = _map_coefs(s, grid)
-        pres = solve_pressure(BoundaryGeometry.from_shape(s, grid.n_theta),
-                              coefs, unit_steady.A, 2.0, grid)
+        pres = solve_pressure(coefs, unit_steady.A, 2.0, grid)
         assert harmonic_residual(grid, coefs, pres) < 1e-7
 
     def test_normal_derivative_symbol(self, unit_steady, small_grid):
@@ -102,8 +99,7 @@ class TestPressure:
         R = unit_steady.R_A
         A, G = unit_steady.A, 2.0
         s = ShapeState.from_modes([(k, eps, 0.0)], R)
-        pres = solve_pressure(BoundaryGeometry.from_shape(s, grid.n_theta),
-                              _map_coefs(s, grid), A, G, grid)
+        pres = solve_pressure(_map_coefs(s, grid), A, G, grid)
         spec_b = np.fft.rfft(pres.boundary_trace) / grid.n_theta
         spec_d = np.fft.rfft(pres.normal_derivative_trace) / grid.n_theta
         assert spec_d[k] == pytest.approx(k * spec_b[k], rel=1e-4)
@@ -118,8 +114,7 @@ class TestPressure:
         grid = DiskGrid(n_r=16, n_theta=32)
         s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
         with pytest.raises(SolverError, match="relative residual"):
-            solve_pressure(BoundaryGeometry.from_shape(s, grid.n_theta),
-                           _map_coefs(s, grid), unit_steady.A, 2.0, grid)
+            solve_pressure(_map_coefs(s, grid), unit_steady.A, 2.0, grid)
 
 
 class TestPerturbedNutrient:
@@ -171,10 +166,10 @@ class TestMappedOperator:
         grid = small_grid
         s = ShapeState.from_modes([(3, 2e-2, 0.7)], 1.0)
         coefs = _map_coefs(s, grid)
+        rho = s.to_grid(grid.n_theta)
+        half = grid.n_theta // 2
         for j in (0, 5, 17):
             r = mapped_radius(coefs, 0.43, j)
-            half = grid.n_theta // 2
-            rho = coefs.h - 1.0
             E = 0.5 * (rho + np.roll(rho, half))[j]
             O = 0.5 * (rho - np.roll(rho, half))[j]
             assert r * (1.0 + E + r * O) == pytest.approx(0.43, abs=1e-14)
@@ -213,26 +208,29 @@ class TestCurvature:
         got = curvature(s, n)
         assert np.max(np.abs(got - expected)) < 1e-10
 
+    def test_map_carries_the_same_curvature(self, small_grid):
+        s = ShapeState.from_modes([(2, 3e-2, 0.0), (5, 1e-2, 0.4)], 1.3)
+        coefs = MappedCoefficients.from_boundary(
+            s.to_grid(small_grid.n_theta), s.radius_scale, small_grid.r)
+        assert np.array_equal(coefs.curvature, curvature(s, small_grid.n_theta))
+
 
 class TestSingleMapPerVelocity:
-    def test_phi_builds_one_geometry_and_one_map(self, unit_steady, id_model,
-                                                 small_grid, monkeypatch):
-        calls = {"geometry": 0, "map": 0}
+    def test_phi_builds_one_map(self, unit_steady, id_model, small_grid,
+                                monkeypatch):
+        calls = []
+        build = MappedCoefficients.from_boundary
 
-        def counted(key, build):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return build(*args, **kwargs)
-            return staticmethod(wrapper)
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
 
-        monkeypatch.setattr(BoundaryGeometry, "from_shape",
-                            counted("geometry", BoundaryGeometry.from_shape))
         monkeypatch.setattr(MappedCoefficients, "from_boundary",
-                            counted("map", MappedCoefficients.from_boundary))
+                            staticmethod(counted))
         s = ShapeState.from_modes([(2, 1e-3, 0.0)], unit_steady.R_A)
         phi(s, unit_steady.A, 2.0, id_model, small_grid,
             radial_guess=unit_steady.v0)
-        assert calls == {"geometry": 1, "map": 1}
+        assert len(calls) == 1
 
 
 class TestModePreconditioner:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from tumorspec import radial
 from tumorspec.errors import SolverError, ValidationError
-from tumorspec.radial import (SolverSettings, appendix_series, boundary_ratio,
+from tumorspec.radial import (appendix_series, boundary_ratio,
                               ode_residual_on_midpoints, solve_U, solve_u_n,
                               steady_radius)
 
@@ -104,20 +105,18 @@ class TestCollocationAccuracy:
         got = [boundary_ratio(k, st.R_A, st.v0, poly_model) for k in range(65)]
         assert worst_relative_error(got, ref["ratios"]) <= 1e-10
 
-    def test_newton_cap_raises_with_history(self, poly_model):
+    def test_newton_cap_raises_with_history(self, poly_model, monkeypatch):
+        monkeypatch.setattr(radial, "MAX_NEWTON_ITERS", 2)
         with pytest.raises(SolverError, match="residual history"):
-            solve_U(10.0, poly_model, SolverSettings(max_newton_iters=2))
+            solve_U(10.0, poly_model)
 
-    def test_unresolved_profile_raises(self, id_model):
+    def test_unresolved_profile_raises(self, id_model, monkeypatch):
         with pytest.raises(SolverError, match="increase n_nodes"):
             solve_U(100.0**2, id_model)
-        prof = solve_U(100.0**2, id_model, SolverSettings(n_nodes=129))
+        monkeypatch.setattr(radial, "N_NODES", 129)
+        prof = solve_U(100.0**2, id_model)
         expected = 100.0 * bessel_i(1, 100.0, 200) / bessel_i(0, 100.0, 200)
         assert abs(prof.deriv_at_1 / expected - 1.0) <= 1e-10
-
-    def test_settings_reject_even_node_count(self):
-        with pytest.raises(ValidationError):
-            SolverSettings(n_nodes=64)
 
 
 class TestSeries:
