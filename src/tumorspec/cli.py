@@ -40,6 +40,13 @@ EXIT_LEFT_NEIGHBOURHOOD = 4
 
 FMT = "%.17g"
 
+# upper bounds of the size keys
+MAX_MODE = 1024         # kmax and a seed mode's k
+MAX_SAMPLES = 10000     # n_samples
+MAX_N_R = 256
+MAX_N_THETA = 1024
+MAX_WORKERS = 64        # sweep processes, all started at once
+
 
 def _fmt(x):
     return FMT % float(x)
@@ -93,6 +100,18 @@ def _positive(check):
     return positive
 
 
+def _at_most(bound, check):
+    def bounded(value, key):
+        value = check(value, key)
+        if value > bound:
+            raise ValidationError(f"{key} must be at most {bound}; got {value!r}")
+        return value
+    return bounded
+
+
+_mode_number = _at_most(MAX_MODE, _integer)
+
+
 def _mode(value, key):
     if value not in ("linear", "nonlinear"):
         raise ValidationError(f"{key} must be linear or nonlinear; got {value!r}")
@@ -111,7 +130,7 @@ def _seed_shape(value, key):
             raise ValidationError(
                 f"bad {key} entry {entry!r}; expected [k, amp, phase]")
         k, amp, phase = entry
-        modes.append((_integer(k, f"{key} k"), _real(amp, f"{key} amplitude"),
+        modes.append((_mode_number(k, f"{key} k"), _real(amp, f"{key} amplitude"),
                       _real(phase, f"{key} phase")))
     return modes
 
@@ -130,20 +149,21 @@ def _sweep(value, key):
 # key: (check of its type and of any range nothing downstream enforces,
 # default). The library checks A in (0, f(1)), R > 0, kmax >= 2, n_r >= 4,
 # even n_theta, t_end >= 0, and the seed shape's modes and admissibility.
+# Every size has an upper bound, so no value costs unbounded memory or time.
 SCHEMA = {
     "A": (_real, None),
     "G": (_real, None),
     "R": (_real, None),                   # None: the steady radius R_A
     "model": (_text, "identity"),
-    "kmax": (_integer, DEFAULT_K_MAX),
+    "kmax": (_mode_number, DEFAULT_K_MAX),
     "mode": (_mode, "nonlinear"),
     "t_end": (_real, 1.0),
     "seed_shape": (_seed_shape, None),    # None: the equilibrium
-    "n_samples": (_positive(_integer), 200),
-    "n_r": (_integer, DiskGrid.n_r),
-    "n_theta": (_integer, DiskGrid.n_theta),
+    "n_samples": (_at_most(MAX_SAMPLES, _positive(_integer)), 200),
+    "n_r": (_at_most(MAX_N_R, _integer), DiskGrid.n_r),
+    "n_theta": (_at_most(MAX_N_THETA, _integer), DiskGrid.n_theta),
     "err_target": (_positive(_real), ERR_TARGET),
-    "workers": (_positive(_integer), 1),
+    "workers": (_at_most(MAX_WORKERS, _positive(_integer)), 1),
     "sweep": (_sweep, None),
     "out": (_text, "."),
 }
@@ -252,7 +272,6 @@ def cmd_evolve(cfg):
         shape0 = ShapeState.from_modes(cfg["seed_shape"], R)
     shape0.require_admissible()
     k_top = max(8, shape0.n_modes)
-    out = _outdir(cfg)
     status = "completed"
 
     if mode == "linear":
@@ -276,8 +295,8 @@ def cmd_evolve(cfg):
             fit = fit_growth_rate(series)
             rates[str(k)] = {"rate": fit.rate, "residual": fit.residual}
 
-    # everything is computed before the first file is opened, so a shape
-    # that cannot be sampled leaves no artifact
+    # everything is computed before the output directory is made, so a
+    # shape that cannot be sampled leaves no artifact
     rows = _trajectory_rows(shapes, k_top)
     snap = {
         "status": status,
@@ -289,6 +308,7 @@ def cmd_evolve(cfg):
         "fitted_rates": rates,
         "snapshots": [_snapshot(*shapes[0]), _snapshot(*shapes[-1])],
     }
+    out = _outdir(cfg)
     with open(out / "trajectory.csv", "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
     with open(out / "snapshots.json", "w") as fh:
@@ -341,8 +361,9 @@ def cmd_sweep(cfg):
     jobs = [dict(cfg, **{param: value, "out": str(out / f"run_{i:03d}")})
             for i, value in enumerate(values)]
     run = partial(_guarded, cmd_spectrum)
-    if cfg["workers"] > 1:
-        with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
+    workers = min(cfg["workers"], len(jobs))   # a pool starts every worker
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             codes = list(pool.map(run, jobs))
     else:
         codes = list(map(run, jobs))

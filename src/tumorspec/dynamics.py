@@ -24,7 +24,6 @@ from .errors import SolverError, ValidationError
 from .fields import solve_nutrient, solve_pressure
 from .disk import DiskGrid, MappedCoefficients, dealias, theta_derivative
 from .models import NutrientModel
-from .radial import solve_U
 from .shapes import ADMISSIBLE_SUP_NORM, ShapeState
 
 ERR_TARGET = 1e-6     # default bound on the step-doubling error estimate
@@ -41,21 +40,21 @@ class PhiResult:
 
 
 def phi(shape: ShapeState, A, G, model: NutrientModel, grid: DiskGrid = None,
-        radial_guess=None, nutrient_warm_start=None):
+        nutrient_start=None):
     """Evaluate the boundary velocity for the given shape.
 
     The fields are solved on ``grid`` (the default 64x128 DiskGrid if None).
     The map of the shape is built once here and shared by both field solves.
+    ``nutrient_start`` is the Newton start of the nutrient solve (such as the
+    nutrient field of a nearby shape); None starts from the radial
+    equilibrium. The nutrient solve builds one preconditioner from its start.
     """
     shape.require_admissible()
     grid = grid or DiskGrid()
     R = shape.radius_scale
-    if radial_guess is None:
-        radial_guess = solve_U(R * R, model)
 
     coefs = MappedCoefficients.from_boundary(shape.to_grid(grid.n_theta), R, grid.r)
-    nut = solve_nutrient(coefs, model, grid, radial_guess=radial_guess,
-                         initial_values=nutrient_warm_start)
+    nut = solve_nutrient(coefs, model, grid, start=nutrient_start)
     pres = solve_pressure(coefs, A, G, grid)
 
     h, beta = coefs.h, coefs.beta
@@ -111,9 +110,14 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
         raise ValidationError("t_end must be nonnegative")
     grid = grid or DiskGrid()
     n_modes = grid.n_theta // 3
+    unresolved = np.flatnonzero(shape0.coeffs[n_modes + 1:])
+    if unresolved.size:
+        k = n_modes + 1 + int(unresolved[-1])
+        raise ValidationError(
+            f"seed mode {k} lies above n_theta // 3 = {n_modes}, the highest "
+            f"mode the grid evolves; use n_theta >= {3 * k + k % 2}")
     R = shape0.radius_scale
     lam = -np.arange(n_modes + 1, dtype=float) ** 3 / R**3
-    radial_guess = solve_U(R * R, model)
 
     c = np.zeros(n_modes + 1, dtype=complex)
     m = min(n_modes, shape0.n_modes)
@@ -128,7 +132,7 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
     t = 0.0
     state = make_shape(c)
     warm = None
-    result = phi(state, A, G, model, grid, radial_guess=radial_guess)
+    result = phi(state, A, G, model, grid)
     points = [TrajectoryPoint(t=0.0, shape=state, sup_norm=state.sup_norm())]
     status = "completed"
     dt = min(DT_INIT, max(t_end, DT_MIN))
@@ -141,8 +145,7 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
         if shape_h.sup_norm() >= ADMISSIBLE_SUP_NORM:
             status = "left_neighbourhood"
             break
-        res_h = phi(shape_h, A, G, model, grid, radial_guess=radial_guess,
-                    nutrient_warm_start=warm)
+        res_h = phi(shape_h, A, G, model, grid, nutrient_start=warm)
         c2 = imex_step(ch, res_h.coeffs, 0.5 * dt)
 
         err = float(np.max(np.abs(c2 - c1)))
@@ -156,8 +159,7 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
                 # the velocity is undefined outside the admissible set
                 status = "left_neighbourhood"
                 break
-            result = phi(state, A, G, model, grid, radial_guess=radial_guess,
-                         nutrient_warm_start=warm)
+            result = phi(state, A, G, model, grid, nutrient_start=warm)
         factor = 5.0 if err == 0.0 else 0.9 * np.sqrt(err_target / err)
         dt *= min(5.0, max(0.2, factor))
         dt = min(dt, DT_MAX)

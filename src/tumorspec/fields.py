@@ -14,10 +14,13 @@ starts from the harmonic extension of its boundary data and adds the
 correction for the interior residual of the mapped Laplacian, and each
 nutrient Newton step adds the correction for the interior residual of the
 semilinear equation. The collocation systems are solved by GMRES
-preconditioned with the per-angular-mode radial inverses; the pressure one
-does not depend on the shape and is kept on the grid. A Krylov iteration
-that ends above the roundoff floor raises SolverError. The tolerances of
-both loops are the module constants below.
+preconditioned with the per-angular-mode radial inverses. The pressure one
+does not depend on the shape and is kept on the grid; the nutrient one is
+built once per solve, from the potential at the Newton start, and serves
+every Newton step of that solve (for the identity model f' is constant, so
+it is the one every step would build). A Krylov iteration that ends above
+the roundoff floor raises SolverError. The tolerances of both loops are the
+module constants below.
 """
 
 from dataclasses import dataclass
@@ -31,7 +34,7 @@ from .disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
                    harmonic_extension, theta_derivative)
 from .errors import SolverError
 from .models import NutrientModel
-from .radial import RadialProfile
+from .radial import solve_U
 from .shapes import ShapeState
 
 NEWTON_TOL = 1e-10        # max interior residual that ends the nutrient Newton loop
@@ -117,24 +120,22 @@ def solve_pressure(coefs: MappedCoefficients, A, G, grid: DiskGrid):
 
 
 def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGrid,
-                   radial_guess: RadialProfile = None,
-                   initial_values: np.ndarray = None):
+                   start=None):
     """Semilinear nutrient problem, Newton iteration on the mapped disk.
 
-    ``coefs`` is the map of the domain on the nodes of ``grid``. The initial
-    iterate is, in order of preference: ``initial_values`` (warm start from a
-    previous time step), the interpolated radial equilibrium profile
-    ``radial_guess``, or the constant boundary value.
+    ``coefs`` is the map of the domain on the nodes of ``grid``. ``start`` is
+    the initial iterate, any array that broadcasts to the grid (such as the
+    field of a previous time step); None starts from the radial equilibrium
+    profile of radius ``coefs.R``. The boundary row is set to 1 either way.
+    The preconditioner is built once, from the potential at the start, and
+    serves every Newton step.
     """
     scale = coefs.scale
-
-    if initial_values is not None:
-        v = initial_values.copy()
-    elif radial_guess is not None:
-        v = np.repeat(radial_guess.at(grid.r)[:, None], grid.n_theta, axis=1)
-    else:
-        v = np.ones((grid.n_r, grid.n_theta))
+    if start is None:
+        start = solve_U(coefs.R * coefs.R, model).at(grid.r)[:, None]
+    v = np.broadcast_to(start, (grid.n_r, grid.n_theta)).copy()
     v[0, :] = 1.0
+    precond = ModePreconditioner(grid, (scale * model.fprime_at(v)).mean(axis=1))
 
     history = []
     for _ in range(MAX_NEWTON_ITERS):
@@ -148,7 +149,6 @@ def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGr
             # roundoff floor of the collocation operator; no further progress
             break
         potential = scale * model.fprime_at(v)
-        precond = ModePreconditioner(grid, potential.mean(axis=1))
         # one Newton correction: J delta = -F with zero boundary data
         v[1:, :] += _interior_solve(grid, coefs, potential, -F[1:, :], precond,
                                     max(KRYLOV_TOL, 1e-4 * res))

@@ -43,6 +43,10 @@ ABS_TOL = 1e-14           # Newton on U stops once its update is at most
 REL_TOL = 1e-12           # REL_TOL * max|U| + ABS_TOL
 MAX_NEWTON_ITERS = 60
 N_NODES = 65              # odd collocation degree of the folded grid (>= 5)
+# largest radius the steady-radius bracket reaches: it must stay where
+# N_NODES resolves U at lam = R**2 (for the identity model, 65 nodes resolve
+# it at R = 64 and not at R = 96)
+R_MAX = 16.0
 
 
 @dataclass(frozen=True)
@@ -219,12 +223,12 @@ class SteadyState:
     A: float
 
 
-def steady_radius(A, model: NutrientModel, R_max=16.0):
+def steady_radius(A, model: NutrientModel):
     """Locate the steady radius and its radial nutrient profile.
 
     The steady radius solves dU/dr(1, R**2) = A R**2 / 2; the left side is
     computed by collocation and Newton (:func:`solve_U`), the root located by
-    bracketing and Brent iteration.
+    bracketing up to ``R_MAX`` and Brent iteration.
     """
     f1 = model.f_of_one
     if not 0.0 < A < f1:
@@ -238,8 +242,8 @@ def steady_radius(A, model: NutrientModel, R_max=16.0):
     hi = 1.0
     g_hi = g(hi)
     samples = [(lo, g_lo), (hi, g_hi)]
-    while g_hi > 0.0 and hi < R_max:
-        hi = min(2.0 * hi, R_max)
+    while g_hi > 0.0 and hi < R_MAX:
+        hi = min(2.0 * hi, R_MAX)
         g_hi = g(hi)
         samples.append((hi, g_hi))
     if g_lo <= 0.0 or g_hi >= 0.0:

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DomainValidityError, ValidationError
 
 ADMISSIBLE_SUP_NORM = 0.25
+SUP_NORM_OVERSAMPLE = 8     # samples per retained mode when taking sup |rho|
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,8 @@ class ShapeState:
                 f"the samples of rho on {n_theta} angles overflow double precision")
         return values
 
-    def sup_norm(self, oversample=8):
-        n = max(64, oversample * (self.n_modes + 1))
+    def sup_norm(self):
+        n = max(64, SUP_NORM_OVERSAMPLE * (self.n_modes + 1))
         n += n % 2
         return float(np.max(np.abs(self.to_grid(n))))
 

@@ -192,7 +192,7 @@ def test_criterion_8_field_solvers(capsys, id_model, unit_steady, small_grid):
     z = ShapeState.zero(4, R)
     nut = solve_nutrient(MappedCoefficients.from_boundary(z.to_grid(grid.n_theta),
                                                           R, grid.r),
-                         id_model, grid, radial_guess=v0)
+                         id_model, grid)
     err_nut = float(np.max(np.abs(nut.values - v0.at(grid.r)[:, None])))
 
     # pressure mean-value property at the center
@@ -213,7 +213,7 @@ def test_criterion_8_field_solvers(capsys, id_model, unit_steady, small_grid):
         sp = ShapeState.from_modes([(k, eps, 0.0)], R)
         coefs_p = MappedCoefficients.from_boundary(sp.to_grid(grid.n_theta),
                                                    R, grid.r)
-        nutp = solve_nutrient(coefs_p, id_model, grid, radial_guess=v0)
+        nutp = solve_nutrient(coefs_p, id_model, grid)
         radii_p = np.array([mapped_radius(coefs_p, 0.6, j)
                             for j in range(grid.n_theta)])
         wnum = eval_field_columns(grid, nutp.values, radii_p)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tumorspec
+from tumorspec import cli
 from tumorspec.cli import SCHEMA, main, parse_seed_shape
 from tumorspec.errors import ValidationError
 
@@ -299,6 +300,32 @@ class TestSweepCommand:
         for run in runs:
             assert (tmp_path / run / "spectrum.csv").exists()
 
+    def test_pool_no_larger_than_the_runs(self, tmp_path, monkeypatch):
+        # a forked pool starts all its workers at once; this one starts none
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        cfg = {"A": 0.5, "kmax": 4, "workers": 4,
+               "sweep": {"parameter": "G", "values": [0.5, 1.0]},
+               "out": str(tmp_path)}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        assert sizes == [2]
+
     def test_requires_sweep_object(self, tmp_path):
         assert main(["sweep", "--A", "0.5", "--out", str(tmp_path)]) == 2
 
@@ -334,18 +361,46 @@ class TestInvalidInput:
                     "n_r": 16, "n_theta": 32}, []),
         ("evolve", {"A": 0.5, "G": 2, "mode": "linear", "t_end": 9900},
          ["--seed-shape", "2:0.2"]),
+        ("evolve", {"A": 0.5, "G": 2, "mode": "nonlinear", "t_end": 0.01,
+                    "seed_shape": "12:1e-3", "n_r": 16, "n_theta": 32}, []),
     ], ids=["model_number", "unknown_key", "negative_n_samples", "zero_n_samples",
             "nan_seed", "inf_seed", "negative_seed_mode", "sweep_value_string",
             "sweep_value_nan_string", "spectrum_overflow", "linear_flow_overflow",
             "rate_fit_without_time_span", "nonlinear_A_out_of_range",
-            "linear_samples_overflow"])
+            "linear_samples_overflow", "nonlinear_seed_above_grid"])
     def test_exits_2_before_any_artifact(self, tmp_path, command, cfg, flags):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg_path), "--out", str(out)]
                     + flags) == 2
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, bound, cfg", [
+        ("spectrum", "kmax", 1024, {"A": 0.5, "G": 1.0}),
+        ("evolve", "seed_shape", 1024, {"A": 0.5, "G": 1.0, "mode": "linear"}),
+        ("evolve", "n_samples", 10000, {"A": 0.5, "G": 1.0, "mode": "linear"}),
+        ("evolve", "n_r", 256, {"A": 0.5, "G": 1.0}),
+        ("evolve", "n_theta", 1024, {"A": 0.5, "G": 1.0}),
+        ("sweep", "workers", 64,
+         {"A": 0.5, "kmax": 4, "sweep": {"parameter": "G", "values": [1.0]}}),
+    ])
+    def test_size_above_its_bound_exits_2(self, tmp_path, capsys, command,
+                                          key, bound, cfg):
+        # the bound itself is only checked, never run: it may be costly
+        check = SCHEMA[key][0]
+        if key == "seed_shape":
+            assert check(f"{bound}:1e-3", key) == [(bound, 1e-3, 0.0)]
+            cfg = dict(cfg, seed_shape=f"{bound + 1}:1e-3")
+        else:
+            assert check(bound, key) == bound
+            cfg = dict(cfg, **{key: bound + 1})
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"at most {bound}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_lists_known_keys(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
@@ -362,24 +417,29 @@ class TestInvalidInput:
 
 # Each run starts from an in-range A and G and in-range values for some other
 # keys, then gives up to two keys any value: a wrong type, NaN, an infinity, a
-# huge or negative number, or an unknown key. Sizes (kmax, n_samples, n_r,
-# n_theta, workers, seed modes, sweep length) are never large, because no
-# upper bound on them is enforced and a large one costs memory and time in
-# proportion; mode is never "nonlinear" or unset, which would start a field
-# solve.
+# huge or negative number, or an unknown key. A bad size (kmax, n_samples,
+# n_r, n_theta, workers, a seed mode) is of a wrong type, not positive, or
+# above the bound that SCHEMA enforces. A size SCHEMA accepts is only ever
+# drawn small, because a large one costs memory and time in proportion and
+# more than one worker starts processes. mode is never "nonlinear" or unset,
+# which would start a field solve.
 _WRONG = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
                    st.lists(st.integers(0, 3), max_size=2), st.just({}))
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _ANY = st.floats() | st.integers(-10**400, 10**400) | _WRONG
-_ANY_SIZE = st.floats() | st.integers(-10**400, 0) | _WRONG
+
+
+def _any_size(bound):
+    return (st.floats() | st.integers(-10**400, 0)
+            | st.integers(bound + 1, 10**400) | _WRONG)
 
 
 def _seed_text(triples):
     return ",".join(":".join(str(v) for v in t) for t in triples)
 
 
-def _seed_shape(numbers):
-    triple = st.tuples(st.integers(-2, 10), numbers, numbers)
+def _seed_shape(numbers, modes=st.integers(-2, 10)):
+    triple = st.tuples(modes, numbers, numbers)
     return (st.lists(triple, min_size=1, max_size=3).map(_seed_text)
             | st.lists(triple.map(list), max_size=3))
 
@@ -404,11 +464,13 @@ _GOOD = {
     "workers": st.just(1),
 }
 _BAD = {key: _ANY for key in _GOOD}
-_BAD.update(dict.fromkeys(["kmax", "n_samples", "n_r", "n_theta", "workers"],
-                          _ANY_SIZE))
+_BAD.update(kmax=_any_size(cli.MAX_MODE), n_samples=_any_size(cli.MAX_SAMPLES),
+            n_r=_any_size(cli.MAX_N_R), n_theta=_any_size(cli.MAX_N_THETA),
+            workers=_any_size(cli.MAX_WORKERS))
 _BAD.update(
     model=st.sampled_from(["poly:-1", "poly:x", "poly:nan", "poly:1,inf", "cubic"]) | _ANY,
-    seed_shape=_seed_shape(_ANY) | _WRONG,
+    seed_shape=_seed_shape(_ANY) | _WRONG
+    | _seed_shape(_FINITE, st.integers(cli.MAX_MODE + 1, 10**400)),
     sweep=_sweep(st.sampled_from(["R"]) | _WRONG, st.floats(0.05, 3.0))
     | _sweep(st.sampled_from(["A", "G"]), _ANY) | _WRONG,
     n_thetaa=st.integers(), krylov_tol=_FINITE)

@@ -122,6 +122,18 @@ class TestNonlinearEvolution:
         with pytest.raises(ValidationError):
             evolve_nonlinear(z, -1.0, A, G, id_model, small_grid)
 
+    def test_rejects_seed_mode_above_the_grid(self, setup, id_model):
+        # a 32-angle grid evolves modes up to 10; zero padding above is fine
+        A, G, table = setup
+        grid = DiskGrid(n_r=16, n_theta=32)
+        padded = ShapeState.from_modes([(2, 1e-3, 0.0)], table.R, n_modes=16)
+        assert evolve_nonlinear(padded, 0.0, A, G, id_model, grid).status \
+            == "completed"
+        lost = ShapeState.from_modes([(2, 1e-3, 0.0), (11, 1e-4, 0.0)],
+                                     table.R, n_modes=16)
+        with pytest.raises(ValidationError, match="mode 11 .* n_theta >= 34"):
+            evolve_nonlinear(lost, 0.0, A, G, id_model, grid)
+
     def test_grid_refinement_consistency(self, setup, id_model):
         # the fitted rate is already grid-converged at the coarse resolution
         A, G, table = setup

@@ -27,8 +27,7 @@ class TestNutrientAtEquilibrium:
     def test_matches_radial_profile(self, unit_steady, id_model, small_grid):
         grid = small_grid
         z = ShapeState.zero(4, unit_steady.R_A)
-        nut = solve_nutrient(_map_coefs(z, grid), id_model, grid,
-                             radial_guess=unit_steady.v0)
+        nut = solve_nutrient(_map_coefs(z, grid), id_model, grid)
         expected = unit_steady.v0.at(grid.r)[:, None]
         assert np.max(np.abs(nut.values - expected)) < 1e-8
 
@@ -36,16 +35,14 @@ class TestNutrientAtEquilibrium:
                                                   small_grid):
         grid = small_grid
         z = ShapeState.zero(4, unit_steady.R_A)
-        nut = solve_nutrient(_map_coefs(z, grid), id_model, grid,
-                             radial_guess=unit_steady.v0)
+        nut = solve_nutrient(_map_coefs(z, grid), id_model, grid)
         assert np.max(np.abs(nut.normal_derivative_trace
                              - unit_steady.v0.deriv_at_1)) < 1e-8
 
     def test_center_value(self, unit_steady, id_model, small_grid):
         grid = small_grid
         z = ShapeState.zero(4, unit_steady.R_A)
-        nut = solve_nutrient(_map_coefs(z, grid), id_model, grid,
-                             radial_guess=unit_steady.v0)
+        nut = solve_nutrient(_map_coefs(z, grid), id_model, grid)
         assert center_value(grid, nut.values) == pytest.approx(
             unit_steady.v0.value_at_0, abs=1e-10)
 
@@ -53,8 +50,7 @@ class TestNutrientAtEquilibrium:
                                                    small_grid):
         grid = small_grid
         s = ShapeState.from_modes([(3, 5e-2, 0.4)], unit_steady.R_A)
-        nut = solve_nutrient(_map_coefs(s, grid), id_model, grid,
-                             radial_guess=unit_steady.v0)
+        nut = solve_nutrient(_map_coefs(s, grid), id_model, grid)
         assert np.all(nut.values > 0.0)
         assert np.all(nut.values <= 1.0 + 1e-10)
 
@@ -128,7 +124,7 @@ class TestPerturbedNutrient:
         for eps in (1e-2, 1e-3):
             s = ShapeState.from_modes([(k, eps, 0.0)], R)
             coefs = _map_coefs(s, grid)
-            nut = solve_nutrient(coefs, id_model, grid, radial_guess=v0)
+            nut = solve_nutrient(coefs, id_model, grid)
             prof = linearized_mode_profile(k, 1.0, v0, uk)
             frac = 0.6
             radii = np.array([mapped_radius(coefs, frac, j)
@@ -228,8 +224,7 @@ class TestSingleMapPerVelocity:
         monkeypatch.setattr(MappedCoefficients, "from_boundary",
                             staticmethod(counted))
         s = ShapeState.from_modes([(2, 1e-3, 0.0)], unit_steady.R_A)
-        phi(s, unit_steady.A, 2.0, id_model, small_grid,
-            radial_guess=unit_steady.v0)
+        phi(s, unit_steady.A, 2.0, id_model, small_grid)
         assert len(calls) == 1
 
 
@@ -271,6 +266,22 @@ class TestModePreconditioner:
                                 DiskGrid(n_r=16, n_theta=32))
         assert len(traj.points) >= 3          # several velocity evaluations
         assert built.count(True) == 1         # one pressure preconditioner
+
+    def test_one_nutrient_preconditioner_per_solve(self, poly_model,
+                                                   monkeypatch):
+        # f' varies for this model, so the Newton loop takes several steps
+        built = []
+        init = ModePreconditioner.__init__
+
+        def counted(self, grid, potential=None):
+            built.append(potential is None)
+            init(self, grid, potential)
+
+        monkeypatch.setattr(ModePreconditioner, "__init__", counted)
+        grid = DiskGrid(n_r=16, n_theta=32)
+        s = ShapeState.from_modes([(2, 3e-2, 0.0), (3, 2e-2, 0.5)], 1.2)
+        solve_nutrient(_map_coefs(s, grid), poly_model, grid)
+        assert built == [False]
 
 
 class TestBarycentricMatrix:

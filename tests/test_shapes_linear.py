@@ -145,6 +145,11 @@ class TestGrowthRateFit:
         with pytest.raises(ValidationError):
             fit_growth_rate([(0.0, 1.0), (1.0, 0.0), (2.0, 1.0)])
 
+    def test_samples_at_one_time_raise(self):
+        # np.polyfit would return a meaningless slope with a RankWarning
+        with pytest.raises(ValidationError, match="span no time"):
+            fit_growth_rate([(0.3, 1.0), (0.3, 2.0), (0.3, 0.5)])
+
 
 class TestLinearizedModeProfile:
     def test_boundary_value(self, id_model, unit_steady):
