@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,21 @@ class TestEvolveCommand:
         snap = json.loads((tmp_path / "snapshots.json").read_text())
         assert snap["status"] == "left_neighbourhood"
 
+    def test_overflowing_step_still_leaves_neighbourhood(self, tmp_path):
+        # far above threshold e^{mu dt} overflows at the first step size;
+        # that step is rejected, and a smaller one leaves the neighbourhood
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"n_r": 16, "n_theta": 32}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["evolve", "--config", str(cfg_path), "--A", "0.5",
+                         "--G", "1e7", "--seed-shape", "2:1e-3",
+                         "--t-end", "0.5", "--out", str(tmp_path)])
+        assert code == 4
+        snap = json.loads((tmp_path / "snapshots.json").read_text())
+        assert snap["status"] == "left_neighbourhood"
+        assert_finite_artifacts(tmp_path)
+
     def test_linear_equilibrium_stays_zero(self, tmp_path):
         # above threshold exp(mu_2 t) overflows; an absent mode must stay 0
         assert main(["evolve", "--A", "0.5", "--G", "2.0", "--mode", "linear",
@@ -217,7 +233,7 @@ class TestEvolveCommand:
         assert_finite_artifacts(tmp_path)
 
     def test_nonlinear_output_independent_of_blas_threads(self, tmp_path):
-        # the default 64x128 grid, three accepted steps
+        # the default 64x128 grid, two accepted steps (three trajectory rows)
         src = str(Path(tumorspec.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):

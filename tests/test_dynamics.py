@@ -1,15 +1,20 @@
 """Nonlinear boundary velocity and its time integration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from tumorspec.dynamics import evolve_nonlinear, phi
+from tumorspec import dynamics
+from tumorspec.dynamics import ERR_TARGET, evolve_nonlinear, phi
 from tumorspec.errors import ValidationError
 from tumorspec.disk import DiskGrid
 from tumorspec.linear import fit_growth_rate
 from tumorspec.shapes import ShapeState
 from tumorspec.spectrum import (ModelParameters, build_table, g_star,
                                 l_G_index)
+
+from oracles import identity_steady_A
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +189,71 @@ class TestStabilityOnPeriodicLattice:
         leak = max(max(p.shape.amplitude(k) for k in off_lattice)
                    for p in traj.points)
         assert leak <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def supercritical(id_model):
+    """Criterion 7a: steady radius 1, G = 1.5 G*, so mode 2 grows."""
+    A = identity_steady_A()
+    base = build_table(ModelParameters(A=A, G=1.0, model=id_model), k_max=32)
+    G = 1.5 * g_star(base)[0]
+    table = build_table(ModelParameters(A=A, G=G, model=id_model, R=base.R),
+                        k_max=8)
+    return A, G, table
+
+
+class TestExponentialStepper:
+    def test_converges_to_a_tight_error_target(self, supercritical, id_model):
+        # a 2e-2 seed is in the nonlinear range, where the remainder matters
+        A, G, table = supercritical
+        grid = DiskGrid(n_r=16, n_theta=32)
+        seed = ShapeState.from_modes([(2, 2e-2, 0.0)], table.R)
+        amps = [evolve_nonlinear(seed, 0.1, A, G, id_model, grid,
+                                 err_target=tol).final_shape.amplitude(2)
+                for tol in (ERR_TARGET, 1e-8)]
+        assert amps[0] == pytest.approx(amps[1], rel=1e-5)
+
+    @pytest.mark.parametrize("wrong_mu", [
+        lambda table: table.lam,
+        lambda table: table.mu + 0.5,
+    ], ids=["cubic_symbol_only", "shifted_spectrum"])
+    def test_trajectory_does_not_depend_on_the_split(
+            self, monkeypatch, supercritical, id_model, wrong_mu):
+        # the linear part only splits phi; the trajectory is set by phi
+        # alone, so a phi that misses mu_k cannot be hidden by the split
+        A, G, table = supercritical
+        grid = DiskGrid(n_r=16, n_theta=32)
+        seed = ShapeState.from_modes([(2, 2e-2, 0.0), (3, 1e-2, 0.7)], table.R)
+        true = evolve_nonlinear(seed, 0.1, A, G, id_model, grid)
+
+        def build_wrong_table(params, k_max):
+            t = build_table(params, k_max=k_max)
+            return dataclasses.replace(t, mu=wrong_mu(t))
+
+        monkeypatch.setattr(dynamics, "build_table", build_wrong_table)
+        wrong = evolve_nonlinear(seed, 0.1, A, G, id_model, grid)
+        # every accepted step of either run errs by at most ERR_TARGET
+        tol = (len(true.points) + len(wrong.points)) * ERR_TARGET
+        for k in range(7):
+            assert abs(wrong.final_shape.amplitude(k)
+                       - true.final_shape.amplitude(k)) <= tol, k
+
+    def test_few_velocity_evaluations_on_criterion_7a(
+            self, monkeypatch, supercritical, id_model, small_grid):
+        # the linear flow is exact, so the steps are sized by the small
+        # nonlinear remainder alone (the linearly implicit stepper took 137)
+        A, G, table = supercritical
+        calls = []
+
+        def counting_phi(*args, **kwargs):
+            calls.append(1)
+            return phi(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "phi", counting_phi)
+        seed = ShapeState.from_modes([(2, 1e-3, 0.0)], table.R)
+        traj = evolve_nonlinear(seed, 0.5, A, G, id_model, small_grid)
+        assert traj.status == "completed"
+        assert len(calls) <= 25
+        fit = fit_growth_rate([(p.t, p.shape.amplitude(2)) for p in traj.points])
+        mu2 = table.mu_at(2)
+        assert fit.rate == pytest.approx(mu2, rel=1e-4)
