@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Subcommands: steady, spectrum, evolve, appendix-check, sweep. Configuration
-is a single JSON document; command-line flags override config fields, and
-load_config checks the merged keys once against SCHEMA, so commands read
-only checked values. All numeric CSV output uses 17 significant digits and
-carries a header row, and identical configurations produce byte-identical
-files.
+Commands: steady, spectrum, evolve, appendix-check, sweep. Configuration is
+a single JSON document; the FLAGS, before or after the command, override its
+fields, and load_config checks the merged keys once against SCHEMA. Every
+artifact is written by _write_json or _write_csv, every CSV number by _fmt
+with 17 significant digits under a header row, and identical configurations
+produce byte-identical files.
 
 Exit codes: 0 success, 2 validation error (an unknown key is one), 3 solver
 failure, 4 halt because the evolving shape left the admissible
@@ -30,8 +30,7 @@ from .models import parse_model_spec
 from .radial import (appendix_series, boundary_ratio, solve_U, solve_u_n,
                      steady_radius)
 from .shapes import ShapeState
-from .spectrum import (DEFAULT_K_MAX, ModelParameters, build_table, write_csv,
-                       write_report)
+from .spectrum import DEFAULT_K_MAX, ModelParameters, build_table, report_dict
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -50,6 +49,17 @@ MAX_WORKERS = 64        # sweep processes, all started at once
 
 def _fmt(x):
     return FMT % float(x)
+
+
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_csv(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def parse_seed_shape(text):
@@ -168,6 +178,12 @@ SCHEMA = {
     "out": (_text, "."),
 }
 
+# config keys settable by a flag (--t-end for t_end), with their argparse types
+FLAGS = {"A": float, "G": float, "model": str, "kmax": int, "mode": str,
+         "t_end": float, "seed_shape": str, "out": str}
+_FLAG_HELP = {"model": "identity or poly:c1,c2,...",
+              "seed_shape": "k:amp[:phase],... cosine mode list"}
+
 
 def load_config(args):
     """Merge the JSON config (if any) with the flags and check it against SCHEMA.
@@ -185,9 +201,8 @@ def load_config(args):
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ValidationError("config must be a JSON object")
-    for key, val in vars(args).items():
-        if key not in ("command", "config") and val is not None:
-            cfg[key] = val
+    cfg.update((key, getattr(args, key)) for key in FLAGS
+               if getattr(args, key) is not None)
     unknown = sorted(set(cfg) - set(SCHEMA))
     if unknown:
         raise ValidationError(f"unknown config keys {unknown}; "
@@ -221,14 +236,9 @@ def cmd_steady(cfg):
         "alpha_A": steady.alpha_A,
         "profile_file": "profile.csv",
     }
-    with open(out / "steady.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "profile.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "v0"])
-        for r, v in zip(steady.v0.grid, steady.v0.values):
-            writer.writerow([_fmt(r), _fmt(v)])
+    _write_json(out / "steady.json", report)
+    _write_csv(out / "profile.csv", [["r", "v0"]] + [
+        [_fmt(r), _fmt(v)] for r, v in zip(steady.v0.grid, steady.v0.values)])
     print(f"R_A = {_fmt(steady.R_A)}  alpha_A = {_fmt(steady.alpha_A)}")
     return EXIT_OK
 
@@ -238,9 +248,13 @@ def cmd_spectrum(cfg):
                              model=parse_model_spec(cfg["model"]), R=cfg["R"])
     k_max = cfg["kmax"]
     table = build_table(params, k_max=k_max)
+    rows = [["k", "lambda_k", "ratio_k", "mu_k", "g_threshold_k"]] + [
+        [k, _fmt(table.lam[k]), _fmt(table.ratio[k]), _fmt(table.mu[k]),
+         "" if np.isnan(table.g_threshold[k]) else _fmt(table.g_threshold[k])]
+        for k in range(k_max + 1)]
     out = _outdir(cfg)
-    write_csv(table, out / "spectrum.csv")
-    write_report(table, out / "report.json")
+    _write_csv(out / "spectrum.csv", rows)
+    _write_json(out / "report.json", report_dict(table))
     print(f"R = {_fmt(table.R)}  modes 0..{k_max} -> "
           f"{out / 'spectrum.csv'}, {out / 'report.json'}")
     return EXIT_OK
@@ -309,11 +323,8 @@ def cmd_evolve(cfg):
         "snapshots": [_snapshot(*shapes[0]), _snapshot(*shapes[-1])],
     }
     out = _outdir(cfg)
-    with open(out / "trajectory.csv", "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-    with open(out / "snapshots.json", "w") as fh:
-        json.dump(snap, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_csv(out / "trajectory.csv", rows)
+    _write_json(out / "snapshots.json", snap)
     print(f"{mode} evolution to t = {_fmt(shapes[-1][0])}, status = {status}")
     return EXIT_LEFT_NEIGHBOURHOOD if status == "left_neighbourhood" else EXIT_OK
 
@@ -338,9 +349,7 @@ def cmd_appendix_check(cfg):
     ok = ok and abs(result["ratios"]["u0"] - 0.446) < 5e-4
     ok = ok and abs(result["ratios"]["u1"] - 0.240) < 5e-4
     result["passed"] = ok
-    with open(out / "appendix_check.json", "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "appendix_check.json", result)
     for name in ("u0", "u1"):
         print(f"{name}: ratio = {_fmt(result['ratios'][name])}, "
               f"series vs solver diff = {_fmt(result['max_series_solver_diff'][name])}")
@@ -372,40 +381,9 @@ def cmd_sweep(cfg):
              "runs": [{"index": i, param: v, "dir": f"run_{i:03d}",
                        "exit_code": code}
                       for i, (v, code) in enumerate(zip(values, codes))]}
-    with open(out / "sweep.json", "w") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "sweep.json", index)
     print(f"swept {param} over {len(values)} values -> {out}")
     return max(codes)
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="tumorspec",
-        description="Moving-boundary tumour growth model: equilibria, "
-                    "linearized spectrum, and boundary evolution.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("steady", "radially symmetric equilibrium"),
-            ("spectrum", "linearization spectrum and thresholds"),
-            ("evolve", "linear or nonlinear boundary evolution"),
-            ("appendix-check", "series vs solver consistency check"),
-            ("sweep", "independent spectrum runs over a parameter list")):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON config file; flags override its fields")
-        p.add_argument("--A", type=float, default=None)
-        p.add_argument("--G", type=float, default=None)
-        p.add_argument("--model", type=str, default=None,
-                       help="identity or poly:c1,c2,...")
-        p.add_argument("--kmax", type=int, default=None)
-        p.add_argument("--mode", type=str, default=None,
-                       choices=("linear", "nonlinear"))
-        p.add_argument("--t-end", dest="t_end", type=float, default=None)
-        p.add_argument("--seed-shape", dest="seed_shape", type=str, default=None,
-                       help="k:amp[:phase],... cosine mode list")
-        p.add_argument("--out", type=str, default=None)
-    return parser
 
 
 COMMANDS = {
@@ -415,6 +393,25 @@ COMMANDS = {
     "appendix-check": cmd_appendix_check,
     "sweep": cmd_sweep,
 }
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="tumorspec",
+        description="Moving-boundary tumour growth model: equilibria, "
+                    "linearized spectrum, and boundary evolution.")
+    parser.add_argument(
+        "command", choices=COMMANDS, metavar="COMMAND",
+        help="steady: radially symmetric equilibrium; spectrum: linearization "
+             "spectrum and thresholds; evolve: linear or nonlinear boundary "
+             "evolution; appendix-check: series vs solver consistency check; "
+             "sweep: independent spectrum runs over a parameter list")
+    parser.add_argument("--config",
+                        help="JSON config file; flags override its fields")
+    for key, kind in FLAGS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                            help=_FLAG_HELP.get(key))
+    return parser
 
 
 def _guarded(fn, *args):

@@ -247,8 +247,14 @@ def steady_radius(A, model: NutrientModel):
         g_hi = g(hi)
         samples.append((hi, g_hi))
     if g_lo <= 0.0 or g_hi >= 0.0:
+        # g_hi > 0 only at hi = R_MAX: the root lies above R_MAX, and only an
+        # A above 2 dU/dr(1, R_MAX**2) / R_MAX**2 = A + 2 g(R_MAX) / R_MAX**2
+        # brings it in
+        cause = (f"the steady radius lies above R_MAX = {R_MAX:g}; the smallest "
+                 f"reachable A is {A + 2.0 * g_hi / R_MAX**2:.6g}, got {A:.6g}; "
+                 if g_hi > 0.0 else "")
         raise BracketError(
-            "no sign change when bracketing the steady radius; sampled "
+            f"no sign change when bracketing the steady radius; {cause}sampled "
             + ", ".join(f"g({r:.4g})={v:.4g}" for r, v in samples),
             samples=samples)
 

@@ -12,8 +12,6 @@ periodicity index l for which every retained mode decays at least as fast as
 mode zero.
 """
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -222,35 +220,6 @@ def l_G_index(table: SpectrumTable):
     return max(2, int(ok_from))
 
 
-def table_rows(table: SpectrumTable):
-    rows = []
-    for k in range(table.k_max + 1):
-        thr = table.g_threshold[k]
-        rows.append({
-            "k": k,
-            "lambda_k": float(table.lam[k]),
-            "ratio_k": float(table.ratio[k]),
-            "mu_k": float(table.mu[k]),
-            "g_threshold_k": None if math.isnan(thr) else float(thr),
-        })
-    return rows
-
-
-def write_csv(table: SpectrumTable, path):
-    """Emit the per-mode table; undefined thresholds become empty cells."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "lambda_k", "ratio_k", "mu_k", "g_threshold_k"])
-        for row in table_rows(table):
-            writer.writerow([
-                row["k"],
-                f"{row['lambda_k']:.17g}",
-                f"{row['ratio_k']:.17g}",
-                f"{row['mu_k']:.17g}",
-                "" if row["g_threshold_k"] is None else f"{row['g_threshold_k']:.17g}",
-            ])
-
-
 def report_dict(table: SpectrumTable):
     report = classify_stability(table)
     out = {
@@ -275,9 +244,3 @@ def report_dict(table: SpectrumTable):
     else:
         out["l_G"] = None
     return out
-
-
-def write_report(table: SpectrumTable, path):
-    with open(path, "w") as fh:
-        json.dump(report_dict(table), fh, indent=2, sort_keys=True)
-        fh.write("\n")

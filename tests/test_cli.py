@@ -79,6 +79,14 @@ class TestSteadyCommand:
     def test_missing_A_exits_2(self, tmp_path):
         assert main(["steady", "--out", str(tmp_path)]) == 2
 
+    def test_radius_above_bracket_exits_3(self, tmp_path, capsys):
+        # for the identity model the steady radius at A = 0.1 lies above R_MAX
+        out = tmp_path / "out"
+        assert main(["steady", "--A", "0.1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "R_MAX = 16" in err and "smallest reachable A is 0.121" in err
+        assert not out.exists()
+
 
 class TestSpectrumCommand:
     def test_artifacts(self, tmp_path):
@@ -379,11 +387,13 @@ class TestInvalidInput:
          ["--seed-shape", "2:0.2"]),
         ("evolve", {"A": 0.5, "G": 2, "mode": "nonlinear", "t_end": 0.01,
                     "seed_shape": "12:1e-3", "n_r": 16, "n_theta": 32}, []),
+        ("spectrum", {"A": 0.5, "G": 1.0}, ["--mode", "bogus"]),
     ], ids=["model_number", "unknown_key", "negative_n_samples", "zero_n_samples",
             "nan_seed", "inf_seed", "negative_seed_mode", "sweep_value_string",
             "sweep_value_nan_string", "spectrum_overflow", "linear_flow_overflow",
             "rate_fit_without_time_span", "nonlinear_A_out_of_range",
-            "linear_samples_overflow", "nonlinear_seed_above_grid"])
+            "linear_samples_overflow", "nonlinear_seed_above_grid",
+            "bad_mode_flag"])
     def test_exits_2_before_any_artifact(self, tmp_path, command, cfg, flags):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -429,6 +439,40 @@ class TestInvalidInput:
     def test_unreadable_config_exits_2(self, tmp_path):
         assert main(["steady", "--config", str(tmp_path)]) == 2
         assert main(["steady", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+class TestFlagsAndConfig:
+    def test_every_flag_is_a_config_key(self):
+        assert set(cli.FLAGS) <= set(SCHEMA)
+
+    # between them the two cases set every flag
+    @pytest.mark.parametrize("command, cfg, flags", [
+        ("spectrum", {"A": 0.5, "G": 2.0, "model": "poly:1,0.3", "kmax": 8},
+         ["--A", "0.5", "--G", "2.0", "--model", "poly:1,0.3", "--kmax", "8"]),
+        ("evolve", {"A": 0.5, "G": 2.0, "mode": "linear", "t_end": 0.5,
+                    "seed_shape": "2:1e-3,3:5e-4:0.3"},
+         ["--A", "0.5", "--G", "2.0", "--mode", "linear", "--t-end", "0.5",
+          "--seed-shape", "2:1e-3,3:5e-4:0.3"]),
+    ], ids=["spectrum", "linear_evolve"])
+    def test_flags_and_config_write_identical_artifacts(self, tmp_path, command,
+                                                        cfg, flags):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        by_config, by_flags = tmp_path / "config", tmp_path / "flags"
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(by_config)]) == 0
+        assert main([command, *flags, "--out", str(by_flags)]) == 0
+        names = sorted(p.name for p in by_config.iterdir())
+        assert names == sorted(p.name for p in by_flags.iterdir())
+        for name in names:
+            assert (by_config / name).read_bytes() == (by_flags / name).read_bytes()
+
+    def test_command_after_flags(self, tmp_path):
+        first, last = tmp_path / "first", tmp_path / "last"
+        assert main(["steady", "--A", "0.5", "--out", str(first)]) == 0
+        assert main(["--A", "0.5", "steady", "--out", str(last)]) == 0
+        for name in ("steady.json", "profile.csv"):
+            assert (first / name).read_bytes() == (last / name).read_bytes()
 
 
 # Each run starts from an in-range A and G and in-range values for some other

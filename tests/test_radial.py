@@ -1,10 +1,12 @@
 """Radial ODE solvers against independent Bessel-series references."""
 
+import re
+
 import numpy as np
 import pytest
 
 from tumorspec import radial
-from tumorspec.errors import SolverError, ValidationError
+from tumorspec.errors import BracketError, SolverError, ValidationError
 from tumorspec.radial import (appendix_series, boundary_ratio,
                               ode_residual_on_midpoints, solve_U, solve_u_n,
                               steady_radius)
@@ -174,6 +176,18 @@ class TestSteadyRadius:
     def test_polynomial_model_steady_condition(self, poly_model):
         st = steady_radius(0.7, poly_model)
         assert st.v0.deriv_at_1 == pytest.approx(0.7 * st.R_A**2 / 2.0, abs=1e-9)
+
+    def test_radius_above_R_MAX_names_the_smallest_reachable_A(self, id_model):
+        # dU/dr(1, R**2) = R I1(R)/I0(R), so the steady radius is at most
+        # R_MAX for A above 2 I1(R_MAX) / (R_MAX I0(R_MAX)) = 0.12103
+        R = radial.R_MAX
+        A_min = 2.0 * bessel_i(1, R, 80) / (R * bessel_i(0, R, 80))
+        with pytest.raises(BracketError, match=f"above R_MAX = {R:g};") as info:
+            steady_radius(0.1, id_model)
+        reported = re.search(r"smallest reachable A is (\S+),", str(info.value))
+        assert float(reported.group(1)) == pytest.approx(A_min, rel=1e-5)
+        assert info.value.samples[-1][0] == R
+        assert steady_radius(0.1215, id_model).R_A < R
 
 
 class TestBackend:
