@@ -21,7 +21,7 @@ from .radial import (RadialProfile, SteadyState, appendix_series,
 from .shapes import ADMISSIBLE_SUP_NORM, ShapeState
 from .spectrum import (DEFAULT_K_MAX, ModelParameters, SpectrumTable,
                        StabilityReport, build_table, classify_stability,
-                       g_star, g_threshold, l_G_index, lambda_k, mu_k)
+                       g_star, g_threshold, l_G_index, lambda_k)
 
 __version__ = "0.1.0"
 
@@ -35,6 +35,6 @@ __all__ = [
     "curvature", "evolve_linear", "evolve_nonlinear", "fit_growth_rate",
     "g_star", "g_threshold", "harmonic_residual", "identity_model",
     "l_G_index", "lambda_k", "linear_trajectory", "linearized_mode_profile",
-    "mu_k", "parse_model_spec", "phi", "polynomial_model", "solve_U",
+    "parse_model_spec", "phi", "polynomial_model", "solve_U",
     "solve_nutrient", "solve_pressure", "solve_u_n", "steady_radius",
 ]

@@ -16,8 +16,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +42,6 @@ MAX_MODE = 1024         # kmax and a seed mode's k
 MAX_SAMPLES = 10000     # n_samples
 MAX_N_R = 256
 MAX_N_THETA = 1024
-MAX_WORKERS = 64        # sweep processes, all started at once
 
 
 def _fmt(x):
@@ -173,7 +170,6 @@ SCHEMA = {
     "n_r": (_at_most(MAX_N_R, _integer), DiskGrid.n_r),
     "n_theta": (_at_most(MAX_N_THETA, _integer), DiskGrid.n_theta),
     "err_target": (_positive(_real), ERR_TARGET),
-    "workers": (_at_most(MAX_WORKERS, _positive(_integer)), 1),
     "sweep": (_sweep, None),
     "out": (_text, "."),
 }
@@ -358,7 +354,7 @@ def cmd_appendix_check(cfg):
 
 
 def cmd_sweep(cfg):
-    """Fan out independent spectrum runs over a parameter list.
+    """Run one spectrum per value of a parameter list, in this process.
 
     Each run's errors map to its own exit code, recorded in sweep.json; the
     sweep returns the worst one.
@@ -369,13 +365,7 @@ def cmd_sweep(cfg):
     out = _outdir(cfg)
     jobs = [dict(cfg, **{param: value, "out": str(out / f"run_{i:03d}")})
             for i, value in enumerate(values)]
-    run = partial(_guarded, cmd_spectrum)
-    workers = min(cfg["workers"], len(jobs))   # a pool starts every worker
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            codes = list(pool.map(run, jobs))
-    else:
-        codes = list(map(run, jobs))
+    codes = [_guarded(cmd_spectrum, job) for job in jobs]
 
     index = {"parameter": param,
              "runs": [{"index": i, param: v, "dir": f"run_{i:03d}",

@@ -97,7 +97,8 @@ class RadialProfile:
     """A radially symmetric field sampled on a Chebyshev grid of [0, 1].
 
     ``fold_values`` holds the collocation solution on the folded nodes when
-    the profile comes from :func:`solve_U`; the mode solves read ``v0`` there.
+    the profile comes from :func:`solve_U`; the mode solves read ``v0`` there
+    and reject a profile without it.
     """
 
     grid: np.ndarray
@@ -140,11 +141,6 @@ def solve_U(lam, model: NutrientModel):
         raise ValidationError("lam must be nonnegative")
     fold = _folded_grid(N_NODES)
     grid = chebyshev_nodes(N_NODES)
-
-    if lam == 0.0:
-        return RadialProfile(grid=grid, values=np.ones_like(grid),
-                             deriv_at_1=0.0, deriv_values=np.zeros_like(grid),
-                             fold_values=np.ones_like(fold.r))
 
     op = fold.operator(1)
     scale = lam * fold.r**2
@@ -190,10 +186,9 @@ def _solve_mode(n, R_A, v0, model):
     if R_A <= 0:
         raise ValidationError("R_A must be positive")
     fold = _folded_grid(N_NODES)
-    v = v0.fold_values
-    if v is None or len(v) != len(fold.r):
-        v = v0.at(fold.r)
-    q = R_A * R_A * fold.r**2 * model.fprime_at(v)
+    if v0.fold_values is None:
+        raise ValidationError("v0 must be a profile returned by solve_U")
+    q = R_A * R_A * fold.r**2 * model.fprime_at(v0.fold_values)
     q[0] = 0.0
     w = np.linalg.solve(fold.operator(2 * n + 1) - np.diag(q), q)
     return w, fold.d1 @ w

@@ -106,11 +106,6 @@ def build_table(params: ModelParameters, k_max=DEFAULT_K_MAX):
                          assumption_holds=bool(denom[0] > 0.0))
 
 
-def mu_k(k, table: SpectrumTable):
-    """Symbol value at integer mode k (even in k)."""
-    return table.mu_at(k)
-
-
 def g_threshold(k, table: SpectrumTable):
     """Per-mode threshold G_k, or None when the denominator vanishes."""
     if k < 0:

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tumorspec
 from tumorspec.disk import DiskGrid
 from tumorspec.models import identity_model, polynomial_model
 from tumorspec.radial import steady_radius
@@ -46,3 +50,11 @@ def small_grid():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture(scope="session")
+def package_env():
+    """Environment in which a subprocess imports this tumorspec package."""
+    src = str(Path(tumorspec.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))

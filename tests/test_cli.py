@@ -3,7 +3,6 @@
 import csv
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -15,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import tumorspec
 from tumorspec import cli
 from tumorspec.cli import SCHEMA, main, parse_seed_shape
 from tumorspec.errors import ValidationError
@@ -240,24 +238,25 @@ class TestEvolveCommand:
         assert all(float(cell) == 0.0 for row in rows[1:] for cell in row[1:])
         assert_finite_artifacts(tmp_path)
 
-    def test_nonlinear_output_independent_of_blas_threads(self, tmp_path):
-        # the default 64x128 grid, two accepted steps (three trajectory rows)
-        src = str(Path(tumorspec.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-            subprocess.run(
-                [sys.executable, "-m", "tumorspec.cli", "evolve", "--A", "0.5",
-                 "--G", "2.0", "--seed-shape", "3:1e-3,2:5e-4:0.3",
-                 "--t-end", "0.005", "--out", str(out)],
-                env=env, check=True, capture_output=True)
-            outputs.append([(out / name).read_bytes()
-                            for name in ("trajectory.csv", "snapshots.json")])
-        assert len(read_csv(tmp_path / "1" / "trajectory.csv")) >= 4
-        assert outputs[0] == outputs[1]
+    def test_nonlinear_output_independent_of_blas_threads(self, tmp_path,
+                                                         package_env):
+        # the default 64x128 grid; the single-mode run takes four accepted
+        # steps, so the adaptive step size is read from err more than once
+        for seed, t_end, rows in (("3:1e-3,2:5e-4:0.3", "0.005", 4),
+                                  ("3:1e-3", "0.05", 5)):
+            outputs = []
+            for threads in ("1", "2"):
+                out = tmp_path / seed / threads
+                subprocess.run(
+                    [sys.executable, "-m", "tumorspec.cli", "evolve", "--A", "0.5",
+                     "--G", "2.0", "--seed-shape", seed, "--t-end", t_end,
+                     "--out", str(out)],
+                    env=dict(package_env, OPENBLAS_NUM_THREADS=threads), check=True,
+                    capture_output=True)
+                outputs.append([(out / name).read_bytes()
+                                for name in ("trajectory.csv", "snapshots.json")])
+            assert len(read_csv(out / "trajectory.csv")) >= rows
+            assert outputs[0] == outputs[1]
 
     def test_inadmissible_seed_exits_2(self, tmp_path):
         assert main(["evolve", "--A", "0.5", "--G", "1.0",
@@ -324,32 +323,6 @@ class TestSweepCommand:
         for run in runs:
             assert (tmp_path / run / "spectrum.csv").exists()
 
-    def test_pool_no_larger_than_the_runs(self, tmp_path, monkeypatch):
-        # a forked pool starts all its workers at once; this one starts none
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-        cfg = {"A": 0.5, "kmax": 4, "workers": 4,
-               "sweep": {"parameter": "G", "values": [0.5, 1.0]},
-               "out": str(tmp_path)}
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(cfg))
-        assert main(["sweep", "--config", str(cfg_path)]) == 0
-        assert sizes == [2]
-
     def test_requires_sweep_object(self, tmp_path):
         assert main(["sweep", "--A", "0.5", "--out", str(tmp_path)]) == 2
 
@@ -388,12 +361,14 @@ class TestInvalidInput:
         ("evolve", {"A": 0.5, "G": 2, "mode": "nonlinear", "t_end": 0.01,
                     "seed_shape": "12:1e-3", "n_r": 16, "n_theta": 32}, []),
         ("spectrum", {"A": 0.5, "G": 1.0}, ["--mode", "bogus"]),
+        ("sweep", {"A": 0.5, "workers": 2,
+                   "sweep": {"parameter": "G", "values": [1.0]}}, []),
     ], ids=["model_number", "unknown_key", "negative_n_samples", "zero_n_samples",
             "nan_seed", "inf_seed", "negative_seed_mode", "sweep_value_string",
             "sweep_value_nan_string", "spectrum_overflow", "linear_flow_overflow",
             "rate_fit_without_time_span", "nonlinear_A_out_of_range",
             "linear_samples_overflow", "nonlinear_seed_above_grid",
-            "bad_mode_flag"])
+            "bad_mode_flag", "sweep_workers_key"])
     def test_exits_2_before_any_artifact(self, tmp_path, command, cfg, flags):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -408,8 +383,6 @@ class TestInvalidInput:
         ("evolve", "n_samples", 10000, {"A": 0.5, "G": 1.0, "mode": "linear"}),
         ("evolve", "n_r", 256, {"A": 0.5, "G": 1.0}),
         ("evolve", "n_theta", 1024, {"A": 0.5, "G": 1.0}),
-        ("sweep", "workers", 64,
-         {"A": 0.5, "kmax": 4, "sweep": {"parameter": "G", "values": [1.0]}}),
     ])
     def test_size_above_its_bound_exits_2(self, tmp_path, capsys, command,
                                           key, bound, cfg):
@@ -477,12 +450,12 @@ class TestFlagsAndConfig:
 
 # Each run starts from an in-range A and G and in-range values for some other
 # keys, then gives up to two keys any value: a wrong type, NaN, an infinity, a
-# huge or negative number, or an unknown key. A bad size (kmax, n_samples,
-# n_r, n_theta, workers, a seed mode) is of a wrong type, not positive, or
-# above the bound that SCHEMA enforces. A size SCHEMA accepts is only ever
-# drawn small, because a large one costs memory and time in proportion and
-# more than one worker starts processes. mode is never "nonlinear" or unset,
-# which would start a field solve.
+# huge or negative number, or an unknown key (n_thetaa, krylov_tol, workers).
+# A bad size (kmax, n_samples, n_r, n_theta, a seed mode) is of a wrong type,
+# not positive, or above the bound that SCHEMA enforces. A size SCHEMA accepts
+# is only ever drawn small, because a large one costs memory and time in
+# proportion. mode is never "nonlinear" or unset, which would start a field
+# solve.
 _WRONG = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
                    st.lists(st.integers(0, 3), max_size=2), st.just({}))
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -521,19 +494,17 @@ _GOOD = {
     "n_r": st.integers(4, 80),
     "n_theta": st.integers(1, 80).map(lambda n: 2 * n),
     "err_target": st.floats(1e-12, 1.0),
-    "workers": st.just(1),
 }
 _BAD = {key: _ANY for key in _GOOD}
 _BAD.update(kmax=_any_size(cli.MAX_MODE), n_samples=_any_size(cli.MAX_SAMPLES),
-            n_r=_any_size(cli.MAX_N_R), n_theta=_any_size(cli.MAX_N_THETA),
-            workers=_any_size(cli.MAX_WORKERS))
+            n_r=_any_size(cli.MAX_N_R), n_theta=_any_size(cli.MAX_N_THETA))
 _BAD.update(
     model=st.sampled_from(["poly:-1", "poly:x", "poly:nan", "poly:1,inf", "cubic"]) | _ANY,
     seed_shape=_seed_shape(_ANY) | _WRONG
     | _seed_shape(_FINITE, st.integers(cli.MAX_MODE + 1, 10**400)),
     sweep=_sweep(st.sampled_from(["R"]) | _WRONG, st.floats(0.05, 3.0))
     | _sweep(st.sampled_from(["A", "G"]), _ANY) | _WRONG,
-    n_thetaa=st.integers(), krylov_tol=_FINITE)
+    n_thetaa=st.integers(), krylov_tol=_FINITE, workers=st.integers(1, 64))
 _MODE = st.sampled_from(["linear", "linear", "linear", "sideways", 1, True, ["linear"]])
 
 

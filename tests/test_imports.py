@@ -1,6 +1,9 @@
-"""Static checks of the package source: no unused import, no dangling export."""
+"""Checks of the package source: no unused import, no dangling export, and
+no process machinery loaded by the command line."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,12 @@ def test_every_export_resolves():
     missing = [name for name in tumorspec.__all__ if not hasattr(tumorspec, name)]
     assert missing == []
     assert len(set(tumorspec.__all__)) == len(tumorspec.__all__)
+
+
+def test_cli_import_loads_no_multiprocessing(package_env):
+    # a sweep runs in one process; a fresh interpreter sees what the import pulls in
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tumorspec.cli; print('multiprocessing' in sys.modules)"],
+        env=package_env, check=True, capture_output=True, text=True)
+    assert result.stdout.strip() == "False"

@@ -87,6 +87,13 @@ class TestModeFamilies:
         assert round(r0, 3) == 0.446
         assert round(r1, 3) == 0.240
 
+    def test_v0_not_from_solve_U_rejected(self, id_model, unit_steady):
+        # a profile without the folded collocation values, such as a mode profile
+        u1 = solve_u_n(1, 1.0, unit_steady.v0, id_model)
+        for solve in (boundary_ratio, solve_u_n):
+            with pytest.raises(ValidationError, match="solve_U"):
+                solve(0, 1.0, u1, id_model)
+
 
 class TestCollocationAccuracy:
     """Ratios away from R = 1 and up to k = 64, in relative terms."""

@@ -8,7 +8,7 @@ import pytest
 from tumorspec.errors import ValidationError
 from tumorspec.spectrum import (ModelParameters, build_table,
                                 classify_stability, g_star, g_threshold,
-                                l_G_index, lambda_k, mu_k)
+                                l_G_index, lambda_k)
 
 from oracles import identity_g_star, identity_g_threshold, identity_mu
 
@@ -53,9 +53,6 @@ class TestSymbol:
     def test_principal_symbol(self):
         assert lambda_k(3, 2.0) == pytest.approx(-27.0 / 8.0)
         assert lambda_k(-3, 2.0) == pytest.approx(-27.0 / 8.0)
-
-    def test_mu_k_wrapper(self, unit_table):
-        assert mu_k(2, unit_table) == unit_table.mu_at(2)
 
 
 class TestThresholds:
