@@ -13,9 +13,11 @@ Every linear solve is for a correction with zero boundary data: the pressure
 starts from the harmonic extension of its boundary data and adds the
 correction for the interior residual of the mapped Laplacian, and each
 nutrient Newton step adds the correction for the interior residual of the
-semilinear equation. The collocation systems are solved by GMRES
-preconditioned with the per-angular-mode radial inverses. The pressure one
-does not depend on the shape and is kept on the grid; the nutrient one is
+semilinear equation. The collocation systems are solved by :func:`gmres`,
+this module's port of restarted, left-preconditioned GMRES (Saad & Schultz,
+*SIAM J. Sci. Stat. Comput.* 7, 1986), preconditioned with the
+per-angular-mode radial inverses. The pressure preconditioner does not
+depend on the shape and is kept on the grid; the nutrient one is
 built once per solve, from the potential at the Newton start, and serves
 every Newton step of that solve (for the identity model f' is constant, so
 it is the one every step would build). A Krylov iteration that ends above
@@ -23,10 +25,10 @@ the roundoff floor raises SolverError. The tolerances of both loops are the
 module constants below.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
                    apply_mapped_laplacian, boundary_curvature,
@@ -62,6 +64,117 @@ class DiskField:
         return self.values[0]
 
 
+def _lartg(f, g):
+    """Givens rotation (c, s, r) with c f + s g = r and c g - s f = 0.
+
+    The unscaled branches of LAPACK dlartg (3.10 and later): c >= 0 and r
+    takes the sign of f.
+    """
+    if g == 0.0:
+        return 1.0, 0.0, f
+    if f == 0.0:
+        return 0.0, math.copysign(1.0, g), abs(g)
+    d = math.sqrt(f * f + g * g)
+    r = math.copysign(d, f)
+    return abs(f) / d, g / r, r
+
+
+def gmres(matvec, psolve, b, rtol, atol, restart, maxiter):
+    """Restarted GMRES with left preconditioning, from x = 0.
+
+    Solves A x = b, where ``matvec`` applies A and ``psolve`` the
+    preconditioner M to a flat array (Saad & Schultz 1986). Each cycle builds
+    an Arnoldi basis of M A by modified Gram-Schmidt and reduces its
+    Hessenberg matrix by Givens rotations. A cycle ends after ``restart``
+    inner iterations, at breakdown, or once the preconditioned residual
+    estimate |M r| falls to the inner tolerance, which is adapted after every
+    cycle from the true residual. The field artifacts depend on the order of
+    the floating-point operations here bit for bit; keep it.
+
+    Returns (x, info, history): info is 0 when |b - A x| <= max(atol,
+    rtol |b|) and ``maxiter`` otherwise; history lists, per cycle run, the
+    estimate |M r| after each of its inner iterations.
+    """
+    n = len(b)
+    x = np.zeros(n)
+    history = []
+    bnrm2 = np.linalg.norm(b)
+    atol = max(float(atol), float(rtol) * float(bnrm2))
+    if bnrm2 == 0.0 or bnrm2 < atol:
+        return x, 0, history
+    eps = np.finfo(float).eps
+    restart = min(restart, n)
+
+    z = psolve(b)   # M r of the first cycle, since x starts at 0
+    ptol_max_factor = 1.0
+    ptol = np.linalg.norm(z) * min(ptol_max_factor, atol / bnrm2)
+    v = np.empty((restart + 1, n))
+    h = np.zeros((restart, restart + 1))   # row j holds column j
+    for _ in range(maxiter):
+        if history:
+            z = psolve(r)
+        beta = np.linalg.norm(z)
+        np.multiply(z, 1 / beta, out=v[0])
+        S = [beta]   # right side of the rotated least-squares problem
+        givens = []
+        presids = []
+        history.append(presids)
+        breakdown = False
+        for col in range(restart):
+            w = psolve(matvec(v[col]))
+            h0 = np.linalg.norm(w)
+            hcol = h[col]
+            for k in range(col + 1):
+                hk = np.dot(v[k], w)
+                hcol[k] = hk
+                w -= hk * v[k]
+            h1 = np.linalg.norm(w)
+            if h1 <= eps * h0:    # M A x = M b solved exactly in this basis
+                h1 = 0.0
+                breakdown = True
+            else:
+                np.multiply(w, 1 / h1, out=v[col + 1])
+            column = hcol[:col + 1].tolist() + [h1]
+            for k, (c, s) in enumerate(givens):
+                n0, n1 = column[k], column[k + 1]
+                column[k] = c * n0 + s * n1
+                column[k + 1] = -s * n0 + c * n1
+            c, s, mag = _lartg(column[col], column[col + 1])
+            givens.append((c, s))
+            column[col], column[col + 1] = mag, 0.0
+            hcol[:col + 2] = column
+            rotated = -s * S[col]
+            S[col:] = [c * S[col], rotated]
+            presid = abs(rotated)
+            presids.append(presid)
+            if presid <= ptol or breakdown:
+                break
+
+        # back substitution for the upper triangular h[:col+1, :col+1].T,
+        # a zero diagonal at the last row taken as a zero component
+        if h[col, col] == 0:
+            S[col] = 0.0
+        y = np.array(S[:col + 1])
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += y @ v[:col + 1]
+
+        r = b - matvec(x)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:   # inner test met but not the true one: tighten
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return x, (0 if rnorm <= atol else maxiter), history
+
+
 def _interior_solve(grid, coefs, potential, rhs, precond, tol):
     """Interior values of the correction with zero boundary data.
 
@@ -69,39 +182,37 @@ def _interior_solve(grid, coefs, potential, rhs, precond, tol):
     W = 0 on the boundary row; potential is None or an (n_r, n_theta) array,
     and rhs holds the n_r - 1 interior rows.
     """
-    n_int = (grid.n_r - 1) * grid.n_theta
+    shape = (grid.n_r - 1, grid.n_theta)
 
     def matvec(w):
         W = np.zeros((grid.n_r, grid.n_theta))
-        W[1:, :] = w.reshape(grid.n_r - 1, grid.n_theta)
+        W[1:, :] = w.reshape(shape)
         out = apply_mapped_laplacian(grid, coefs, W)
         if potential is not None:
             out = out - potential * W
         return out[1:, :].ravel()
 
+    def psolve(w):
+        return precond.solve_interior(w.reshape(shape)).ravel()
+
     b = rhs.ravel()
     bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(rhs)
-
-    op = LinearOperator((n_int, n_int), matvec=matvec)
-    prec = LinearOperator(
-        (n_int, n_int),
-        matvec=lambda w: precond.solve_interior(
-            w.reshape(grid.n_r - 1, grid.n_theta)).ravel())
-
-    x, info = gmres(op, b, M=prec, rtol=tol, atol=0.25 * tol * bnorm,
-                    maxiter=10, restart=60)
+    x, info, history = gmres(matvec, psolve, b, rtol=tol,
+                             atol=0.25 * tol * bnorm, restart=60, maxiter=10)
     if info != 0:
         # the preconditioned iteration stalls once the unpreconditioned
         # residual reaches the roundoff floor of the differentiation
         # matrices; accept the iterate in that case
         achieved = np.linalg.norm(matvec(x) - b) / bnorm
         if achieved > 1e-8:
+            last = [p for presids in history for p in presids][-4:]
             raise SolverError(
-                f"GMRES did not converge (info={info}); relative residual "
-                f"{achieved:.3e} on {n_int} unknowns")
-    return x.reshape(grid.n_r - 1, grid.n_theta)
+                f"GMRES did not converge (info={info}) after {len(history)} "
+                f"cycles ({sum(map(len, history))} iterations); relative "
+                f"residual {achieved:.3e} on {b.size} unknowns; last "
+                "preconditioned residual estimates "
+                + ", ".join(f"{p:.3e}" for p in last))
+    return x.reshape(shape)
 
 
 def solve_pressure(coefs: MappedCoefficients, A, G, grid: DiskGrid):

@@ -30,6 +30,7 @@ quadrature for U'(1).
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,12 +219,69 @@ class SteadyState:
     A: float
 
 
+def _brentq(f, a, b, f_a, f_b, xtol, rtol, maxiter=100):
+    """Root of f in [a, b] by Brent's method, given f_a = f(a) and f_b = f(b).
+
+    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4:
+    the iterate with the smaller |f| is kept as the current one; a step
+    interpolates (secant) or extrapolates (inverse quadratic) when it is
+    short enough and bisects otherwise; the iteration stops once half the
+    bracket is below delta = (xtol + rtol |x|) / 2. The steady radius
+    depends on the order of the floating-point operations here bit for bit.
+    Raises SolverError after ``maxiter`` steps.
+    """
+    if f_a == 0:
+        return a
+    if f_b == 0:
+        return b
+    if math.copysign(1.0, f_a) == math.copysign(1.0, f_b):
+        raise SolverError(f"no sign change on [{a}, {b}]: f = {f_a}, {f_b}")
+    xpre, xcur, fpre, fcur = a, b, f_a, f_b
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:               # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise SolverError(f"Brent iteration did not converge in {maxiter} steps; "
+                      f"last iterate {xcur:.17g}, f = {fcur:.3e}")
+
+
 def steady_radius(A, model: NutrientModel):
     """Locate the steady radius and its radial nutrient profile.
 
     The steady radius solves dU/dr(1, R**2) = A R**2 / 2; the left side is
     computed by collocation and Newton (:func:`solve_U`), the root located by
-    bracketing up to ``R_MAX`` and Brent iteration.
+    bracketing from R = 1e-3 up to ``R_MAX`` and by :func:`_brentq`, this
+    module's port of Brent's method, with xtol = 1e-14, rtol = 8.9e-16 and
+    at most 100 steps.
     """
     f1 = model.f_of_one
     if not 0.0 < A < f1:
@@ -242,19 +300,26 @@ def steady_radius(A, model: NutrientModel):
         g_hi = g(hi)
         samples.append((hi, g_hi))
     if g_lo <= 0.0 or g_hi >= 0.0:
+        # g_lo <= 0: the root lies below lo, and only an A below
+        # 2 dU/dr(1, lo**2) / lo**2 = A + 2 g(lo) / lo**2 brings it in;
         # g_hi > 0 only at hi = R_MAX: the root lies above R_MAX, and only an
-        # A above 2 dU/dr(1, R_MAX**2) / R_MAX**2 = A + 2 g(R_MAX) / R_MAX**2
-        # brings it in
-        cause = (f"the steady radius lies above R_MAX = {R_MAX:g}; the smallest "
-                 f"reachable A is {A + 2.0 * g_hi / R_MAX**2:.6g}, got {A:.6g}; "
-                 if g_hi > 0.0 else "")
+        # A above A + 2 g(R_MAX) / R_MAX**2 brings it in
+        if g_lo <= 0.0:
+            cause = (f"the steady radius lies below the lower end {lo:g}; the "
+                     f"largest reachable A is {A + 2.0 * g_lo / lo**2:.9g}, "
+                     f"got {A:.10g}; ")
+        elif g_hi > 0.0:
+            cause = (f"the steady radius lies above R_MAX = {R_MAX:g}; the "
+                     f"smallest reachable A is {A + 2.0 * g_hi / R_MAX**2:.6g}, "
+                     f"got {A:.6g}; ")
+        else:
+            cause = ""
         raise BracketError(
             f"no sign change when bracketing the steady radius; {cause}sampled "
             + ", ".join(f"g({r:.4g})={v:.4g}" for r, v in samples),
             samples=samples)
 
-    from scipy.optimize import brentq
-    R_A = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    R_A = _brentq(g, lo, hi, g_lo, g_hi, xtol=1e-14, rtol=8.9e-16)
 
     v0 = solve_U(R_A * R_A, model)
     alpha_A = R_A * R_A * (f1 - A / 2.0)

@@ -85,6 +85,16 @@ class TestSteadyCommand:
         assert "R_MAX = 16" in err and "smallest reachable A is 0.121" in err
         assert not out.exists()
 
+    def test_radius_below_bracket_exits_3(self, tmp_path, capsys):
+        # for the identity model the steady radius at A = 1 - 1e-7 lies
+        # below the lower bracket end 1e-3
+        out = tmp_path / "out"
+        assert main(["steady", "--A", "0.9999999", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "below the lower end 0.001" in err
+        assert "largest reachable A is 0.999999875, got 0.9999999;" in err
+        assert not out.exists()
+
 
 class TestSpectrumCommand:
     def test_artifacts(self, tmp_path):

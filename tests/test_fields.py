@@ -11,8 +11,9 @@ from tumorspec.disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
                             theta_derivative)
 from tumorspec.dynamics import evolve_nonlinear, phi
 from tumorspec.errors import SolverError
-from tumorspec.fields import (center_value, curvature, harmonic_residual,
-                              solve_nutrient, solve_pressure)
+from tumorspec.fields import (center_value, curvature, gmres,
+                              harmonic_residual, solve_nutrient,
+                              solve_pressure)
 from tumorspec.linear import linearized_mode_profile
 from tumorspec.radial import solve_u_n
 from tumorspec.shapes import ShapeState
@@ -109,8 +110,47 @@ class TestPressure:
                             lambda self, residual: residual)
         grid = DiskGrid(n_r=16, n_theta=32)
         s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
-        with pytest.raises(SolverError, match="relative residual"):
+        with pytest.raises(SolverError, match=r"after 10 cycles \(600 "
+                           r"iterations\); relative residual"):
             solve_pressure(_map_coefs(s, grid), unit_steady.A, 2.0, grid)
+
+
+class TestGmres:
+    @pytest.fixture
+    def system(self):
+        # nonsymmetric and diagonally dominant, so Jacobi preconditions it
+        gen = np.random.default_rng(12)
+        A = gen.standard_normal((40, 40)) + np.diag(gen.uniform(40.0, 60.0, 40))
+        return A, gen.standard_normal(40)
+
+    @pytest.mark.parametrize("restart", [60, 5])
+    def test_matches_dense_solve(self, system, restart):
+        A, b = system
+        jacobi = np.diag(A).copy()
+        x, info, history = gmres(lambda v: A @ v, lambda v: v / jacobi, b,
+                                 rtol=1e-13, atol=0.0, restart=restart,
+                                 maxiter=20)
+        assert info == 0
+        exact = np.linalg.solve(A, b)
+        assert np.max(np.abs(x - exact)) <= 1e-10 * np.max(np.abs(exact))
+        assert all(len(cycle) <= restart for cycle in history)
+        # a cycle of at least 40 steps is full GMRES, exact within 40 steps
+        assert len(history) == 1 if restart == 60 else len(history) > 1
+
+    def test_zero_rhs_gives_zero(self, system):
+        A, _ = system
+        x, info, history = gmres(lambda v: A @ v, lambda v: v, np.zeros(40),
+                                 rtol=1e-12, atol=0.0, restart=60, maxiter=10)
+        assert info == 0 and history == []
+        assert not x.any()
+
+    def test_unconverged_reports_maxiter(self, system):
+        A, b = system
+        x, info, history = gmres(lambda v: A @ v, lambda v: v, b, rtol=1e-14,
+                                 atol=0.0, restart=3, maxiter=1)
+        assert info == 1
+        assert [len(cycle) for cycle in history] == [3]
+        assert np.linalg.norm(A @ x - b) > 1e-14 * np.linalg.norm(b)
 
 
 class TestPerturbedNutrient:

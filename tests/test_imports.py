@@ -1,7 +1,8 @@
-"""Checks of the package source: no unused import, no dangling export, and
-no process machinery loaded by the command line."""
+"""Checks of the package source: no unused import, no dangling export, no
+process machinery loaded by the command line, and a runtime without scipy."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -61,3 +62,39 @@ def test_cli_import_loads_no_multiprocessing(package_env):
          "import sys, tumorspec.cli; print('multiprocessing' in sys.modules)"],
         env=package_env, check=True, capture_output=True, text=True)
     assert result.stdout.strip() == "False"
+
+
+SCIPY_BLOCKED = """\
+import json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is not available")
+
+sys.meta_path.insert(0, BlockScipy())
+from tumorspec.cli import main
+
+out = sys.argv[1]
+codes = [main(["steady", "--A", "0.5", "--out", out + "/steady"]),
+         main(["spectrum", "--A", "0.5", "--G", "2", "--kmax", "64",
+               "--out", out + "/spectrum"]),
+         main(["evolve", "--config", sys.argv[2], "--out", out + "/evolve"])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_commands_run_without_scipy(package_env, tmp_path):
+    # any import of scipy fails in the subprocess; the commands must not need it
+    config = tmp_path / "evolve.json"
+    config.write_text(json.dumps({
+        "A": 0.5, "G": 2.0, "mode": "nonlinear", "t_end": 0.05,
+        "seed_shape": "3:1e-3", "n_r": 16, "n_theta": 32}))
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED, str(tmp_path), str(config)],
+        env=package_env, check=True, capture_output=True, text=True)
+    report = json.loads(result.stdout.strip().splitlines()[-1])
+    assert report == {"codes": [0, 0, 0], "scipy": []}
+    assert (tmp_path / "evolve" / "trajectory.csv").is_file()

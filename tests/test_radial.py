@@ -1,5 +1,6 @@
 """Radial ODE solvers against independent Bessel-series references."""
 
+import math
 import re
 
 import numpy as np
@@ -196,6 +197,55 @@ class TestSteadyRadius:
         assert info.value.samples[-1][0] == R
         assert steady_radius(0.1215, id_model).R_A < R
 
+
+    def test_radius_below_lower_end_names_the_largest_reachable_A(self, id_model):
+        # the steady radius is at least 1e-3 for A below
+        # 2 I1(1e-3) / (1e-3 I0(1e-3)) = 1 - 1.25e-7 + O(1e-13)
+        lo = 1e-3
+        A_max = 2.0 * bessel_i(1, lo, 20) / (lo * bessel_i(0, lo, 20))
+        with pytest.raises(BracketError,
+                           match=f"below the lower end {lo:g};") as info:
+            steady_radius(0.9999999, id_model)
+        reported = re.search(r"largest reachable A is (\S+),", str(info.value))
+        assert float(reported.group(1)) == pytest.approx(A_max, rel=1e-9)
+        assert "got 0.9999999;" in str(info.value)
+        assert info.value.samples[0][0] == lo
+        assert steady_radius(0.99999987, id_model).R_A > lo
+
+
+class TestBrent:
+    @pytest.mark.parametrize("f, a, b, root", [
+        (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+        (lambda x: x**3 - 2.0, 1.0, 2.0, 2.0 ** (1.0 / 3.0)),
+    ], ids=["dottie", "cube_root_2"])
+    def test_known_roots_in_few_calls(self, f, a, b, root):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        x = radial._brentq(counted, a, b, f(a), f(b), xtol=1e-14, rtol=8.9e-16)
+        assert abs(x - root) <= 1e-14 + 8.9e-16 * root
+        assert len(calls) <= 15
+
+    def test_root_at_an_endpoint_is_returned(self):
+        def never(x):
+            raise AssertionError("no evaluation needed")
+
+        assert radial._brentq(never, 1.0, 2.0, 0.0, 1.0, xtol=1e-14,
+                              rtol=8.9e-16) == 1.0
+        assert radial._brentq(never, 0.5, 2.0, -1.0, 0.0, xtol=1e-14,
+                              rtol=8.9e-16) == 2.0
+
+    def test_no_convergence_raises(self):
+        f = lambda x: math.cos(x) - x   # noqa: E731
+        with pytest.raises(SolverError, match="did not converge in 2 steps"):
+            radial._brentq(f, 0.0, 1.0, f(0.0), f(1.0), xtol=1e-14,
+                           rtol=8.9e-16, maxiter=2)
+        with pytest.raises(SolverError, match="no sign change"):
+            radial._brentq(f, 0.0, 0.5, f(0.0), f(0.5), xtol=1e-14,
+                           rtol=8.9e-16)
 
 class TestBackend:
     def test_numpy_fallback_matches(self, id_model):
