@@ -79,7 +79,7 @@ def _lartg(f, g):
     return abs(f) / d, g / r, r
 
 
-def gmres(matvec, psolve, b, rtol, atol, restart, maxiter):
+def gmres(matvec, psolve, b, rtol, restart, maxiter):
     """Restarted GMRES with left preconditioning, from x = 0.
 
     Solves A x = b, where ``matvec`` applies A and ``psolve`` the
@@ -91,17 +91,17 @@ def gmres(matvec, psolve, b, rtol, atol, restart, maxiter):
     cycle from the true residual. The field artifacts depend on the order of
     the floating-point operations here bit for bit; keep it.
 
-    Returns (x, info, history): info is 0 when |b - A x| <= max(atol,
-    rtol |b|) and ``maxiter`` otherwise; history lists, per cycle run, the
-    estimate |M r| after each of its inner iterations.
+    Returns (x, info, history): info is 0 when |b - A x| <= rtol |b| and
+    ``maxiter`` otherwise; history lists, per cycle run, the estimate |M r|
+    after each of its inner iterations.
     """
     n = len(b)
     x = np.zeros(n)
     history = []
     bnrm2 = np.linalg.norm(b)
-    atol = max(float(atol), float(rtol) * float(bnrm2))
-    if bnrm2 == 0.0 or bnrm2 < atol:
+    if bnrm2 == 0.0:
         return x, 0, history
+    atol = rtol * float(bnrm2)   # absolute threshold on the true residual
     eps = np.finfo(float).eps
     restart = min(restart, n)
 
@@ -197,8 +197,8 @@ def _interior_solve(grid, coefs, potential, rhs, precond, tol):
 
     b = rhs.ravel()
     bnorm = np.linalg.norm(b)
-    x, info, history = gmres(matvec, psolve, b, rtol=tol,
-                             atol=0.25 * tol * bnorm, restart=60, maxiter=10)
+    x, info, history = gmres(matvec, psolve, b, rtol=tol, restart=60,
+                             maxiter=10)
     if info != 0:
         # the preconditioned iteration stalls once the unpreconditioned
         # residual reaches the roundoff floor of the differentiation

@@ -128,8 +128,7 @@ class TestGmres:
         A, b = system
         jacobi = np.diag(A).copy()
         x, info, history = gmres(lambda v: A @ v, lambda v: v / jacobi, b,
-                                 rtol=1e-13, atol=0.0, restart=restart,
-                                 maxiter=20)
+                                 rtol=1e-13, restart=restart, maxiter=20)
         assert info == 0
         exact = np.linalg.solve(A, b)
         assert np.max(np.abs(x - exact)) <= 1e-10 * np.max(np.abs(exact))
@@ -140,14 +139,14 @@ class TestGmres:
     def test_zero_rhs_gives_zero(self, system):
         A, _ = system
         x, info, history = gmres(lambda v: A @ v, lambda v: v, np.zeros(40),
-                                 rtol=1e-12, atol=0.0, restart=60, maxiter=10)
+                                 rtol=1e-12, restart=60, maxiter=10)
         assert info == 0 and history == []
         assert not x.any()
 
     def test_unconverged_reports_maxiter(self, system):
         A, b = system
         x, info, history = gmres(lambda v: A @ v, lambda v: v, b, rtol=1e-14,
-                                 atol=0.0, restart=3, maxiter=1)
+                                 restart=3, maxiter=1)
         assert info == 1
         assert [len(cycle) for cycle in history] == [3]
         assert np.linalg.norm(A @ x - b) > 1e-14 * np.linalg.norm(b)
