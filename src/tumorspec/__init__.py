@@ -10,18 +10,17 @@ from .dynamics import (PhiResult, Trajectory, TrajectoryPoint,
 from .errors import (BracketError, DomainValidityError, SolverError,
                      TumorSpecError, ValidationError)
 from .disk import DiskGrid
-from .fields import (DiskField, center_value, curvature, harmonic_residual,
+from .fields import (DiskField, center_value, harmonic_residual,
                      solve_nutrient, solve_pressure)
 from .linear import (GrowthFit, evolve_linear, fit_growth_rate,
-                     linear_trajectory, linearized_mode_profile)
+                     linearized_mode_profile)
 from .models import (NutrientModel, identity_model, parse_model_spec,
                      polynomial_model)
 from .radial import (RadialProfile, SteadyState, appendix_series,
                      boundary_ratio, solve_U, solve_u_n, steady_radius)
 from .shapes import ADMISSIBLE_SUP_NORM, ShapeState
 from .spectrum import (DEFAULT_K_MAX, ModelParameters, SpectrumTable,
-                       StabilityReport, build_table, classify_stability,
-                       g_star, g_threshold, l_G_index, lambda_k)
+                       build_table, g_star, l_G_index)
 
 __version__ = "0.1.0"
 
@@ -29,12 +28,11 @@ __all__ = [
     "ADMISSIBLE_SUP_NORM", "BracketError", "DEFAULT_K_MAX", "DiskField",
     "DiskGrid", "DomainValidityError", "GrowthFit", "ModelParameters",
     "NutrientModel", "PhiResult", "RadialProfile", "ShapeState", "SolverError",
-    "SpectrumTable", "StabilityReport", "SteadyState", "Trajectory",
-    "TrajectoryPoint", "TumorSpecError", "ValidationError", "appendix_series",
-    "boundary_ratio", "build_table", "center_value", "classify_stability",
-    "curvature", "evolve_linear", "evolve_nonlinear", "fit_growth_rate",
-    "g_star", "g_threshold", "harmonic_residual", "identity_model",
-    "l_G_index", "lambda_k", "linear_trajectory", "linearized_mode_profile",
-    "parse_model_spec", "phi", "polynomial_model", "solve_U",
-    "solve_nutrient", "solve_pressure", "solve_u_n", "steady_radius",
+    "SpectrumTable", "SteadyState", "Trajectory", "TrajectoryPoint",
+    "TumorSpecError", "ValidationError", "appendix_series", "boundary_ratio",
+    "build_table", "center_value", "evolve_linear", "evolve_nonlinear",
+    "fit_growth_rate", "g_star", "harmonic_residual", "identity_model",
+    "l_G_index", "linearized_mode_profile", "parse_model_spec", "phi",
+    "polynomial_model", "solve_U", "solve_nutrient", "solve_pressure",
+    "solve_u_n", "steady_radius",
 ]

@@ -23,8 +23,8 @@ import numpy as np
 from .disk import DiskGrid
 from .dynamics import ERR_TARGET, evolve_nonlinear
 from .errors import SolverError, ValidationError
-from .linear import fit_growth_rate, linear_trajectory
-from .models import parse_model_spec
+from .linear import evolve_linear, fit_growth_rate
+from .models import identity_model, parse_model_spec
 from .radial import (appendix_series, boundary_ratio, solve_U, solve_u_n,
                      steady_radius)
 from .shapes import ShapeState
@@ -287,8 +287,8 @@ def cmd_evolve(cfg):
     if mode == "linear":
         k_max = max(cfg["kmax"], k_top, 2)
         table = build_table(params, k_max=k_max)
-        times = np.linspace(0.0, t_end, cfg["n_samples"] + 1)
-        shapes = linear_trajectory(shape0, times, table)
+        shapes = [(float(t), evolve_linear(shape0, float(t), table))
+                  for t in np.linspace(0.0, t_end, cfg["n_samples"] + 1)]
     else:
         grid = DiskGrid(n_r=cfg["n_r"], n_theta=cfg["n_theta"])
         traj = evolve_nonlinear(shape0, t_end, A, G, model, grid,
@@ -328,7 +328,7 @@ def cmd_evolve(cfg):
 def cmd_appendix_check(cfg):
     """Compare the closed-form series solutions with the ODE solver."""
     model = parse_model_spec(cfg["model"])
-    if model.kind != "identity":
+    if model != identity_model():
         raise ValidationError("the series check is defined for the identity model")
     out = _outdir(cfg)
     v0 = solve_U(1.0, model)

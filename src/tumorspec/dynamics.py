@@ -98,10 +98,6 @@ class Trajectory:
     status: str       # "completed" or "left_neighbourhood"
 
     @property
-    def times(self):
-        return np.array([p.t for p in self.points])
-
-    @property
     def final_shape(self):
         return self.points[-1].shape
 
@@ -140,7 +136,7 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
     c[:m + 1] = shape0.coeffs[:m + 1]
 
     def make_shape(coeffs):
-        return ShapeState(n_modes=n_modes, coeffs=coeffs, radius_scale=R)
+        return ShapeState(coeffs=coeffs, radius_scale=R)
 
     def etd1_step(coeffs, phi_coeffs, dt):
         """c + dt phi_1(mu dt) phi(c), or None where e^{mu dt} overflows it."""

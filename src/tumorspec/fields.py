@@ -31,27 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
-                   apply_mapped_laplacian, boundary_curvature,
-                   boundary_radial_derivative, dealias, eval_field_columns,
-                   harmonic_extension, theta_derivative)
+                   apply_mapped_laplacian, boundary_radial_derivative, dealias,
+                   eval_field_columns, harmonic_extension)
 from .errors import SolverError
 from .models import NutrientModel
 from .radial import solve_U
-from .shapes import ShapeState
 
 NEWTON_TOL = 1e-10        # max interior residual that ends the nutrient Newton loop
 MAX_NEWTON_ITERS = 30
 KRYLOV_TOL = 1e-11        # relative GMRES tolerance of the field solves
-
-
-def curvature(shape: ShapeState, n_theta=None):
-    """Pointwise curvature of the perturbed boundary on the angular grid."""
-    if n_theta is None:
-        n_theta = max(64, 4 * (shape.n_modes + 1))
-        n_theta += n_theta % 2
-    shape.require_admissible()
-    rho = shape.to_grid(n_theta)
-    return boundary_curvature(rho, theta_derivative(rho, 1), shape.radius_scale)
 
 
 @dataclass(frozen=True)

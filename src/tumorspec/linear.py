@@ -39,7 +39,7 @@ def linearized_mode_profile(k, rho_hat_k, v0: RadialProfile, u_k: RadialProfile)
     value is -v0'(1) * rho_hat_k.
     """
     k = abs(int(k))
-    c = -v0.deriv_at_1 / u_k.value_at_1 * rho_hat_k
+    c = -v0.deriv_at_1 / u_k.values[-1] * rho_hat_k
     r = u_k.grid
     values = c * r**k * u_k.values
     derivs = c * (k * r**(max(k, 1) - 1) * u_k.values * (1 if k else 0)
@@ -69,7 +69,3 @@ def fit_growth_rate(series):
     residual = float(np.max(np.abs(np.log(a) - (slope * t + intercept))))
     return GrowthFit(rate=float(slope), residual=residual)
 
-
-def linear_trajectory(shape: ShapeState, times, table: SpectrumTable):
-    """Sample the diagonal flow at the given times (from the initial state)."""
-    return [(float(t), evolve_linear(shape, float(t), table)) for t in times]

@@ -1,10 +1,11 @@
 """Nutrient consumption models.
 
 A model is the scalar function f appearing on the right-hand side of the
-nutrient equation. It must vanish at zero and be strictly increasing on the
-range the solvers visit; both conditions are checked at construction time on
-a sampled grid. Two kinds are supported: the identity and polynomials with
-zero constant term, which keeps f and f' representable as coefficient arrays.
+nutrient equation: a polynomial f(u) = c1 u + c2 u**2 + ... with zero
+constant term, so f vanishes at zero and f and f' are coefficient arrays. The
+identity f(u) = u is the polynomial with c1 = 1. The coefficients may have
+either sign, but f must be strictly increasing on the range the solvers
+visit: f' > 0 on [0, 1.5] is checked at construction time on a sampled grid.
 """
 
 from dataclasses import dataclass, field
@@ -19,23 +20,17 @@ _VALIDATION_MARGIN = 0.5
 
 @dataclass(frozen=True)
 class NutrientModel:
-    kind: str
-    coefficients: tuple = ()
+    coefficients: tuple
     # ascending-power coefficient arrays of f and f'
     f_coeffs: np.ndarray = field(init=False, repr=False, compare=False)
     fprime_coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind == "identity":
-            coeffs = np.array([0.0, 1.0])
-        elif self.kind == "polynomial":
-            if not self.coefficients:
-                raise ValidationError("polynomial model needs coefficients")
-            coeffs = np.concatenate(([0.0], np.asarray(self.coefficients, dtype=float)))
-            if not np.all(np.isfinite(coeffs)):
-                raise ValidationError("polynomial coefficients must be finite")
-        else:
-            raise ValidationError(f"unknown model kind {self.kind!r}")
+        if not self.coefficients:
+            raise ValidationError("polynomial model needs coefficients")
+        coeffs = np.concatenate(([0.0], np.asarray(self.coefficients, dtype=float)))
+        if not np.all(np.isfinite(coeffs)):
+            raise ValidationError("polynomial coefficients must be finite")
         deriv = coeffs[1:] * np.arange(1, len(coeffs))
         object.__setattr__(self, "f_coeffs", coeffs)
         object.__setattr__(self, "fprime_coeffs", deriv)
@@ -62,12 +57,12 @@ class NutrientModel:
 
 
 def identity_model():
-    return NutrientModel(kind="identity")
+    return polynomial_model(1.0)
 
 
 def polynomial_model(*coefficients):
     """Model f(u) = c1*u + c2*u**2 + ... (zero constant term is implied)."""
-    return NutrientModel(kind="polynomial", coefficients=tuple(float(c) for c in coefficients))
+    return NutrientModel(coefficients=tuple(float(c) for c in coefficients))
 
 
 def parse_model_spec(spec):

@@ -118,14 +118,6 @@ class RadialProfile:
         out = barycentric_matrix(self.grid, self._weights, r_arr.ravel()) @ self.values
         return out.reshape(r_arr.shape) if np.ndim(r) else out[0].item()
 
-    @property
-    def value_at_1(self):
-        return float(self.values[-1])
-
-    @property
-    def value_at_0(self):
-        return float(self.values[0])
-
 
 def solve_U(lam, model: NutrientModel):
     """Solve the parameter-dependent center problem by collocation and Newton.
@@ -163,8 +155,10 @@ def solve_U(lam, model: NutrientModel):
             tail = float(np.max(np.abs(fold.to_cheb[-2:] @ u)))
             if tail > 100.0 * REL_TOL:
                 raise SolverError(
-                    f"U at lam={lam} is not resolved by {N_NODES} nodes "
-                    f"(trailing Chebyshev coefficient {tail:.1e}); increase n_nodes")
+                    f"U at lam={lam} (R = sqrt(lam) = {math.sqrt(lam):.6g}) is not "
+                    f"resolved by the fixed N_NODES = {N_NODES} collocation nodes "
+                    f"(trailing Chebyshev coefficient {tail:.1e}); choose a "
+                    "smaller R (or a larger A)")
             du = fold.d1 @ u
             du[0] = lam * (fold.weights @ model.f_at(u))
             return RadialProfile(grid=grid, values=fold.even @ u,
@@ -299,21 +293,20 @@ def steady_radius(A, model: NutrientModel):
         hi = min(2.0 * hi, R_MAX)
         g_hi = g(hi)
         samples.append((hi, g_hi))
-    if g_lo <= 0.0 or g_hi >= 0.0:
-        # g_lo <= 0: the root lies below lo, and only an A below
+    if g_lo < 0.0 or g_hi > 0.0:
+        # g_lo < 0: the root lies below lo, and only an A below
         # 2 dU/dr(1, lo**2) / lo**2 = A + 2 g(lo) / lo**2 brings it in;
         # g_hi > 0 only at hi = R_MAX: the root lies above R_MAX, and only an
-        # A above A + 2 g(R_MAX) / R_MAX**2 brings it in
-        if g_lo <= 0.0:
+        # A above A + 2 g(R_MAX) / R_MAX**2 brings it in. An exact zero at
+        # either end is a root, which _brentq returns.
+        if g_lo < 0.0:
             cause = (f"the steady radius lies below the lower end {lo:g}; the "
                      f"largest reachable A is {A + 2.0 * g_lo / lo**2:.9g}, "
                      f"got {A:.10g}; ")
-        elif g_hi > 0.0:
+        else:
             cause = (f"the steady radius lies above R_MAX = {R_MAX:g}; the "
                      f"smallest reachable A is {A + 2.0 * g_hi / R_MAX**2:.6g}, "
                      f"got {A:.6g}; ")
-        else:
-            cause = ""
         raise BracketError(
             f"no sign change when bracketing the steady radius; {cause}sampled "
             + ", ".join(f"g({r:.4g})={v:.4g}" for r, v in samples),

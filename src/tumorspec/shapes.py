@@ -19,38 +19,33 @@ SUP_NORM_OVERSAMPLE = 8     # samples per retained mode when taking sup |rho|
 
 @dataclass(frozen=True)
 class ShapeState:
-    n_modes: int
     coeffs: np.ndarray          # complex, index k = 0..n_modes
     radius_scale: float
-    periodicity: int = None     # if set, only multiples of this mode are present
 
     def __post_init__(self):
         if self.radius_scale <= 0:
             raise ValidationError("radius_scale must be positive")
         c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (self.n_modes + 1,):
-            raise ValidationError("coeffs must have length n_modes + 1")
+        if c.ndim != 1 or len(c) == 0:
+            raise ValidationError("coeffs must be a nonempty 1-D array")
         if not np.all(np.isfinite(c)):
             raise ValidationError("shape coefficients must be finite")
         if abs(c[0].imag) > 1e-14 * max(1.0, abs(c[0])):
             raise ValidationError("mode zero must be real")
         object.__setattr__(self, "coeffs", c)
-        if self.periodicity is not None:
-            if self.periodicity < 1:
-                raise ValidationError("periodicity must be a positive integer")
-            k = np.arange(self.n_modes + 1)
-            off = (k % self.periodicity != 0) & (k > 0)
-            if np.any(np.abs(c[off]) > 1e-14):
-                raise ValidationError(
-                    f"coefficients off the {self.periodicity}-lattice are nonzero")
+
+    @property
+    def n_modes(self):
+        """Highest retained mode."""
+        return len(self.coeffs) - 1
 
     @classmethod
     def zero(cls, n_modes, radius_scale):
-        return cls(n_modes=n_modes, coeffs=np.zeros(n_modes + 1, dtype=complex),
+        return cls(coeffs=np.zeros(n_modes + 1, dtype=complex),
                    radius_scale=radius_scale)
 
     @classmethod
-    def from_modes(cls, modes, radius_scale, n_modes=None, periodicity=None):
+    def from_modes(cls, modes, radius_scale, n_modes=None):
         """Build from (k, amplitude, phase) triples: sum of amp*cos(k theta + phase)."""
         modes = list(modes)
         if n_modes is None:
@@ -64,22 +59,7 @@ class ShapeState:
                 c[0] += amp * np.cos(phase)
             else:
                 c[k] += 0.5 * amp * np.exp(1j * phase)
-        return cls(n_modes=n_modes, coeffs=c, radius_scale=radius_scale,
-                   periodicity=periodicity)
-
-    @classmethod
-    def from_grid(cls, values, radius_scale, n_modes=None, periodicity=None):
-        values = np.asarray(values, dtype=float)
-        n_theta = len(values)
-        c_full = np.fft.rfft(values) / n_theta
-        if n_modes is None:
-            n_modes = n_theta // 2
-        c = np.zeros(n_modes + 1, dtype=complex)
-        m = min(n_modes, len(c_full) - 1)
-        c[:m + 1] = c_full[:m + 1]
-        c[0] = c[0].real
-        return cls(n_modes=n_modes, coeffs=c, radius_scale=radius_scale,
-                   periodicity=periodicity)
+        return cls(coeffs=c, radius_scale=radius_scale)
 
     def coeff(self, k):
         """Fourier coefficient at any integer k (reality supplies k < 0)."""
@@ -107,10 +87,6 @@ class ShapeState:
         n += n % 2
         return float(np.max(np.abs(self.to_grid(n))))
 
-    @property
-    def in_admissible_set(self):
-        return self.sup_norm() < ADMISSIBLE_SUP_NORM
-
     def require_admissible(self):
         s = self.sup_norm()
         if s >= ADMISSIBLE_SUP_NORM:
@@ -128,6 +104,3 @@ class ShapeState:
     def with_coeffs(self, coeffs):
         return replace(self, coeffs=np.asarray(coeffs, dtype=complex))
 
-
-def theta_grid(n_theta):
-    return 2.0 * np.pi * np.arange(n_theta) / n_theta

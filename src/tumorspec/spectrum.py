@@ -61,17 +61,6 @@ class SpectrumTable:
         return float(self.mu[k])
 
 
-def lambda_k(k, R):
-    """Principal symbol -|k|**3 / R**3."""
-    if R <= 0:
-        raise ValidationError("R must be positive")
-    return -abs(int(k)) ** 3 / R**3
-
-
-def _mode_denominator(A, ratio_k, f_of_one):
-    return 0.5 * A * ratio_k + A - f_of_one
-
-
 def build_table(params: ModelParameters, k_max=DEFAULT_K_MAX):
     """Compute ratios and the full symbol for modes 0..k_max."""
     if k_max < 2:
@@ -89,13 +78,12 @@ def build_table(params: ModelParameters, k_max=DEFAULT_K_MAX):
     ratio = np.array([
         boundary_ratio(k, R, v0, params.model) for k in ks
     ])
-    denom = _mode_denominator(params.A, ratio, f1)
+    denom = 0.5 * params.A * ratio + params.A - f1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lam = -ks.astype(float) ** 3 / R**3 + 0.0   # + 0.0 makes lambda_0 0, not -0
-        mu = (-ks.astype(float) ** 3 + ks) / R**3 - params.G * denom
-        g_thr = np.where(np.abs(denom) > DENOM_TOL,
-                         (-ks.astype(float) ** 3 + ks) / R**3 / denom,
-                         np.nan)
+        principal = (-ks.astype(float) ** 3 + ks) / R**3
+        mu = principal - params.G * denom
+        g_thr = np.where(np.abs(denom) > DENOM_TOL, principal / denom, np.nan)
     if not np.all(np.isfinite(lam) & np.isfinite(mu)) or np.any(np.isinf(g_thr)):
         raise ValidationError(
             f"the spectrum at R = {R}, G = {params.G} overflows double precision")
@@ -104,14 +92,6 @@ def build_table(params: ModelParameters, k_max=DEFAULT_K_MAX):
                          f_of_one=f1, ratio=ratio, lam=lam, mu=mu,
                          denom=denom, g_threshold=g_thr,
                          assumption_holds=bool(denom[0] > 0.0))
-
-
-def g_threshold(k, table: SpectrumTable):
-    """Per-mode threshold G_k, or None when the denominator vanishes."""
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
-    val = table.g_threshold[k]
-    return None if math.isnan(val) else float(val)
 
 
 def g_star(table: SpectrumTable):
@@ -137,47 +117,6 @@ def g_star(table: SpectrumTable):
             "thresholds are not increasing over the scan tail; "
             "increase k_max to certify attainment of the minimum")
     return float(value), int(k0)
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    unstable_modes: tuple
-    spectral_bound: float
-    neutral_mode_value: float
-    regime: str
-    g_star: float = None
-    g_star_mode: int = None
-
-
-def classify_stability(table: SpectrumTable):
-    """Sign pattern of the symbol plus the vascularisation regime label.
-
-    Mode +-1 is the neutral direction and reported separately; the spectral
-    bound maxes the symbol over k = 0 and 2 <= |k| <= k_max.
-    """
-    ks = [0] + list(range(2, table.k_max + 1))
-    mus = {k: float(table.mu[k]) for k in ks}
-    unstable = tuple(sorted(k for k, v in mus.items() if v > 0))
-    bound = max(mus.values())
-
-    gs = gk = None
-    try:
-        gs, gk = g_star(table)
-    except SolverError:
-        pass
-
-    if table.G < 0:
-        regime = "high_vascularisation_unstable"
-    elif table.G == 0:
-        regime = "hele_shaw_stable"
-    elif gs is not None and table.G > gs:
-        regime = "above_threshold_unstable"
-    else:
-        regime = "inconclusive_below_threshold"
-
-    return StabilityReport(unstable_modes=unstable, spectral_bound=float(bound),
-                           neutral_mode_value=float(table.mu[1]), regime=regime,
-                           g_star=gs, g_star_mode=gk)
 
 
 def l_G_index(table: SpectrumTable):
@@ -216,7 +155,28 @@ def l_G_index(table: SpectrumTable):
 
 
 def report_dict(table: SpectrumTable):
-    report = classify_stability(table)
+    """The report of a spectrum run: the symbol, G*, the sign pattern, l_G.
+
+    Mode +-1 is the neutral direction and reported separately; the spectral
+    bound maxes the symbol over k = 0 and 2 <= |k| <= k_max. The regime
+    labels the vascularisation sign of G and where it lies against G*.
+    """
+    mus = {k: float(table.mu[k]) for k in [0] + list(range(2, table.k_max + 1))}
+    gs = gk = None
+    try:
+        gs, gk = g_star(table)
+    except SolverError:
+        pass
+
+    if table.G < 0:
+        regime = "high_vascularisation_unstable"
+    elif table.G == 0:
+        regime = "hele_shaw_stable"
+    elif gs is not None and table.G > gs:
+        regime = "above_threshold_unstable"
+    else:
+        regime = "inconclusive_below_threshold"
+
     out = {
         "R": table.R,
         "A": table.A,
@@ -224,12 +184,12 @@ def report_dict(table: SpectrumTable):
         "k_max": table.k_max,
         "mode_zero_damping_holds": table.assumption_holds,
         "mu": {str(k): float(table.mu[k]) for k in range(table.k_max + 1)},
-        "g_star": report.g_star,
-        "g_star_mode": report.g_star_mode,
-        "unstable_modes": list(report.unstable_modes),
-        "spectral_bound": report.spectral_bound,
-        "neutral_mode_value": report.neutral_mode_value,
-        "regime": report.regime,
+        "g_star": gs,
+        "g_star_mode": gk,
+        "unstable_modes": sorted(k for k, v in mus.items() if v > 0),
+        "spectral_bound": max(mus.values()),
+        "neutral_mode_value": float(table.mu[1]),
+        "regime": regime,
     }
     if table.G > 0 and table.assumption_holds:
         try:

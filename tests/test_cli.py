@@ -95,6 +95,16 @@ class TestSteadyCommand:
         assert "largest reachable A is 0.999999875, got 0.9999999;" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model, code", [("poly:1,-0.1", 0), ("poly:0,1", 2)],
+                             ids=["negative_coefficient", "zero_slope_at_0"])
+    def test_model_rule_is_a_positive_derivative(self, tmp_path, model, code):
+        # the rule is f' > 0 on [0, 1.5], not the sign of the coefficients
+        assert main(["steady", "--A", "0.3", "--model", model,
+                     "--out", str(tmp_path)]) == code
+        if code == 0:
+            report = json.loads((tmp_path / "steady.json").read_text())
+            assert report["R_A"] == pytest.approx(5.829, abs=1e-3)
+
 
 class TestSpectrumCommand:
     def test_artifacts(self, tmp_path):
@@ -152,6 +162,17 @@ class TestSpectrumCommand:
         cfg_path.write_text(json.dumps({"A": 0.5, "G": 1.0, "kmax": "x"}))
         assert main(["spectrum", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 2
+
+    def test_unresolved_profile_exits_3(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"R": 100}))
+        out = tmp_path / "out"
+        assert main(["spectrum", "--A", "0.5", "--G", "1", "--config",
+                     str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "R = sqrt(lam) = 100)" in err and "N_NODES = 65" in err
+        assert "choose a smaller R (or a larger A)" in err
+        assert not out.exists()
 
     def test_no_negative_zero(self, tmp_path):
         # lambda_0 = -0 / R**3 used to be written as "-0"
@@ -312,6 +333,9 @@ class TestAppendixCheckCommand:
         assert result["passed"] is True
         assert result["ratios"]["u0"] == pytest.approx(0.446, abs=5e-4)
         assert result["ratios"]["u1"] == pytest.approx(0.240, abs=5e-4)
+        # the identity is the polynomial with c1 = 1
+        assert main(["appendix-check", "--model", "poly:1",
+                     "--out", str(tmp_path / "poly")]) == 0
 
     def test_rejects_polynomial_model(self, tmp_path):
         assert main(["appendix-check", "--model", "poly:1,0.3",

@@ -2,6 +2,9 @@
 
 import math
 import re
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ def worst_relative_error(got, expected):
 class TestCenterShooting:
     def test_identity_center_value_is_inverse_bessel(self, id_model):
         prof = solve_U(1.0, id_model)
-        assert prof.value_at_0 == pytest.approx(1.0 / bessel_i(0, 1.0), abs=1e-10)
+        assert prof.values[0] == pytest.approx(1.0 / bessel_i(0, 1.0), abs=1e-10)
 
     def test_identity_boundary_derivative(self, id_model):
         prof = solve_U(1.0, id_model)
@@ -53,7 +56,7 @@ class TestCenterShooting:
                 assert np.all(np.diff(prof.values) >= -1e-12)
 
     def test_center_value_monotone_in_lambda(self, id_model):
-        centers = [solve_U(lam, id_model).value_at_0 for lam in (0.5, 1.0, 2.0, 4.0)]
+        centers = [solve_U(lam, id_model).values[0] for lam in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(centers, centers[1:]))
 
     def test_ode_residual_small(self, id_model):
@@ -65,11 +68,11 @@ class TestCenterShooting:
 class TestModeFamilies:
     def test_u0_value_at_one(self, id_model, unit_steady):
         prof = solve_u_n(0, 1.0, unit_steady.v0, id_model)
-        assert prof.value_at_1 == pytest.approx(bessel_i(0, 1.0), abs=1e-9)
+        assert prof.values[-1] == pytest.approx(bessel_i(0, 1.0), abs=1e-9)
 
     def test_u1_value_at_one(self, id_model, unit_steady):
         prof = solve_u_n(1, 1.0, unit_steady.v0, id_model)
-        assert prof.value_at_1 == pytest.approx(2.0 * bessel_i(1, 1.0), abs=1e-9)
+        assert prof.values[-1] == pytest.approx(2.0 * bessel_i(1, 1.0), abs=1e-9)
 
     def test_boundary_ratios_match_bessel(self, id_model, unit_steady):
         for n in range(6):
@@ -121,7 +124,9 @@ class TestCollocationAccuracy:
             solve_U(10.0, poly_model)
 
     def test_unresolved_profile_raises(self, id_model, monkeypatch):
-        with pytest.raises(SolverError, match="increase n_nodes"):
+        with pytest.raises(SolverError, match=r"R = sqrt\(lam\) = 100\) is not "
+                           r"resolved by the fixed N_NODES = 65 .*; choose a "
+                           r"smaller R \(or a larger A\)"):
             solve_U(100.0**2, id_model)
         monkeypatch.setattr(radial, "N_NODES", 129)
         prof = solve_U(100.0**2, id_model)
@@ -212,6 +217,15 @@ class TestSteadyRadius:
         assert info.value.samples[0][0] == lo
         assert steady_radius(0.99999987, id_model).R_A > lo
 
+    def test_exact_zero_at_the_bracket_end_is_the_root(self, id_model,
+                                                       monkeypatch):
+        # a stub center problem with g(R) = A R**2 (1 - R**2) / 2, so g(1) = 0
+        # exactly and g(1e-3) > 0
+        A = 0.5
+        monkeypatch.setattr(radial, "solve_U", lambda lam, model: SimpleNamespace(
+            deriv_at_1=A * lam * (2.0 - lam) / 2.0))
+        assert steady_radius(A, id_model).R_A == 1.0
+
 
 class TestBrent:
     @pytest.mark.parametrize("f, a, b, root", [
@@ -247,21 +261,16 @@ class TestBrent:
             radial._brentq(f, 0.0, 0.5, f(0.0), f(0.5), xtol=1e-14,
                            rtol=8.9e-16)
 
-class TestBackend:
-    def test_numpy_fallback_matches(self, id_model):
-        import subprocess
-        import sys
+class TestDeterminism:
+    def test_fresh_process_gives_identical_profile(self, id_model, package_env):
         code = (
             "from tumorspec.models import identity_model\n"
             "from tumorspec.radial import solve_U\n"
             "p = solve_U(1.0, identity_model())\n"
-            "print(repr(p.value_at_0), repr(p.deriv_at_1))\n"
+            "print(repr(float(p.values[0])), repr(p.deriv_at_1))\n"
         )
-        # checks fresh-process determinism: a new interpreter must give
-        # the same solution as this one
-        out = subprocess.run([sys.executable, "-c", code],
+        out = subprocess.run([sys.executable, "-c", code], env=package_env,
                              capture_output=True, text=True, check=True)
-        c0, d1 = (float(tok) for tok in out.stdout.split())
         prof = solve_U(1.0, id_model)
-        assert c0 == pytest.approx(prof.value_at_0, abs=1e-12)
-        assert d1 == pytest.approx(prof.deriv_at_1, abs=1e-12)
+        assert out.stdout.split() == [repr(float(prof.values[0])),
+                                      repr(prof.deriv_at_1)]

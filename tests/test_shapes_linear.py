@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from tumorspec.errors import DomainValidityError, ValidationError
+from tumorspec.disk import DiskGrid
 from tumorspec.linear import (evolve_linear, fit_growth_rate,
-                              linear_trajectory, linearized_mode_profile)
+                              linearized_mode_profile)
 from tumorspec.radial import solve_u_n
-from tumorspec.shapes import ShapeState, theta_grid
+from tumorspec.shapes import ShapeState
 
 from oracles import bessel_i
 
@@ -19,20 +20,13 @@ def random_small_shape(rng, radius_scale=1.0, n_modes=8, amp=1e-3,
         else range(1, n_modes + 1)
     for k in ks:
         modes.append((k, float(rng.uniform(0, amp)), float(rng.uniform(0, 2 * np.pi))))
-    return ShapeState.from_modes(modes, radius_scale, n_modes=n_modes,
-                                 periodicity=periodicity)
+    return ShapeState.from_modes(modes, radius_scale, n_modes=n_modes)
 
 
 class TestShapeState:
-    def test_grid_roundtrip(self, rng):
-        s = random_small_shape(rng)
-        g = s.to_grid(64)
-        s2 = ShapeState.from_grid(g, 1.0, n_modes=8)
-        assert np.allclose(s.coeffs, s2.coeffs, atol=1e-15)
-
     def test_grid_values_are_real_cosine_sums(self):
         s = ShapeState.from_modes([(2, 1e-2, 0.5)], 1.0)
-        th = theta_grid(32)
+        th = DiskGrid(n_r=4, n_theta=32).theta
         assert np.allclose(s.to_grid(32), 1e-2 * np.cos(2 * th + 0.5), atol=1e-16)
 
     def test_negative_mode_coefficient_is_conjugate(self, rng):
@@ -48,19 +42,25 @@ class TestShapeState:
 
     def test_admissibility_boundary(self):
         ok = ShapeState.from_modes([(2, 0.24, 0.0)], 1.0)
-        assert ok.in_admissible_set
+        ok.require_admissible()
         bad = ShapeState.from_modes([(2, 0.26, 0.0)], 1.0)
-        assert not bad.in_admissible_set
         with pytest.raises(DomainValidityError):
             bad.require_admissible()
 
-    def test_lattice_validation(self):
-        with pytest.raises(ValidationError):
-            ShapeState.from_modes([(3, 1e-3, 0.0)], 1.0, n_modes=8, periodicity=2)
+    def test_mode_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             ShapeState.from_modes([(-2, 1e-3, 0.0)], 1.0)
-        s = ShapeState.from_modes([(4, 1e-3, 0.0)], 1.0, n_modes=8, periodicity=2)
-        assert s.periodicity == 2
+        with pytest.raises(ValidationError):
+            ShapeState.from_modes([(9, 1e-3, 0.0)], 1.0, n_modes=8)
+
+    def test_n_modes_is_read_from_the_coefficients(self):
+        s = ShapeState(coeffs=np.zeros(5, dtype=complex), radius_scale=1.0)
+        assert s.n_modes == 4
+        assert ShapeState.zero(8, 1.0).n_modes == 8
+        assert ShapeState.from_modes([(3, 1e-3, 0.0)], 1.0, n_modes=6).n_modes == 6
+        for bad in (np.zeros(0), np.zeros((2, 3)), 0.0):
+            with pytest.raises(ValidationError, match="nonempty 1-D"):
+                ShapeState(coeffs=bad, radius_scale=1.0)
 
     def test_amplitude_reading(self):
         s = ShapeState.from_modes([(4, 3e-3, 0.7)], 1.0)
@@ -113,9 +113,10 @@ class TestLinearEvolution:
 
     def test_trajectory_sampling(self, unit_table):
         s = ShapeState.from_modes([(2, 1e-3, 0.0)], unit_table.R)
-        traj = linear_trajectory(s, [0.0, 0.5, 1.0], unit_table)
-        assert [t for t, _ in traj] == [0.0, 0.5, 1.0]
-        assert traj[0][1].amplitude(2) == pytest.approx(1e-3)
+        traj = [evolve_linear(s, t, unit_table) for t in (0.0, 0.5, 1.0)]
+        assert traj[0].amplitude(2) == pytest.approx(1e-3)
+        assert traj[2].amplitude(2) == pytest.approx(
+            1e-3 * np.exp(unit_table.mu_at(2)), rel=1e-13)
 
     def test_rejects_negative_time(self, unit_table):
         s = ShapeState.from_modes([(2, 1e-3, 0.0)], unit_table.R)
@@ -134,8 +135,8 @@ class TestGrowthRateFit:
     def test_consistency_with_linear_evolution(self, unit_table):
         s = ShapeState.from_modes([(3, 1e-3, 0.0)], unit_table.R)
         times = np.linspace(0.0, 1.0, 11)
-        series = [(t, shape.amplitude(3))
-                  for t, shape in linear_trajectory(s, times, unit_table)]
+        series = [(t, evolve_linear(s, float(t), unit_table).amplitude(3))
+                  for t in times]
         fit = fit_growth_rate(series)
         assert fit.rate == pytest.approx(unit_table.mu_at(3), abs=1e-10)
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from tumorspec.errors import ValidationError
-from tumorspec.spectrum import (ModelParameters, build_table,
-                                classify_stability, g_star, g_threshold,
-                                l_G_index, lambda_k)
+from tumorspec.spectrum import (ModelParameters, build_table, g_star,
+                                l_G_index, report_dict)
 
 from oracles import identity_g_star, identity_g_threshold, identity_mu
 
@@ -50,9 +49,12 @@ class TestSymbol:
             assert table.mu_at(k) == pytest.approx(
                 float(-k**3 + k) / table.R**3, abs=1e-12)
 
-    def test_principal_symbol(self):
-        assert lambda_k(3, 2.0) == pytest.approx(-27.0 / 8.0)
-        assert lambda_k(-3, 2.0) == pytest.approx(-27.0 / 8.0)
+    def test_principal_symbol(self, id_model, unit_radius_A):
+        table = build_table(
+            ModelParameters(A=unit_radius_A, G=1.0, model=id_model, R=2.0),
+            k_max=4)
+        assert table.lam[3] == pytest.approx(-27.0 / 8.0)
+        assert table.lam[0] == 0.0
 
 
 class TestThresholds:
@@ -62,7 +64,7 @@ class TestThresholds:
         for k in range(2, 9):
             if base.denom[k] >= 0:
                 continue
-            gk = g_threshold(k, base)
+            gk = base.g_threshold[k]
             for g, sign in ((gk, 0), (0.9 * gk, -1), (1.1 * gk, 1)):
                 t = build_table(
                     ModelParameters(A=unit_radius_A, G=g, model=id_model,
@@ -75,7 +77,7 @@ class TestThresholds:
     def test_threshold_matches_oracle(self, unit_table, unit_radius_A):
         for k in range(2, 9):
             expected = identity_g_threshold(k, unit_radius_A)
-            got = g_threshold(k, unit_table)
+            got = unit_table.g_threshold[k]
             assert got == pytest.approx(expected, rel=1e-8)
 
     def test_g_star_against_bruteforce_oracle(self, unit_table, unit_radius_A):
@@ -94,16 +96,16 @@ class TestClassification:
     def test_hele_shaw_limit_is_stable(self, id_model, unit_radius_A):
         table = build_table(
             ModelParameters(A=unit_radius_A, G=0.0, model=id_model), k_max=8)
-        report = classify_stability(table)
-        assert report.regime == "hele_shaw_stable"
-        assert report.unstable_modes == ()
+        report = report_dict(table)
+        assert report["regime"] == "hele_shaw_stable"
+        assert report["unstable_modes"] == []
 
     def test_negative_mitosis_is_unstable(self, id_model, unit_radius_A):
         table = build_table(
             ModelParameters(A=unit_radius_A, G=-2.0, model=id_model), k_max=16)
-        report = classify_stability(table)
-        assert report.regime == "high_vascularisation_unstable"
-        assert report.spectral_bound > 0.0
+        report = report_dict(table)
+        assert report["regime"] == "high_vascularisation_unstable"
+        assert report["spectral_bound"] > 0.0
 
     def test_above_threshold_flags_unstable_modes(self, id_model, unit_radius_A):
         gs, k0 = g_star(build_table(
@@ -111,14 +113,14 @@ class TestClassification:
         table = build_table(
             ModelParameters(A=unit_radius_A, G=1.5 * gs, model=id_model),
             k_max=32)
-        report = classify_stability(table)
-        assert report.regime == "above_threshold_unstable"
-        assert k0 in report.unstable_modes
+        report = report_dict(table)
+        assert report["regime"] == "above_threshold_unstable"
+        assert k0 in report["unstable_modes"]
 
     def test_below_threshold_all_modes_decay(self, unit_table):
-        report = classify_stability(unit_table)
-        assert report.spectral_bound < 0.0
-        assert abs(report.neutral_mode_value) <= 1e-8
+        report = report_dict(unit_table)
+        assert report["spectral_bound"] < 0.0
+        assert abs(report["neutral_mode_value"]) <= 1e-8
 
 
 class TestPeriodicityIndex:
