@@ -17,12 +17,14 @@ semilinear equation. The collocation systems are solved by :func:`gmres`,
 this module's port of restarted, left-preconditioned GMRES (Saad & Schultz,
 *SIAM J. Sci. Stat. Comput.* 7, 1986), preconditioned with the
 per-angular-mode radial inverses. The pressure preconditioner does not
-depend on the shape and is kept on the grid; the nutrient one is
-built once per solve, from the potential at the Newton start, and serves
-every Newton step of that solve (for the identity model f' is constant, so
-it is the one every step would build). A Krylov iteration that ends above
-the roundoff floor raises SolverError. The tolerances of both loops are the
-module constants below.
+depend on the shape and is kept on the grid. The nutrient one is the exact
+inverse at the radial equilibrium; a nonlinear evolution, which moves the
+boundary only near that equilibrium, builds it once and passes it to every
+nutrient solve, and a standalone solve builds its own from the potential at
+its Newton start. Either serves every Newton step of the solve (for the
+identity model f' is constant, so it is the one every step would build).
+A Krylov iteration that ends above the roundoff floor raises SolverError.
+The tolerances of both loops are the module constants below.
 """
 
 import math
@@ -219,22 +221,25 @@ def solve_pressure(coefs: MappedCoefficients, A, G, grid: DiskGrid):
 
 
 def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGrid,
-                   start=None):
+                   start=None, precond=None):
     """Semilinear nutrient problem, Newton iteration on the mapped disk.
 
     ``coefs`` is the map of the domain on the nodes of ``grid``. ``start`` is
     the initial iterate, any array that broadcasts to the grid (such as the
     field of a previous time step); None starts from the radial equilibrium
     profile of radius ``coefs.R``. The boundary row is set to 1 either way.
-    The preconditioner is built once, from the potential at the start, and
-    serves every Newton step.
+    ``precond`` is the ModePreconditioner on ``grid`` that serves every Newton
+    step (such as the one of the radial equilibrium); None builds one from
+    the potential at the start.
     """
     scale = coefs.scale
     if start is None:
         start = solve_U(coefs.R * coefs.R, model).at(grid.r)[:, None]
     v = np.broadcast_to(start, (grid.n_r, grid.n_theta)).copy()
     v[0, :] = 1.0
-    precond = ModePreconditioner(grid, (scale * model.fprime_at(v)).mean(axis=1))
+    if precond is None:
+        precond = ModePreconditioner(grid,
+                                     (scale * model.fprime_at(v)).mean(axis=1))
 
     history = []
     for _ in range(MAX_NEWTON_ITERS):

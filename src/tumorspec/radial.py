@@ -105,7 +105,7 @@ class RadialProfile:
     grid: np.ndarray
     values: np.ndarray
     deriv_at_1: float
-    deriv_values: np.ndarray = None
+    deriv_values: np.ndarray
     fold_values: np.ndarray = field(default=None, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -140,33 +140,41 @@ def solve_U(lam, model: NutrientModel):
     scale[0] = 0.0
     w = np.zeros_like(fold.r)
     history = []
-    for _ in range(MAX_NEWTON_ITERS):
-        F = op @ w - scale * model.f_at(1.0 + w)
-        history.append(float(np.max(np.abs(F))))
-        try:
-            step = np.linalg.solve(op - np.diag(scale * model.fprime_at(1.0 + w)), -F)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular Newton matrix for U at lam={lam}") from exc
-        w = w + step
-        if not np.all(np.isfinite(w)):
-            break
-        if np.max(np.abs(step)) <= REL_TOL * np.max(np.abs(1.0 + w)) + ABS_TOL:
-            u = 1.0 + w
-            tail = float(np.max(np.abs(fold.to_cheb[-2:] @ u)))
-            if tail > 100.0 * REL_TOL:
-                raise SolverError(
-                    f"U at lam={lam} (R = sqrt(lam) = {math.sqrt(lam):.6g}) is not "
-                    f"resolved by the fixed N_NODES = {N_NODES} collocation nodes "
-                    f"(trailing Chebyshev coefficient {tail:.1e}); choose a "
-                    "smaller R (or a larger A)")
-            du = fold.d1 @ u
-            du[0] = lam * (fold.weights @ model.f_at(u))
-            return RadialProfile(grid=grid, values=fold.even @ u,
-                                 deriv_at_1=float(du[0]),
-                                 deriv_values=fold.odd @ du, fold_values=u)
-    raise SolverError(
-        f"Newton iteration for the center problem did not converge at lam={lam}; "
-        "residual history: " + ", ".join(f"{r:.3e}" for r in history))
+    converged = False
+    # at a huge lam the iterate overflows; the finiteness test turns that
+    # into the SolverError below, so numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MAX_NEWTON_ITERS):
+            F = op @ w - scale * model.f_at(1.0 + w)
+            history.append(float(np.max(np.abs(F))))
+            try:
+                step = np.linalg.solve(
+                    op - np.diag(scale * model.fprime_at(1.0 + w)), -F)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"singular Newton matrix for U at lam={lam}") from exc
+            w = w + step
+            if not np.all(np.isfinite(w)):
+                break
+            if np.max(np.abs(step)) <= REL_TOL * np.max(np.abs(1.0 + w)) + ABS_TOL:
+                converged = True
+                break
+    if not converged:
+        raise SolverError(
+            f"Newton iteration for the center problem did not converge at lam={lam}; "
+            "residual history: " + ", ".join(f"{r:.3e}" for r in history))
+    u = 1.0 + w
+    tail = float(np.max(np.abs(fold.to_cheb[-2:] @ u)))
+    if tail > 100.0 * REL_TOL:
+        raise SolverError(
+            f"U at lam={lam} (R = sqrt(lam) = {math.sqrt(lam):.6g}) is not "
+            f"resolved by the fixed N_NODES = {N_NODES} collocation nodes "
+            f"(trailing Chebyshev coefficient {tail:.1e}); choose a "
+            "smaller R (or a larger A)")
+    du = fold.d1 @ u
+    du[0] = lam * (fold.weights @ model.f_at(u))
+    return RadialProfile(grid=grid, values=fold.even @ u,
+                         deriv_at_1=float(du[0]),
+                         deriv_values=fold.odd @ du, fold_values=u)
 
 
 def _solve_mode(n, R_A, v0, model):

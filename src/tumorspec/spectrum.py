@@ -13,7 +13,7 @@ mode zero.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class SpectrumTable:
     mu: np.ndarray          # mu[k], k = 0..k_max
     denom: np.ndarray       # d_k
     g_threshold: np.ndarray  # G_k, nan where the denominator vanishes
-    assumption_holds: bool = field(default=False)
 
     def mu_at(self, k):
         k = abs(int(k))
@@ -90,8 +89,7 @@ def build_table(params: ModelParameters, k_max=DEFAULT_K_MAX):
 
     return SpectrumTable(k_max=k_max, R=float(R), A=params.A, G=params.G,
                          f_of_one=f1, ratio=ratio, lam=lam, mu=mu,
-                         denom=denom, g_threshold=g_thr,
-                         assumption_holds=bool(denom[0] > 0.0))
+                         denom=denom, g_threshold=g_thr)
 
 
 def g_star(table: SpectrumTable):
@@ -182,7 +180,7 @@ def report_dict(table: SpectrumTable):
         "A": table.A,
         "G": table.G,
         "k_max": table.k_max,
-        "mode_zero_damping_holds": table.assumption_holds,
+        "mode_zero_damping_holds": bool(table.denom[0] > 0.0),
         "mu": {str(k): float(table.mu[k]) for k in range(table.k_max + 1)},
         "g_star": gs,
         "g_star_mode": gk,
@@ -191,7 +189,7 @@ def report_dict(table: SpectrumTable):
         "neutral_mode_value": float(table.mu[1]),
         "regime": regime,
     }
-    if table.G > 0 and table.assumption_holds:
+    if table.G > 0 and table.denom[0] > 0.0:
         try:
             out["l_G"] = l_G_index(table)
         except SolverError:

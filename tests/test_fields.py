@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tumorspec import fields
 from tumorspec.disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
                             apply_mapped_laplacian, barycentric_matrix,
                             barycentric_weights, chebyshev_points,
@@ -14,8 +15,22 @@ from tumorspec.errors import SolverError
 from tumorspec.fields import (center_value, gmres, harmonic_residual,
                               solve_nutrient, solve_pressure)
 from tumorspec.linear import linearized_mode_profile
-from tumorspec.radial import solve_u_n
+from tumorspec.radial import solve_U, solve_u_n
 from tumorspec.shapes import ShapeState
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Per ModePreconditioner built from now on: True for a Laplace one."""
+    built = []
+    init = ModePreconditioner.__init__
+
+    def counted(self, grid, potential=None):
+        built.append(potential is None)
+        init(self, grid, potential)
+
+    monkeypatch.setattr(ModePreconditioner, "__init__", counted)
+    return built
 
 
 def _map_coefs(shape, grid):
@@ -290,32 +305,59 @@ class TestModePreconditioner:
         assert np.max(np.abs(back - V[1:, :])) <= 1e-10 * np.max(np.abs(V))
 
     def test_one_laplace_preconditioner_per_grid(self, unit_steady, id_model,
-                                                 monkeypatch):
-        built = []
-        init = ModePreconditioner.__init__
-
-        def counted(self, grid, potential=None):
-            built.append(potential is None)
-            init(self, grid, potential)
-
-        monkeypatch.setattr(ModePreconditioner, "__init__", counted)
+                                                 built):
         s = ShapeState.from_modes([(2, 1e-3, 0.0)], unit_steady.R_A)
         traj = evolve_nonlinear(s, 0.01, unit_steady.A, 2.0, id_model,
                                 DiskGrid(n_r=16, n_theta=32))
         assert len(traj.points) >= 3          # several velocity evaluations
         assert built.count(True) == 1         # one pressure preconditioner
 
-    def test_one_nutrient_preconditioner_per_solve(self, poly_model,
-                                                   monkeypatch):
+    @pytest.mark.parametrize("model_name", ["id_model", "poly_model"])
+    def test_one_nutrient_preconditioner_per_evolve(self, unit_steady,
+                                                    model_name, request, built):
+        model = request.getfixturevalue(model_name)
+        s = ShapeState.from_modes([(2, 1e-3, 0.0)], unit_steady.R_A)
+        traj = evolve_nonlinear(s, 0.01, unit_steady.A, 2.0, model,
+                                DiskGrid(n_r=16, n_theta=32))
+        assert len(traj.points) >= 4          # at least 3 steps
+        assert built.count(False) == 1        # one nutrient preconditioner
+        assert built.count(True) == 1         # one pressure preconditioner
+
+    def test_equilibrium_preconditioner_serves_a_large_perturbation(
+            self, poly_model, monkeypatch):
+        # the evolve never rebuilds the nutrient preconditioner; near the
+        # admissibility bound it costs at most 2 more operator applications
+        # than the one built from the solve's own start
+        grid = DiskGrid()
+        R = 3.0
+        s = ShapeState.from_modes([(3, 0.15, 0.0), (7, 0.05, 0.4)], R)
+        assert s.sup_norm() == pytest.approx(0.196, abs=5e-4)
+        coefs = _map_coefs(s, grid)
+        v0 = solve_U(R * R, poly_model).at(grid.r)
+        equilibrium = ModePreconditioner(
+            grid, (R * grid.r) ** 2 * poly_model.fprime_at(v0))
+
+        applies = []
+        apply = fields.apply_mapped_laplacian
+
+        def counted(*args):
+            applies.append(None)
+            return apply(*args)
+
+        monkeypatch.setattr(fields, "apply_mapped_laplacian", counted)
+
+        def solve(precond):
+            applies.clear()
+            nut = solve_nutrient(coefs, poly_model, grid, precond=precond)
+            return nut, len(applies)
+
+        own, own_applies = solve(None)
+        eq, eq_applies = solve(equilibrium)
+        assert eq_applies <= own_applies + 2
+        assert np.max(np.abs(eq.values - own.values)) <= 1e-12
+
+    def test_one_nutrient_preconditioner_per_solve(self, poly_model, built):
         # f' varies for this model, so the Newton loop takes several steps
-        built = []
-        init = ModePreconditioner.__init__
-
-        def counted(self, grid, potential=None):
-            built.append(potential is None)
-            init(self, grid, potential)
-
-        monkeypatch.setattr(ModePreconditioner, "__init__", counted)
         grid = DiskGrid(n_r=16, n_theta=32)
         s = ShapeState.from_modes([(2, 3e-2, 0.0), (3, 2e-2, 0.5)], 1.2)
         solve_nutrient(_map_coefs(s, grid), poly_model, grid)

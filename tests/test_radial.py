@@ -123,6 +123,13 @@ class TestCollocationAccuracy:
         with pytest.raises(SolverError, match="residual history"):
             solve_U(10.0, poly_model)
 
+    def test_overflowing_iterate_raises_without_a_numpy_warning(self,
+                                                                 poly_model):
+        # f(1 + w) overflows in the first Newton step; RuntimeWarnings are
+        # errors under this suite's settings
+        with pytest.raises(SolverError, match="residual history: .*nan"):
+            solve_U(2.309195390555727e85**2, poly_model)
+
     def test_unresolved_profile_raises(self, id_model, monkeypatch):
         with pytest.raises(SolverError, match=r"R = sqrt\(lam\) = 100\) is not "
                            r"resolved by the fixed N_NODES = 65 .*; choose a "
