@@ -263,7 +263,8 @@ def _trajectory_rows(shapes, k_top):
         for t, s in shapes]
 
 
-def _snapshot(t, shape, n_theta=256):
+def _snapshot(t, shape):
+    n_theta = max(256, 2 * shape.n_modes + 2)
     return {"t": float(t), "rho": [float(v) for v in shape.to_grid(n_theta)]}
 
 

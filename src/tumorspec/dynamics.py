@@ -10,9 +10,10 @@ normal factor, and the mitosis drift:
 with all traces taken at the mapped boundary r = 1 and phi_r the radial
 Jacobian of the blended map there. Each evaluation builds the map of the
 shape once (:class:`tumorspec.disk.MappedCoefficients`); both field solves
-and the boundary factors h, beta and phi_r(1) are read from it. An evolution
-builds one nutrient preconditioner, the exact one at the radial equilibrium,
-and every velocity evaluation of the run uses it.
+and the boundary factors h, beta and phi_r(1) are read from it. Every
+nutrient solve is preconditioned with the exact radial inverse at the
+equilibrium of radius R (:func:`tumorspec.fields._equilibrium`), so one is
+built per evolution and a standalone evaluation gets the same.
 
 Time stepping is first-order exponential time differencing (ETD1; Cox and
 Matthews, J. Comput. Phys. 176, 2002) on the linearized spectrum. The
@@ -34,10 +35,8 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .fields import solve_nutrient, solve_pressure
-from .disk import (DiskGrid, MappedCoefficients, ModePreconditioner, dealias,
-                   theta_derivative)
+from .disk import DiskGrid, MappedCoefficients, dealias, theta_derivative
 from .models import NutrientModel
-from .radial import solve_U
 from .shapes import ADMISSIBLE_SUP_NORM, ShapeState
 from .spectrum import ModelParameters, build_table
 
@@ -55,24 +54,21 @@ class PhiResult:
 
 
 def phi(shape: ShapeState, A, G, model: NutrientModel, grid: DiskGrid = None,
-        nutrient_start=None, nutrient_precond=None):
+        nutrient_start=None):
     """Evaluate the boundary velocity for the given shape.
 
     The fields are solved on ``grid`` (the default 64x128 DiskGrid if None).
     The map of the shape is built once here and shared by both field solves.
     ``nutrient_start`` is the Newton start of the nutrient solve (such as the
     nutrient field of a nearby shape); None starts from the radial
-    equilibrium. ``nutrient_precond`` is the preconditioner of the nutrient
-    Newton steps, a ModePreconditioner on ``grid`` (evolve_nonlinear passes
-    the one of the equilibrium); None builds one from the start.
+    equilibrium.
     """
     shape.require_admissible()
     grid = grid or DiskGrid()
     R = shape.radius_scale
 
     coefs = MappedCoefficients.from_boundary(shape.to_grid(grid.n_theta), R, grid.r)
-    nut = solve_nutrient(coefs, model, grid, start=nutrient_start,
-                         precond=nutrient_precond)
+    nut = solve_nutrient(coefs, model, grid, start=nutrient_start)
     pres = solve_pressure(coefs, A, G, grid)
 
     h, beta = coefs.h, coefs.beta
@@ -121,11 +117,9 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
     ``err_target``. A step whose e^{mu dt} overflows is rejected. Halts with
     status "left_neighbourhood" if the sup-norm reaches the admissibility
     bound 1/4. Each accepted step costs two velocity evaluations (one full
-    step, two half steps sharing the first). Every nutrient solve of the run
-    is preconditioned with the exact radial inverse at the equilibrium
-    v0 = U(R**2; r), whose potential is R**2 r**2 f'(v0(r)). v0 is also the
-    Newton start until a step is accepted; then the nutrient field of the
-    last accepted half step is.
+    step, two half steps sharing the first). The nutrient Newton start is
+    the radial equilibrium until a step is accepted; then it is the nutrient
+    field of the last accepted half step.
     """
     shape0.require_admissible()
     if t_end < 0:
@@ -159,17 +153,10 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
             stepped = coeffs + dt * phi_1 * phi_coeffs
         return stepped if np.isfinite(stepped).all() else None
 
-    v0 = solve_U(R * R, model).at(grid.r)
-    precond = ModePreconditioner(grid, (R * grid.r) ** 2 * model.fprime_at(v0))
-
-    def velocity(shape, start):
-        return phi(shape, A, G, model, grid, nutrient_start=start,
-                   nutrient_precond=precond)
-
     t = 0.0
     state = make_shape(c)
-    warm = v0[:, None]
-    result = velocity(state, warm)
+    warm = None
+    result = phi(state, A, G, model, grid, warm)
     points = [TrajectoryPoint(t=0.0, shape=state, sup_norm=state.sup_norm())]
     status = "completed"
     dt = min(DT_INIT, max(t_end, DT_MIN))
@@ -184,7 +171,7 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
             if shape_h.sup_norm() >= ADMISSIBLE_SUP_NORM:
                 status = "left_neighbourhood"
                 break
-            res_h = velocity(shape_h, warm)
+            res_h = phi(shape_h, A, G, model, grid, warm)
             c2 = etd1_step(ch, res_h.coeffs, 0.5 * dt)
             if c1 is not None and c2 is not None:
                 err = float(np.max(np.abs(c2 - c1)))
@@ -198,7 +185,7 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
                 # the velocity is undefined outside the admissible set
                 status = "left_neighbourhood"
                 break
-            result = velocity(state, warm)
+            result = phi(state, A, G, model, grid, warm)
         factor = 5.0 if err == 0.0 else 0.9 * np.sqrt(err_target / err)
         dt *= min(5.0, max(0.2, factor))
         dt = min(dt, DT_MAX)

@@ -18,15 +18,17 @@ this module's port of restarted, left-preconditioned GMRES (Saad & Schultz,
 *SIAM J. Sci. Stat. Comput.* 7, 1986), preconditioned with the
 per-angular-mode radial inverses. The pressure preconditioner does not
 depend on the shape and is kept on the grid. The nutrient one is the exact
-inverse at the radial equilibrium; a nonlinear evolution, which moves the
-boundary only near that equilibrium, builds it once and passes it to every
-nutrient solve, and a standalone solve builds its own from the potential at
-its Newton start. Either serves every Newton step of the solve (for the
-identity model f' is constant, so it is the one every step would build).
+inverse at the radial equilibrium of radius R, which depends only on the
+grid, R and the model: :func:`_equilibrium` builds it with that equilibrium
+and keeps the last one, so every nutrient solve of an evolution, which keeps
+R and moves the boundary only near the equilibrium, shares one. It serves
+every Newton step of a solve (for the identity model f' is constant, so it is
+the one every step would build).
 A Krylov iteration that ends above the roundoff floor raises SolverError.
 The tolerances of both loops are the module constants below.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -220,26 +222,37 @@ def solve_pressure(coefs: MappedCoefficients, A, G, grid: DiskGrid):
                      normal_derivative_trace=boundary_radial_derivative(grid, V))
 
 
+@functools.lru_cache(maxsize=1)
+def _equilibrium(grid: DiskGrid, R, model: NutrientModel):
+    """The radial equilibrium v0 = U(R**2; r) on ``grid`` and its preconditioner.
+
+    Returns v0 as a read-only (n_r, 1) column and the ModePreconditioner of
+    the potential R**2 r**2 f'(v0(r)), the exact radial inverse on the circle
+    of radius R. One entry is kept: an evolution uses one key throughout, and
+    on the largest grid the inverses take about 270 MB.
+    """
+    v0 = solve_U(R * R, model).at(grid.r)
+    precond = ModePreconditioner(grid, (R * grid.r) ** 2 * model.fprime_at(v0))
+    v0.flags.writeable = False   # shared by every caller of the cache
+    return v0[:, None], precond
+
+
 def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGrid,
-                   start=None, precond=None):
+                   start=None):
     """Semilinear nutrient problem, Newton iteration on the mapped disk.
 
     ``coefs`` is the map of the domain on the nodes of ``grid``. ``start`` is
     the initial iterate, any array that broadcasts to the grid (such as the
     field of a previous time step); None starts from the radial equilibrium
     profile of radius ``coefs.R``. The boundary row is set to 1 either way.
-    ``precond`` is the ModePreconditioner on ``grid`` that serves every Newton
-    step (such as the one of the radial equilibrium); None builds one from
-    the potential at the start.
+    Every Newton step is preconditioned with the exact radial inverse at that
+    equilibrium (:func:`_equilibrium`).
     """
     scale = coefs.scale
-    if start is None:
-        start = solve_U(coefs.R * coefs.R, model).at(grid.r)[:, None]
-    v = np.broadcast_to(start, (grid.n_r, grid.n_theta)).copy()
+    v0, precond = _equilibrium(grid, coefs.R, model)
+    v = np.broadcast_to(v0 if start is None else start,
+                        (grid.n_r, grid.n_theta)).copy()
     v[0, :] = 1.0
-    if precond is None:
-        precond = ModePreconditioner(grid,
-                                     (scale * model.fprime_at(v)).mean(axis=1))
 
     history = []
     for _ in range(MAX_NEWTON_ITERS):

@@ -29,7 +29,8 @@ def evolve_linear(shape: ShapeState, t, table: SpectrumTable):
         coeffs = shape.coeffs * np.exp(table.mu[:shape.n_modes + 1] * t)
     # an absent mode stays absent where exp(mu t) overflows; a present one
     # that overflows makes the shape non-finite, which ShapeState rejects
-    return shape.with_coeffs(np.where(shape.coeffs == 0, 0.0, coeffs))
+    return ShapeState(coeffs=np.where(shape.coeffs == 0, 0.0, coeffs),
+                      radius_scale=shape.radius_scale)
 
 
 def linearized_mode_profile(k, rho_hat_k, v0: RadialProfile, u_k: RadialProfile):
@@ -44,10 +45,7 @@ def linearized_mode_profile(k, rho_hat_k, v0: RadialProfile, u_k: RadialProfile)
     values = c * r**k * u_k.values
     derivs = c * (k * r**(max(k, 1) - 1) * u_k.values * (1 if k else 0)
                   + r**k * u_k.deriv_values)
-    return RadialProfile(grid=r, values=values,
-                         deriv_at_1=complex(derivs[-1]) if np.iscomplexobj(values)
-                         else float(derivs[-1]),
-                         deriv_values=derivs)
+    return RadialProfile(grid=r, values=values, deriv_values=derivs)
 
 
 def fit_growth_rate(series):

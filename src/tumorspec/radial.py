@@ -104,13 +104,16 @@ class RadialProfile:
 
     grid: np.ndarray
     values: np.ndarray
-    deriv_at_1: float
     deriv_values: np.ndarray
     fold_values: np.ndarray = field(default=None, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_weights", barycentric_weights(len(self.grid)))
+
+    @property
+    def deriv_at_1(self):
+        return self.deriv_values[-1].item()
 
     def at(self, r):
         """Barycentric evaluation at scalar or array radii."""
@@ -173,7 +176,6 @@ def solve_U(lam, model: NutrientModel):
     du = fold.d1 @ u
     du[0] = lam * (fold.weights @ model.f_at(u))
     return RadialProfile(grid=grid, values=fold.even @ u,
-                         deriv_at_1=float(du[0]),
                          deriv_values=fold.odd @ du, fold_values=u)
 
 
@@ -204,8 +206,7 @@ def solve_u_n(n, R_A, v0: RadialProfile, model: NutrientModel):
     values = fold.even @ (1.0 + w)
     c = values[0]
     return RadialProfile(grid=chebyshev_nodes(N_NODES),
-                         values=values / c, deriv_at_1=float(dw[0] / c),
-                         deriv_values=fold.odd @ dw / c)
+                         values=values / c, deriv_values=fold.odd @ dw / c)
 
 
 def boundary_ratio(n, R_A, v0, model):

@@ -7,7 +7,7 @@ Admissibility means sup |rho| < 1/4, the bound under which the perturbed
 boundary is a valid star-shaped curve.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,7 +100,4 @@ class ShapeState:
         if k == 0:
             return abs(float(self.coeffs[0].real))
         return 2.0 * abs(self.coeff(k))
-
-    def with_coeffs(self, coeffs):
-        return replace(self, coeffs=np.asarray(coeffs, dtype=complex))
 

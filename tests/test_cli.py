@@ -452,7 +452,8 @@ class TestFlagsAndConfig:
     def test_every_flag_is_a_config_key(self):
         assert set(cli.FLAGS) <= set(SCHEMA)
 
-    # between them the two cases set every flag
+    # between them the first two cases set every flag; the last two keep
+    # modes above 127, which a snapshot samples on more than 256 angles
     @pytest.mark.parametrize("command, cfg, flags", [
         ("spectrum", {"A": 0.5, "G": 2.0, "model": "poly:1,0.3", "kmax": 8},
          ["--A", "0.5", "--G", "2.0", "--model", "poly:1,0.3", "--kmax", "8"]),
@@ -460,7 +461,16 @@ class TestFlagsAndConfig:
                     "seed_shape": "2:1e-3,3:5e-4:0.3"},
          ["--A", "0.5", "--G", "2.0", "--mode", "linear", "--t-end", "0.5",
           "--seed-shape", "2:1e-3,3:5e-4:0.3"]),
-    ], ids=["spectrum", "linear_evolve"])
+        ("evolve", {"A": 0.5, "G": 2.0, "mode": "linear", "t_end": 0.5,
+                    "seed_shape": "200:1e-3"},
+         ["--A", "0.5", "--G", "2.0", "--mode", "linear", "--t-end", "0.5",
+          "--seed-shape", "200:1e-3"]),
+        ("evolve", {"A": 0.5, "G": 2, "mode": "nonlinear", "n_r": 16,
+                    "n_theta": 384, "t_end": 0.001, "seed_shape": "3:1e-3"},
+         ["--A", "0.5", "--G", "2", "--mode", "nonlinear", "--t-end", "0.001",
+          "--seed-shape", "3:1e-3"]),
+    ], ids=["spectrum", "linear_evolve", "linear_evolve_mode_200",
+            "nonlinear_evolve_384_angles"])
     def test_flags_and_config_write_identical_artifacts(self, tmp_path, command,
                                                         cfg, flags):
         cfg_path = tmp_path / "run.json"
@@ -468,7 +478,12 @@ class TestFlagsAndConfig:
         by_config, by_flags = tmp_path / "config", tmp_path / "flags"
         assert main([command, "--config", str(cfg_path),
                      "--out", str(by_config)]) == 0
-        assert main([command, *flags, "--out", str(by_flags)]) == 0
+        # keys without a flag (the grid) reach the flag run by a config
+        rest = {key: value for key, value in cfg.items() if key not in cli.FLAGS}
+        rest_path = tmp_path / "rest.json"
+        rest_path.write_text(json.dumps(rest))
+        assert main([command, "--config", str(rest_path), *flags,
+                     "--out", str(by_flags)]) == 0
         names = sorted(p.name for p in by_config.iterdir())
         assert names == sorted(p.name for p in by_flags.iterdir())
         for name in names:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tumorspec import fields
+from tumorspec import dynamics, fields
 from tumorspec.disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
                             apply_mapped_laplacian, barycentric_matrix,
                             barycentric_weights, chebyshev_points,
@@ -15,13 +15,18 @@ from tumorspec.errors import SolverError
 from tumorspec.fields import (center_value, gmres, harmonic_residual,
                               solve_nutrient, solve_pressure)
 from tumorspec.linear import linearized_mode_profile
-from tumorspec.radial import solve_U, solve_u_n
+from tumorspec.radial import solve_u_n
 from tumorspec.shapes import ShapeState
 
 
 @pytest.fixture
 def built(monkeypatch):
-    """Per ModePreconditioner built from now on: True for a Laplace one."""
+    """Per ModePreconditioner built from now on: True for a Laplace one.
+
+    The kept radial equilibrium is dropped first, so the count does not
+    depend on which tests ran before.
+    """
+    fields._equilibrium.cache_clear()
     built = []
     init = ModePreconditioner.__init__
 
@@ -325,17 +330,19 @@ class TestModePreconditioner:
 
     def test_equilibrium_preconditioner_serves_a_large_perturbation(
             self, poly_model, monkeypatch):
-        # the evolve never rebuilds the nutrient preconditioner; near the
+        # every nutrient solve uses the equilibrium preconditioner; near the
         # admissibility bound it costs at most 2 more operator applications
-        # than the one built from the solve's own start
+        # than one built from the potential at the solve's own start
         grid = DiskGrid()
         R = 3.0
         s = ShapeState.from_modes([(3, 0.15, 0.0), (7, 0.05, 0.4)], R)
         assert s.sup_norm() == pytest.approx(0.196, abs=5e-4)
         coefs = _map_coefs(s, grid)
-        v0 = solve_U(R * R, poly_model).at(grid.r)
-        equilibrium = ModePreconditioner(
-            grid, (R * grid.r) ** 2 * poly_model.fprime_at(v0))
+        v0, equilibrium = fields._equilibrium(grid, R, poly_model)
+        start = np.broadcast_to(v0, (grid.n_r, grid.n_theta)).copy()
+        start[0, :] = 1.0
+        per_shape = ModePreconditioner(
+            grid, (coefs.scale * poly_model.fprime_at(start)).mean(axis=1))
 
         applies = []
         apply = fields.apply_mapped_laplacian
@@ -347,11 +354,13 @@ class TestModePreconditioner:
         monkeypatch.setattr(fields, "apply_mapped_laplacian", counted)
 
         def solve(precond):
+            monkeypatch.setattr(fields, "_equilibrium",
+                                lambda grid, R, model: (v0, precond))
             applies.clear()
-            nut = solve_nutrient(coefs, poly_model, grid, precond=precond)
+            nut = solve_nutrient(coefs, poly_model, grid)
             return nut, len(applies)
 
-        own, own_applies = solve(None)
+        own, own_applies = solve(per_shape)
         eq, eq_applies = solve(equilibrium)
         assert eq_applies <= own_applies + 2
         assert np.max(np.abs(eq.values - own.values)) <= 1e-12
@@ -362,6 +371,27 @@ class TestModePreconditioner:
         s = ShapeState.from_modes([(2, 3e-2, 0.0), (3, 2e-2, 0.5)], 1.2)
         solve_nutrient(_map_coefs(s, grid), poly_model, grid)
         assert built == [False]
+
+    def test_standalone_phi_is_the_first_velocity_of_an_evolve(self, poly_model,
+                                                               monkeypatch):
+        # the equilibrium preconditioner is derived from (grid, R, model), so
+        # a standalone evaluation solves exactly as an evolve does
+        grid = DiskGrid(n_r=16, n_theta=32)
+        s = ShapeState.from_modes([(2, 3e-2, 0.0), (3, 2e-2, 0.5)], 1.2)
+        fields._equilibrium.cache_clear()
+        alone = phi(s, 0.5, 2.0, poly_model, grid)
+
+        first = []
+
+        def recorded(*args, **kwargs):
+            first.append(phi(*args, **kwargs))
+            return first[-1]
+
+        monkeypatch.setattr(dynamics, "phi", recorded)
+        fields._equilibrium.cache_clear()
+        evolve_nonlinear(s, 1e-3, 0.5, 2.0, poly_model, grid)
+        assert np.array_equal(first[0].values, alone.values)
+        assert np.array_equal(first[0].nutrient.values, alone.nutrient.values)
 
 
 class TestBarycentricMatrix:

@@ -1,5 +1,6 @@
-"""Checks of the package source: no unused import, no dangling export, no
-process machinery loaded by the command line, and a runtime without scipy."""
+"""Checks of the package source: no unused import (in the tests either), no
+dangling export, no process machinery loaded by the command line, and a
+runtime without scipy."""
 
 import ast
 import json
@@ -12,6 +13,7 @@ import pytest
 import tumorspec
 
 SOURCES = sorted(Path(tumorspec.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(tree):
@@ -37,7 +39,9 @@ def exported_names(tree):
     return []
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+@pytest.mark.parametrize("path", SOURCES + TESTS,
+                         ids=[p.name for p in SOURCES]
+                         + [f"tests/{p.name}" for p in TESTS])
 def test_no_unused_import(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 
