@@ -24,7 +24,6 @@ Interpolation uses the barycentric formula of Berrut & Trefethen,
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -137,11 +136,6 @@ class DiskGrid:
         out[:, 0::2] = De @ Vh[:, 0::2]
         out[:, 1::2] = Do @ Vh[:, 1::2]
         return out
-
-    @cached_property
-    def laplace_preconditioner(self):
-        """The potential-free ModePreconditioner, built on first use."""
-        return ModePreconditioner(self)
 
 
 def theta_derivative(values, order=1):

@@ -15,20 +15,26 @@ nutrient solve is preconditioned with the exact radial inverse at the
 equilibrium of radius R (:func:`tumorspec.fields._equilibrium`), so one is
 built per evolution and a standalone evaluation gets the same.
 
-Time stepping is first-order exponential time differencing (ETD1; Cox and
-Matthews, J. Comput. Phys. 176, 2002) on the linearized spectrum. The
-linearization of phi about the circle is diagonal in Fourier modes with
+Time stepping is the third-order exponential Runge-Kutta scheme ETD3RK of
+Cox and Matthews (J. Comput. Phys. 176, 2002) on the linearized spectrum.
+The linearization of phi about the circle is diagonal in Fourier modes with
 eigenvalues mu_k (:func:`tumorspec.spectrum.build_table`), so with the
-remainder N(c) = phi(c) - mu c a step of size dt is
+remainder N(c) = phi(c) - mu c and z = mu dt a step from u is
 
-    c <- e^{mu dt} c + dt phi_1(mu dt) N(c) = c + dt phi_1(mu dt) phi(c),
-    phi_1(z) = (e^z - 1)/z,  phi_1(0) = 1,
+    a = e^{z/2} u + (dt/2) phi_1(z/2) N(u),
+    b = e^{z} u + dt phi_1(z) (2 N(a) - N(u)),
+    u <- e^{z} u + dt [ (phi_1 - 3 phi_2 + 4 phi_3) N(u)
+                        + (4 phi_2 - 8 phi_3) N(a) + (4 phi_3 - phi_2) N(b) ],
 
-exact for the linear flow. Step doubling supplies both the error estimate,
-which therefore measures only the nonlinear remainder, and a second-order
-extrapolated update.
+with phi_j(z) = sum_m z**m / (m + j)! (phi_1(z) = (e^z - 1)/z), exact for
+the linear flow. The second-order solution from the same stages, with the
+weights phi_1 - 2 phi_2 and 2 phi_2 on N(u) and N(a), differs from it by
+dt (4 phi_3 - phi_2)(N(u) - 2 N(a) + N(b)); that error estimate measures only
+the nonlinear remainder and sizes the steps (Hochbruck and Ostermann, Acta
+Numerica 19, 2010, survey such schemes).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +46,10 @@ from .models import NutrientModel
 from .shapes import ADMISSIBLE_SUP_NORM, ShapeState
 from .spectrum import ModelParameters, build_table
 
-ERR_TARGET = 1e-6     # default bound on the step-doubling error estimate
-DT_INIT = 1e-3
+ERR_TARGET = 1e-6     # default bound on the embedded error estimate
 DT_MIN = 1e-10        # a step size below this is a SolverError
 DT_MAX = 0.25
+TAYLOR_RADIUS = 1.0   # |z| below which phi_1..phi_3 are Taylor sums
 
 
 @dataclass(frozen=True)
@@ -105,21 +111,81 @@ class Trajectory:
         return self.points[-1].shape
 
 
+def _phi_functions(z):
+    """phi_1, phi_2 and phi_3 of the real array z, without cancellation at 0.
+
+    These are the weight functions of the scheme, not the velocity phi:
+    phi_j(z) = sum_m z**m / (m + j)!. Away from 0 they follow from
+    phi_1 = expm1(z)/z by phi_{j+1} = (phi_j - 1/j!)/z, which loses about
+    j*log10(1/|z|) digits as z -> 0, so for |z| < TAYLOR_RADIUS phi_3 is the
+    Taylor sum (17 terms reach roundoff) and the recurrence is run backwards,
+    phi_j = 1/j! + z phi_{j+1}, which is stable there. Where e^z overflows
+    the values are inf.
+    """
+    z = np.asarray(z, dtype=float)
+    small = np.abs(z) < TAYLOR_RADIUS
+    zs = np.where(small, z, 0.0)
+    p3 = np.full_like(z, 1.0 / math.factorial(19))
+    for m in range(15, -1, -1):
+        p3 = p3 * zs + 1.0 / math.factorial(m + 3)
+    p2 = 0.5 + zs * p3
+    p1 = 1.0 + zs * p2
+    zl = np.where(small, 1.0, z)
+    with np.errstate(over="ignore"):
+        q1 = np.expm1(zl) / zl
+    q2 = (q1 - 1.0) / zl
+    q3 = (q2 - 0.5) / zl
+    return (np.where(small, p1, q1), np.where(small, p2, q2),
+            np.where(small, p3, q3))
+
+
+def _etd3rk_step(c, n_c, dt, mu, remainder):
+    """One ETD3RK step (Cox and Matthews 2002) of size dt from coefficients c.
+
+    ``n_c`` is the remainder N(c) = phi(c) - mu c, and ``remainder`` maps
+    stage coefficients to theirs. Returns the third-order state and the
+    max-norm of the embedded error estimate dt (4 phi_3 - phi_2)(N_c - 2 N_a
+    + N_b), or (None, inf) where e^{mu dt} overflows.
+    """
+    z = mu * dt
+    with np.errstate(over="ignore"):
+        e_half, e = np.exp(0.5 * z), np.exp(z)
+    if not np.isfinite(e).all():
+        return None, np.inf
+    p1, p2, p3 = _phi_functions(z)
+    a = e_half * c + 0.5 * dt * _phi_functions(0.5 * z)[0] * n_c
+    n_a = remainder(a)
+    b = e * c + dt * p1 * (2.0 * n_a - n_c)
+    n_b = remainder(b)
+    stepped = e * c + dt * ((p1 - 3.0 * p2 + 4.0 * p3) * n_c
+                            + 4.0 * (p2 - 2.0 * p3) * n_a
+                            + (4.0 * p3 - p2) * n_b)
+    err = dt * np.abs((4.0 * p3 - p2) * (n_c - 2.0 * n_a + n_b))
+    return stepped, float(np.max(err))
+
+
+class _LeftNeighbourhood(Exception):
+    """A stage of a step reached the admissibility bound."""
+
+
 def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
                      grid: DiskGrid = None, err_target=ERR_TARGET):
     """Integrate the boundary evolution up to t_end.
 
     The fields are solved on ``grid`` (the default 64x128 DiskGrid if None).
-    Each step is ETD1 on the spectrum mu_k of the circle of radius
+    Each step is ETD3RK on the spectrum mu_k of the circle of radius
     ``shape0.radius_scale`` (see the module docstring), so the linear flow
-    is integrated exactly and a step is accepted when its step-doubling
-    error estimate, which bounds only the nonlinear remainder, is at most
-    ``err_target``. A step whose e^{mu dt} overflows is rejected. Halts with
-    status "left_neighbourhood" if the sup-norm reaches the admissibility
-    bound 1/4. Each accepted step costs two velocity evaluations (one full
-    step, two half steps sharing the first). The nutrient Newton start is
-    the radial equilibrium until a step is accepted; then it is the nutrient
-    field of the last accepted half step.
+    is integrated exactly and a step is accepted when its embedded error
+    estimate, which bounds only the nonlinear remainder, is at most
+    ``err_target``. A step whose e^{mu dt} overflows is rejected. Every step
+    is at most min(DT_MAX, t_end / 4), so a completed trajectory has at least
+    five points. Halts with status "left_neighbourhood" if the sup-norm of a
+    stage or of an accepted state reaches the admissibility bound 1/4. A
+    step costs three velocity evaluations: two stages and the accepted state,
+    which the next step starts from (the final state is not evaluated), and
+    a rejected step two. The step size follows 0.65 (err_target / err)**(1/3),
+    within a factor 5 either way. Each nutrient solve starts from the field
+    of the previous evaluation, the first from the radial equilibrium.
     """
     shape0.require_admissible()
     if t_end < 0:
@@ -143,56 +209,53 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
     def make_shape(coeffs):
         return ShapeState(coeffs=coeffs, radius_scale=R)
 
-    def etd1_step(coeffs, phi_coeffs, dt):
-        """c + dt phi_1(mu dt) phi(c), or None where e^{mu dt} overflows it."""
-        z = mu * dt
-        phi_1 = np.ones_like(z)
-        nonzero = z != 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            phi_1[nonzero] = np.expm1(z[nonzero]) / z[nonzero]
-            stepped = coeffs + dt * phi_1 * phi_coeffs
-        return stepped if np.isfinite(stepped).all() else None
+    warm, calls = None, 0
 
-    t = 0.0
-    state = make_shape(c)
-    warm = None
-    result = phi(state, A, G, model, grid, warm)
+    def remainder(coeffs):
+        nonlocal warm, calls
+        shape = make_shape(coeffs)
+        if shape.sup_norm() >= ADMISSIBLE_SUP_NORM:
+            # the velocity is undefined outside the admissible set
+            raise _LeftNeighbourhood
+        result = phi(shape, A, G, model, grid, warm)
+        warm, calls = result.nutrient.values, calls + 1
+        return result.coeffs - mu * coeffs
+
+    t, accepted, rejected, err = 0.0, 0, 0, np.nan
+    state, n_c = make_shape(c), None
     points = [TrajectoryPoint(t=0.0, shape=state, sup_norm=state.sup_norm())]
     status = "completed"
-    dt = min(DT_INIT, max(t_end, DT_MIN))
+    dt_max = min(DT_MAX, max(0.25 * t_end, DT_MIN))
+    dt = dt_max
 
     while t < t_end - 1e-14:
-        dt = min(dt, t_end - t)
-        c1 = etd1_step(state.coeffs, result.coeffs, dt)
-        ch = etd1_step(state.coeffs, result.coeffs, 0.5 * dt)
-        err = np.inf   # an overflowing step is rejected and dt shrinks 5x
-        if ch is not None:
-            shape_h = make_shape(ch)
-            if shape_h.sup_norm() >= ADMISSIBLE_SUP_NORM:
-                status = "left_neighbourhood"
-                break
-            res_h = phi(shape_h, A, G, model, grid, warm)
-            c2 = etd1_step(ch, res_h.coeffs, 0.5 * dt)
-            if c1 is not None and c2 is not None:
-                err = float(np.max(np.abs(c2 - c1)))
-        if err <= err_target:
-            t += dt
-            state = make_shape(2.0 * c2 - c1)  # local extrapolation
-            sup = state.sup_norm()
-            points.append(TrajectoryPoint(t=t, shape=state, sup_norm=sup))
-            warm = res_h.nutrient.values
-            if sup >= ADMISSIBLE_SUP_NORM:
-                # the velocity is undefined outside the admissible set
-                status = "left_neighbourhood"
-                break
-            result = phi(state, A, G, model, grid, warm)
-        factor = 5.0 if err == 0.0 else 0.9 * np.sqrt(err_target / err)
-        dt *= min(5.0, max(0.2, factor))
-        dt = min(dt, DT_MAX)
         if dt < DT_MIN:
             raise SolverError(
                 f"time step underflow in nonlinear evolution: dt = {dt:.3e} "
                 f"< dt_min = {DT_MIN:.3e} at t = {t:.6g}, "
-                f"last error estimate {err:.3e} (target {err_target:.3e})")
+                f"last error estimate {err:.3e} (target {err_target:.3e}); "
+                f"{accepted} steps accepted, {rejected} rejected, "
+                f"{calls} velocity evaluations")
+        dt = min(dt, t_end - t)
+        try:
+            if n_c is None:
+                n_c = remainder(state.coeffs)
+            stepped, err = _etd3rk_step(state.coeffs, n_c, dt, mu, remainder)
+        except _LeftNeighbourhood:
+            status = "left_neighbourhood"
+            break
+        if err <= err_target:
+            t += dt
+            accepted += 1
+            state, n_c = make_shape(stepped), None
+            sup = state.sup_norm()
+            points.append(TrajectoryPoint(t=t, shape=state, sup_norm=sup))
+            if sup >= ADMISSIBLE_SUP_NORM:
+                status = "left_neighbourhood"
+                break
+        else:
+            rejected += 1
+        factor = 5.0 if err == 0.0 else 0.65 * (err_target / err) ** (1 / 3)
+        dt = min(dt * min(5.0, max(0.2, factor)), dt_max)
 
     return Trajectory(points=tuple(points), status=status)

@@ -16,12 +16,14 @@ nutrient Newton step adds the correction for the interior residual of the
 semilinear equation. The collocation systems are solved by :func:`gmres`,
 this module's port of restarted, left-preconditioned GMRES (Saad & Schultz,
 *SIAM J. Sci. Stat. Comput.* 7, 1986), preconditioned with the
-per-angular-mode radial inverses. The pressure preconditioner does not
-depend on the shape and is kept on the grid. The nutrient one is the exact
-inverse at the radial equilibrium of radius R, which depends only on the
-grid, R and the model: :func:`_equilibrium` builds it with that equilibrium
-and keeps the last one, so every nutrient solve of an evolution, which keeps
-R and moves the boundary only near the equilibrium, shares one. It serves
+per-angular-mode radial inverses. The pressure preconditioner depends only
+on the grid size: :func:`_laplace_preconditioner` keeps the last one. The
+nutrient one is the exact inverse at the radial equilibrium of radius R,
+which depends only on the grid size, R and the model: :func:`_equilibrium`
+builds it with that equilibrium and keeps the last one, so every nutrient
+solve of an evolution, which keeps R and moves the boundary only near the
+equilibrium, shares one. Both caches are keyed on (n_r, n_theta), so they
+keep no caller's grid alive and equal grids share their entries. It serves
 every Newton step of a solve (for the identity model f' is constant, so it is
 the one every step would build).
 A Krylov iteration that ends above the roundoff floor raises SolverError.
@@ -217,20 +219,32 @@ def solve_pressure(coefs: MappedCoefficients, A, G, grid: DiskGrid):
     V[0, :] = boundary
     V[1:, :] += _interior_solve(grid, coefs, None,
                                 -apply_mapped_laplacian(grid, coefs, V)[1:, :],
-                                grid.laplace_preconditioner, KRYLOV_TOL)
+                                _laplace_preconditioner(grid.n_r, grid.n_theta),
+                                KRYLOV_TOL)
     return DiskField(values=V,
                      normal_derivative_trace=boundary_radial_derivative(grid, V))
 
 
 @functools.lru_cache(maxsize=1)
-def _equilibrium(grid: DiskGrid, R, model: NutrientModel):
-    """The radial equilibrium v0 = U(R**2; r) on ``grid`` and its preconditioner.
+def _laplace_preconditioner(n_r, n_theta):
+    """The potential-free ModePreconditioner of the n_r x n_theta grid.
+
+    Keyed on the grid size, so equal grids share one and the cache keeps no
+    caller's grid alive; one entry, as for :func:`_equilibrium`.
+    """
+    return ModePreconditioner(DiskGrid(n_r=n_r, n_theta=n_theta))
+
+
+@functools.lru_cache(maxsize=1)
+def _equilibrium(n_r, n_theta, R, model: NutrientModel):
+    """The radial equilibrium v0 = U(R**2; r) on the grid and its preconditioner.
 
     Returns v0 as a read-only (n_r, 1) column and the ModePreconditioner of
     the potential R**2 r**2 f'(v0(r)), the exact radial inverse on the circle
     of radius R. One entry is kept: an evolution uses one key throughout, and
     on the largest grid the inverses take about 270 MB.
     """
+    grid = DiskGrid(n_r=n_r, n_theta=n_theta)
     v0 = solve_U(R * R, model).at(grid.r)
     precond = ModePreconditioner(grid, (R * grid.r) ** 2 * model.fprime_at(v0))
     v0.flags.writeable = False   # shared by every caller of the cache
@@ -249,7 +263,7 @@ def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGr
     equilibrium (:func:`_equilibrium`).
     """
     scale = coefs.scale
-    v0, precond = _equilibrium(grid, coefs.R, model)
+    v0, precond = _equilibrium(grid.n_r, grid.n_theta, coefs.R, model)
     v = np.broadcast_to(v0 if start is None else start,
                         (grid.n_r, grid.n_theta)).copy()
     v[0, :] = 1.0

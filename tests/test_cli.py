@@ -324,6 +324,13 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert "time step underflow" in err
         assert "dt = " in err and "at t = " in err and "error estimate" in err
+        # the work done so far: one velocity at the seed and two per attempt
+        counts = re.search(r"(\d+) steps accepted, (\d+) rejected, "
+                           r"(\d+) velocity evaluations", err)
+        assert counts is not None, err
+        accepted, rejected, calls = map(int, counts.groups())
+        assert accepted == 0 and rejected > 0
+        assert calls == 1 + 2 * rejected
 
 
 class TestAppendixCheckCommand:

@@ -1,6 +1,7 @@
 """Nonlinear boundary velocity and its time integration."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -239,7 +240,9 @@ class TestExponentialStepper:
     def test_few_velocity_evaluations_on_criterion_7a(
             self, monkeypatch, supercritical, id_model, small_grid):
         # the linear flow is exact, so the steps are sized by the small
-        # nonlinear remainder alone (the linearly implicit stepper took 137)
+        # nonlinear remainder alone: four ETD3RK steps of t_end / 4 at three
+        # evaluations each (ETD1 with step doubling took 20, the linearly
+        # implicit stepper 137)
         A, G, table = supercritical
         calls = []
 
@@ -251,7 +254,77 @@ class TestExponentialStepper:
         seed = ShapeState.from_modes([(2, 1e-3, 0.0)], table.R)
         traj = evolve_nonlinear(seed, 0.5, A, G, id_model, small_grid)
         assert traj.status == "completed"
-        assert len(calls) <= 25
+        assert len(calls) <= 14
         fit = fit_growth_rate([(p.t, p.shape.amplitude(2)) for p in traj.points])
         mu2 = table.mu_at(2)
         assert fit.rate == pytest.approx(mu2, rel=1e-4)
+
+    def test_short_run_keeps_five_points_and_a_rate(
+            self, supercritical, id_model, small_grid):
+        # every step is at most t_end / 4, however small the error
+        A, G, table = supercritical
+        seed = ShapeState.from_modes([(2, 1e-3, 0.0)], table.R)
+        traj = evolve_nonlinear(seed, 0.005, A, G, id_model, small_grid)
+        assert traj.status == "completed"
+        assert len(traj.points) >= 5
+        fit = fit_growth_rate([(p.t, p.shape.amplitude(2)) for p in traj.points])
+        assert fit.rate == pytest.approx(table.mu_at(2), rel=1e-3)
+
+    def test_one_step_error_is_third_order(self, supercritical, id_model):
+        # the embedded estimate is the local error of the second-order
+        # solution, so it falls as dt**3; it also bounds the error of the
+        # third-order step against 16 steps of dt / 16
+        A, G, table = supercritical
+        grid = DiskGrid(n_r=16, n_theta=32)
+        mu = build_table(ModelParameters(A=A, G=G, model=id_model, R=table.R),
+                         k_max=grid.n_theta // 3).mu
+
+        def remainder(c):
+            shape = ShapeState(coeffs=c, radius_scale=table.R)
+            return phi(shape, A, G, id_model, grid).coeffs - mu * c
+
+        c0 = ShapeState.from_modes([(2, 2e-2, 0.0)], table.R,
+                                   n_modes=mu.size - 1).coeffs
+        n0 = remainder(c0)
+        estimates = []
+        for dt in (0.1, 0.05):
+            stepped, err = dynamics._etd3rk_step(c0, n0, dt, mu, remainder)
+            c, n = c0, n0
+            for _ in range(16):
+                c, _ = dynamics._etd3rk_step(c, n, dt / 16, mu, remainder)
+                n = remainder(c)
+            assert np.max(np.abs(stepped - c)) < err
+            estimates.append(err)
+        assert 6.0 <= estimates[0] / estimates[1] <= 10.0
+
+
+def _phi_reference(z, j):
+    """phi_j(z) = sum_m z**m / (m + j)!, summed exactly in integers."""
+    p, q = float(z).as_integer_ratio()
+    top = 3 * int(abs(z)) + 60       # the tail is below 1e-20 relative
+    # term m is z**m / (m + j)! times the common denominator q**top (top + j)!
+    num, term = 0, q**top * math.factorial(top + j) // math.factorial(j)
+    for m in range(top + 1):
+        num += term
+        term = term * p // (q * (m + j + 1))     # exact
+    return num / (q**top * math.factorial(top + j))   # correctly rounded
+
+
+class TestPhiFunctions:
+    @pytest.mark.parametrize("z", [
+        0.0, 1e-12, -1e-12, 1e-3, -0.3,
+        np.nextafter(dynamics.TAYLOR_RADIUS, 0.0), dynamics.TAYLOR_RADIUS,
+        -np.nextafter(dynamics.TAYLOR_RADIUS, 0.0), -dynamics.TAYLOR_RADIUS,
+        1.5, -2.0, 30.0, -45.0, 700.0, -1e3])
+    def test_match_exact_taylor_sums(self, z):
+        got = dynamics._phi_functions(np.array([z]))
+        for j, value in enumerate(got, start=1):
+            assert value[0] == pytest.approx(_phi_reference(z, j), rel=1e-14,
+                                             abs=0.0), j
+
+    def test_overflow_is_inf_without_warning(self):
+        # pytest turns a RuntimeWarning into an error
+        got = dynamics._phi_functions(np.array([1e3, -1e3, 0.0]))
+        for j, value in enumerate(got, start=1):
+            assert value[0] == np.inf
+            assert value[2] == pytest.approx(1.0 / math.factorial(j), rel=1e-15)

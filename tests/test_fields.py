@@ -1,5 +1,8 @@
 """Field solves on the perturbed domain against radial and harmonic oracles."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,10 +26,11 @@ from tumorspec.shapes import ShapeState
 def built(monkeypatch):
     """Per ModePreconditioner built from now on: True for a Laplace one.
 
-    The kept radial equilibrium is dropped first, so the count does not
-    depend on which tests ran before.
+    The kept preconditioners are dropped first, so the count does not depend
+    on which tests ran before.
     """
     fields._equilibrium.cache_clear()
+    fields._laplace_preconditioner.cache_clear()
     built = []
     init = ModePreconditioner.__init__
 
@@ -317,6 +321,28 @@ class TestModePreconditioner:
         assert len(traj.points) >= 3          # several velocity evaluations
         assert built.count(True) == 1         # one pressure preconditioner
 
+    def test_equal_grid_reuses_both_preconditioners(self, unit_steady,
+                                                    id_model, built):
+        # the caches are keyed on the grid size, not on the grid object
+        s = ShapeState.from_modes([(2, 1e-3, 0.0)], unit_steady.R_A)
+        evolve_nonlinear(s, 0.01, unit_steady.A, 2.0, id_model,
+                         DiskGrid(n_r=16, n_theta=32))
+        assert sorted(built) == [False, True]
+        built.clear()
+        evolve_nonlinear(s, 0.01, unit_steady.A, 2.0, id_model,
+                         DiskGrid(n_r=16, n_theta=32))
+        assert built == []
+
+    def test_grid_of_a_finished_evolve_is_collectable(self, unit_steady,
+                                                      id_model):
+        grid = DiskGrid(n_r=16, n_theta=32)
+        s = ShapeState.from_modes([(2, 1e-3, 0.0)], unit_steady.R_A)
+        evolve_nonlinear(s, 0.01, unit_steady.A, 2.0, id_model, grid)
+        ref = weakref.ref(grid)
+        del grid
+        gc.collect()
+        assert ref() is None
+
     @pytest.mark.parametrize("model_name", ["id_model", "poly_model"])
     def test_one_nutrient_preconditioner_per_evolve(self, unit_steady,
                                                     model_name, request, built):
@@ -338,7 +364,8 @@ class TestModePreconditioner:
         s = ShapeState.from_modes([(3, 0.15, 0.0), (7, 0.05, 0.4)], R)
         assert s.sup_norm() == pytest.approx(0.196, abs=5e-4)
         coefs = _map_coefs(s, grid)
-        v0, equilibrium = fields._equilibrium(grid, R, poly_model)
+        v0, equilibrium = fields._equilibrium(grid.n_r, grid.n_theta, R,
+                                              poly_model)
         start = np.broadcast_to(v0, (grid.n_r, grid.n_theta)).copy()
         start[0, :] = 1.0
         per_shape = ModePreconditioner(
@@ -355,7 +382,7 @@ class TestModePreconditioner:
 
         def solve(precond):
             monkeypatch.setattr(fields, "_equilibrium",
-                                lambda grid, R, model: (v0, precond))
+                                lambda n_r, n_theta, R, model: (v0, precond))
             applies.clear()
             nut = solve_nutrient(coefs, poly_model, grid)
             return nut, len(applies)
