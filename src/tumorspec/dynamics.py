@@ -237,9 +237,9 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
                 f"{accepted} steps accepted, {rejected} rejected, "
                 f"{calls} velocity evaluations")
         dt = min(dt, t_end - t)
+        if n_c is None:
+            n_c = remainder(state.coeffs)   # admissible: checked on acceptance
         try:
-            if n_c is None:
-                n_c = remainder(state.coeffs)
             stepped, err = _etd3rk_step(state.coeffs, n_c, dt, mu, remainder)
         except _LeftNeighbourhood:
             status = "left_neighbourhood"

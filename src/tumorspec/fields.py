@@ -22,10 +22,10 @@ nutrient one is the exact inverse at the radial equilibrium of radius R,
 which depends only on the grid size, R and the model: :func:`_equilibrium`
 builds it with that equilibrium and keeps the last one, so every nutrient
 solve of an evolution, which keeps R and moves the boundary only near the
-equilibrium, shares one. Both caches are keyed on (n_r, n_theta), so they
-keep no caller's grid alive and equal grids share their entries. It serves
-every Newton step of a solve (for the identity model f' is constant, so it is
-the one every step would build).
+equilibrium, shares one. It serves every Newton step of a solve (for the
+identity model f' is constant, so it is the one every step would build).
+Both caches are keyed on (n_r, n_theta), so they keep no caller's grid
+alive and equal grids share their entries.
 A Krylov iteration that ends above the roundoff floor raises SolverError.
 The tolerances of both loops are the module constants below.
 """
