@@ -177,15 +177,18 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
     ``shape0.radius_scale`` (see the module docstring), so the linear flow
     is integrated exactly and a step is accepted when its embedded error
     estimate, which bounds only the nonlinear remainder, is at most
-    ``err_target``. A step whose e^{mu dt} overflows is rejected. Every step
-    is at most min(DT_MAX, t_end / 4), so a completed trajectory has at least
-    five points. Halts with status "left_neighbourhood" if the sup-norm of a
-    stage or of an accepted state reaches the admissibility bound 1/4. A
-    step costs three velocity evaluations: two stages and the accepted state,
-    which the next step starts from (the final state is not evaluated), and
-    a rejected step two. The step size follows 0.65 (err_target / err)**(1/3),
-    within a factor 5 either way. Each nutrient solve starts from the field
-    of the previous evaluation, the first from the radial equilibrium.
+    ``err_target``. A step whose e^{mu dt} overflows, or one with a stage
+    whose sup-norm reaches the admissibility bound 1/4, is rejected and dt
+    shrinks 5x. Every step is at most min(DT_MAX, t_end / 4), so a completed
+    trajectory has at least five points. The seed, padded to the grid's
+    modes, must be admissible. Halts with status "left_neighbourhood" if an
+    accepted state reaches the bound, or if a stage still reaches it when dt
+    falls below DT_MIN. A step costs three velocity evaluations: two stages
+    and the accepted state, which the next step starts from (the final state
+    is not evaluated), and a rejected step at most two. The step size follows
+    0.65 (err_target / err)**(1/3), within a factor 5 either way. Each
+    nutrient solve starts from the field of the previous evaluation, the
+    first from the radial equilibrium.
     """
     shape0.require_admissible()
     if t_end < 0:
@@ -223,13 +226,18 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
 
     t, accepted, rejected, err = 0.0, 0, 0, np.nan
     state, n_c = make_shape(c), None
+    state.require_admissible()   # the padded seed is sampled more finely
     points = [TrajectoryPoint(t=0.0, shape=state, sup_norm=state.sup_norm())]
     status = "completed"
     dt_max = min(DT_MAX, max(0.25 * t_end, DT_MIN))
-    dt = dt_max
+    dt, stage_left = dt_max, False
 
     while t < t_end - 1e-14:
         if dt < DT_MIN:
+            if stage_left:
+                # the state lies on the bound: every step's stage leaves
+                status = "left_neighbourhood"
+                break
             raise SolverError(
                 f"time step underflow in nonlinear evolution: dt = {dt:.3e} "
                 f"< dt_min = {DT_MIN:.3e} at t = {t:.6g}, "
@@ -238,12 +246,13 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
                 f"{calls} velocity evaluations")
         dt = min(dt, t_end - t)
         if n_c is None:
-            n_c = remainder(state.coeffs)   # admissible: checked on acceptance
+            n_c = remainder(state.coeffs)   # state is checked admissible
         try:
             stepped, err = _etd3rk_step(state.coeffs, n_c, dt, mu, remainder)
+            stage_left = False
         except _LeftNeighbourhood:
-            status = "left_neighbourhood"
-            break
+            # rejected like an overflowing step, so the exit time is resolved
+            err, stage_left = np.inf, True
         if err <= err_target:
             t += dt
             accepted += 1

@@ -293,6 +293,14 @@ class TestEvolveCommand:
         assert main(["evolve", "--A", "0.5", "--G", "1.0",
                      "--seed-shape", "2:0.3", "--out", str(tmp_path)]) == 2
 
+    def test_seed_inadmissible_on_the_grid_exits_2(self, tmp_path, capsys):
+        # the seed's 64 samples peak at about 0.2494; padded to the default
+        # grid's modes it is sampled more finely and peaks at about 0.2505
+        assert main(["evolve", "--A", "0.5", "--G", "2", "--mode", "nonlinear",
+                     "--seed-shape", "2:0.2505:0.3",
+                     "--out", str(tmp_path)]) == 2
+        assert "outside the admissible neighbourhood" in capsys.readouterr().err
+
     def test_bad_mode_exits_2(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"A": 0.5, "G": 1.0, "mode": "sideways"}))

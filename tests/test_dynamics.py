@@ -121,6 +121,18 @@ class TestNonlinearEvolution:
         assert traj.status == "left_neighbourhood"
         assert traj.points[-1].t < 50.0
 
+    def test_fast_exit_is_resolved(self, poly_model):
+        # mu_0 is about 31, so the shape leaves within the first capped step
+        # (t_end / 4); a stage beyond the bound rejects that step instead of
+        # halting the run at its seed, so the approach is recorded
+        seed = ShapeState.from_modes([(2, 2e-2, 0.0)], 1.0)
+        traj = evolve_nonlinear(seed, 0.5, 0.8927799318, 262.22, poly_model,
+                                DiskGrid(n_r=32, n_theta=64))
+        assert traj.status == "left_neighbourhood"
+        assert len(traj.points) > 1
+        assert 0.0 < traj.points[-1].t < 0.125
+        assert traj.points[-1].sup_norm > 0.24
+
     def test_rejects_negative_horizon(self, setup, id_model, small_grid):
         A, G, table = setup
         z = ShapeState.zero(4, table.R)
