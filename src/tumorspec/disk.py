@@ -17,12 +17,13 @@ quantities (h, beta, phi_r(1), curvature) that the field solves and the
 boundary velocity read.
 
 The Chebyshev toolkit at the top of this module (points, barycentric weights,
-interpolation and differentiation matrices, and the fold) is the only one in
-the package; :mod:`tumorspec.radial` builds its profile grid from it too.
-Interpolation uses the barycentric formula of Berrut & Trefethen,
-*Barycentric Lagrange Interpolation*, SIAM Review 46 (2004).
+interpolation and differentiation matrices, and the fold :class:`RadialFold`)
+is the only one in the package; :class:`DiskGrid` and :mod:`tumorspec.radial`
+read the same cached folds. Interpolation uses the barycentric formula of
+Berrut & Trefethen, *Barycentric Lagrange Interpolation*, SIAM Review 46 (2004).
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,55 +75,88 @@ def barycentric_matrix(nodes, weights, x):
     return m
 
 
-def chebyshev_matrix(N):
-    """Differentiation matrix on the N+1 Chebyshev points cos(j pi / N)."""
-    x = chebyshev_points(N)
-    return differentiation_matrix(x, barycentric_weights(N + 1)), x
-
-
-def fold_columns(M):
-    """Even and odd folds of the columns of M onto the positive Chebyshev points.
-
-    M acts on samples at the 2n points cos(j pi / (2n - 1)), where point
-    2n - 1 - i is the reflection of point i. Its action on an even (odd)
-    function sampled at the first n points is M[:, :n] + M[:, refl]
-    (M[:, :n] - M[:, refl]).
-    """
+def _fold(M):
+    """Even and odd column folds of M, which acts on samples at the 2n points
+    cos(j pi / (2n - 1)): point 2n - 1 - i reflects point i, so an even (odd)
+    function sampled at the first n points sees M[:, :n] + M[:, refl]
+    (M[:, :n] - M[:, refl])."""
     N = M.shape[1] - 1
     n = (N + 1) // 2
     refl = N - np.arange(n)
     return M[:, :n] + M[:, refl], M[:, :n] - M[:, refl]
 
 
+@dataclass(frozen=True, eq=False)   # compared and hashed by identity
+class RadialFold:
+    """The 2n Chebyshev points cos(j pi / (2n - 1)) folded onto their n positive ones.
+
+    Every pair is (even, odd): the fold of a matrix for functions of that
+    parity under r -> -r. All arrays are read-only, as the fold is shared by
+    every caller of :func:`radial_fold`.
+    """
+
+    r: np.ndarray          # positive nodes, descending from r = 1
+    D: tuple               # folded first derivative
+    D2: tuple              # folded second derivative
+    to_cheb: np.ndarray    # even samples on r -> coefficients of T_0, T_2, ...
+    weights: np.ndarray    # quadrature of int_0^1 r g(r) dr for even g
+    to_unit: tuple         # samples on r -> values on the [0, 1] profile grid
+
+    def operator(self, m, parity=0):
+        """r**2 d2/dr2 + m r d/dr on functions of the given parity."""
+        return (self.r[:, None] ** 2 * self.D2[parity]
+                + (m * self.r)[:, None] * self.D[parity])
+
+    def interpolation(self, x):
+        """(even, odd) matrices from samples on r to values at the radii x."""
+        N = 2 * len(self.r) - 1
+        return _fold(barycentric_matrix(chebyshev_points(N),
+                                        barycentric_weights(N + 1), x))
+
+
+@functools.lru_cache(maxsize=8)
+def radial_fold(n):
+    """The cached :class:`RadialFold` of n positive nodes (a fold of 256
+    nodes holds about 5 MB, so the eight last used are kept)."""
+    N = 2 * n - 1
+    x = chebyshev_points(N)
+    w = barycentric_weights(N + 1)
+    D = differentiation_matrix(x, w)
+    p = np.arange(n)
+    to_cheb = np.linalg.inv(np.cos(np.outer(p, 2 * p) * np.pi / N))
+    # with s = 2r**2 - 1, int_0^1 r T_2p(r) dr = int_{-1}^1 T_p(s) ds / 4,
+    # which is 1/(2(1 - p**2)) for even p and 0 for odd p
+    moments = np.zeros(n)
+    moments[::2] = 0.5 / (1.0 - p[::2] ** 2.0)
+    fold = RadialFold(r=x[:n], D=_fold(D[:n]), D2=_fold((D @ D)[:n]),
+                      to_cheb=to_cheb, weights=moments @ to_cheb,
+                      to_unit=_fold(barycentric_matrix(x, w, chebyshev_nodes(N))))
+    for array in (fold.r, *fold.D, *fold.D2, fold.to_cheb, fold.weights,
+                  *fold.to_unit):
+        array.flags.writeable = False
+    return fold
+
+
 @dataclass(frozen=True)
 class DiskGrid:
     n_r: int = 64        # positive radial collocation nodes (incl. boundary)
     n_theta: int = 128
+    fold: RadialFold = field(init=False, repr=False, compare=False)
     r: np.ndarray = field(init=False, repr=False, compare=False)
     theta: np.ndarray = field(init=False, repr=False, compare=False)
     k: np.ndarray = field(init=False, repr=False, compare=False)
-    D_even: np.ndarray = field(init=False, repr=False, compare=False)
-    D_odd: np.ndarray = field(init=False, repr=False, compare=False)
-    D2_even: np.ndarray = field(init=False, repr=False, compare=False)
-    D2_odd: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_theta <= 0 or self.n_theta % 2:
             raise ValidationError("n_theta must be positive and even")
         if self.n_r < 4:
             raise ValidationError("n_r must be at least 4")
-        D, x = chebyshev_matrix(2 * self.n_r - 1)
-        n = self.n_r
-        D_even, D_odd = fold_columns(D[:n])
-        D2_even, D2_odd = fold_columns((D @ D)[:n])
-        object.__setattr__(self, "r", x[:n])
+        fold = radial_fold(self.n_r)
+        object.__setattr__(self, "fold", fold)
+        object.__setattr__(self, "r", fold.r)
         object.__setattr__(self, "theta", 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta)
         object.__setattr__(self, "k",
                            np.fft.fftfreq(self.n_theta, d=1.0 / self.n_theta).astype(int))
-        object.__setattr__(self, "D_even", D_even)
-        object.__setattr__(self, "D_odd", D_odd)
-        object.__setattr__(self, "D2_even", D2_even)
-        object.__setattr__(self, "D2_odd", D2_odd)
 
     def fold_derivative(self, Vh, order=1):
         """Parity-correct radial derivative of an rfft theta-spectrum array.
@@ -130,8 +164,7 @@ class DiskGrid:
         Column q is angular mode q >= 0, so the even modes are the columns
         0::2 and the odd modes the columns 1::2.
         """
-        De = self.D_even if order == 1 else self.D2_even
-        Do = self.D_odd if order == 1 else self.D2_odd
+        De, Do = self.fold.D if order == 1 else self.fold.D2
         out = np.empty_like(Vh)
         out[:, 0::2] = De @ Vh[:, 0::2]
         out[:, 1::2] = Do @ Vh[:, 1::2]
@@ -283,9 +316,7 @@ class ModePreconditioner:
     def __init__(self, grid: DiskGrid, potential=None):
         self.n_theta = grid.n_theta
         q = np.arange(grid.n_theta // 2 + 1)
-        r = grid.r[1:, None]
-        even = r**2 * grid.D2_even[1:, 1:] + r * grid.D_even[1:, 1:]
-        odd = r**2 * grid.D2_odd[1:, 1:] + r * grid.D_odd[1:, 1:]
+        even, odd = (grid.fold.operator(1, p)[1:, 1:] for p in (0, 1))
         L = np.where((q % 2 == 0)[:, None, None], even, odd)
         shift = (q**2)[:, None] + (0.0 if potential is None
                                    else np.asarray(potential, dtype=float)[1:])
@@ -318,11 +349,8 @@ def eval_field_columns(grid: DiskGrid, V, radii):
     the interpolation matrix on the full Chebyshev point set. The result is
     spectrally accurate for any radius in [0, 1].
     """
-    n = grid.n_r
     radii = np.broadcast_to(np.asarray(radii, dtype=float), (grid.n_theta,))
-    interp = barycentric_matrix(chebyshev_points(2 * n - 1),
-                                barycentric_weights(2 * n), radii)
-    even, odd = fold_columns(interp)
+    even, odd = grid.fold.interpolation(radii)
     turned = np.roll(V, -(grid.n_theta // 2), axis=1)   # V(r, theta + pi)
     return (np.einsum("ji,ij->j", even, 0.5 * (V + turned))
             + np.einsum("ji,ij->j", odd, 0.5 * (V - turned)))

@@ -27,7 +27,8 @@ identity model f' is constant, so it is the one every step would build).
 Both caches are keyed on (n_r, n_theta), so they keep no caller's grid
 alive and equal grids share their entries.
 A Krylov iteration that ends above the roundoff floor raises SolverError.
-The tolerances of both loops are the module constants below.
+The tolerances of both loops are the module constants below and, for a
+stalled Newton loop, the grid's roundoff floor (:func:`_roundoff_floor`).
 """
 
 import functools
@@ -38,7 +39,7 @@ import numpy as np
 
 from .disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
                    apply_mapped_laplacian, boundary_radial_derivative, dealias,
-                   eval_field_columns, harmonic_extension)
+                   eval_field_columns, harmonic_extension, radial_fold)
 from .errors import SolverError
 from .models import NutrientModel
 from .radial import solve_U
@@ -251,6 +252,15 @@ def _equilibrium(n_r, n_theta, R, model: NutrientModel):
     return v0[:, None], precond
 
 
+@functools.lru_cache(maxsize=None)
+def _roundoff_floor(n_r):
+    """Residual below which a stalled Newton loop has reached roundoff: the
+    larger of 1e3 NEWTON_TOL and eps |r**2 D2 + r D|_inf, which bounds the
+    roundoff of an exact field (1.9e-8 at n_r = 64, 5.0e-6 at 256)."""
+    op = radial_fold(n_r).operator(1)
+    return max(1e3 * NEWTON_TOL, np.finfo(float).eps * np.linalg.norm(op, np.inf))
+
+
 def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGrid,
                    start=None):
     """Semilinear nutrient problem, Newton iteration on the mapped disk.
@@ -276,8 +286,8 @@ def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGr
         if res <= NEWTON_TOL:
             break
         if len(history) >= 2 and res > 0.5 * history[-2] \
-                and res <= 1e3 * NEWTON_TOL:
-            # roundoff floor of the collocation operator; no further progress
+                and res <= _roundoff_floor(grid.n_r):
+            # no further progress at the roundoff floor of the operator
             break
         potential = scale * model.fprime_at(v)
         # one Newton correction: J delta = -F with zero boundary data

@@ -13,30 +13,26 @@ the explicit power series for the first two mode profiles of the identity
 model.
 
 Both families are singular at r = 0 and have even solutions. They are
-discretised by Chebyshev collocation on the folded grid of
-:mod:`tumorspec.disk` (Trefethen, *Spectral Methods in MATLAB*, ch. 11): an
-odd degree N = ``N_NODES`` places the N + 1 Chebyshev points of [-1, 1]
-symmetrically about the origin but never on it, and the even fold of the
-differentiation matrices acts on the (N + 1)/2 positive nodes. Every row is
-multiplied by r**2, so no 1/r is ever formed. Profiles are returned on the
-N Chebyshev-Lobatto points of [0, 1], which hold the even interpolant (of
-degree at most N - 1) exactly.
-
-The Chebyshev points, barycentric weights and interpolation, differentiation
-matrices and the fold all come from :mod:`tumorspec.disk`. What is particular
-to the radial problems lives here: the Newton loop for U, the trailing
-Chebyshev-coefficient check that rejects an unresolved U, and the flux
-quadrature for U'(1).
+discretised by Chebyshev collocation on the :class:`tumorspec.disk.RadialFold`
+of (N + 1)/2 nodes, N = ``N_NODES``, the fold the field grid uses too
+(Trefethen, *Spectral Methods in MATLAB*, ch. 11): the odd degree N places
+the N + 1 Chebyshev points of [-1, 1] symmetrically about the origin but
+never on it, and the even fold of the differentiation matrices acts on the
+positive ones. Every row is multiplied by r**2, so no 1/r is ever formed,
+and row 0 is replaced here by the boundary condition. Profiles are returned
+on the N Chebyshev-Lobatto points of [0, 1], which hold the even interpolant
+(of degree at most N - 1) exactly. Particular to the radial problems are the
+Newton loop for U, the trailing Chebyshev-coefficient check that rejects an
+unresolved U, and U'(1) taken by the fold's flux quadrature.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk import (barycentric_matrix, barycentric_weights, chebyshev_matrix,
-                   chebyshev_nodes, differentiation_matrix, fold_columns)
+from .disk import (barycentric_matrix, barycentric_weights, chebyshev_nodes,
+                   differentiation_matrix, radial_fold)
 from .errors import BracketError, SolverError, ValidationError
 from .models import NutrientModel
 
@@ -50,47 +46,13 @@ N_NODES = 65              # odd collocation degree of the folded grid (>= 5)
 R_MAX = 16.0
 
 
-@dataclass(frozen=True)
-class _FoldedGrid:
-    r: np.ndarray        # positive collocation nodes, descending from r = 1
-    d1: np.ndarray       # even-folded first derivative
-    d2: np.ndarray       # even-folded second derivative
-    to_cheb: np.ndarray  # even samples on r -> coefficients of T_0, T_2, ...
-    weights: np.ndarray  # quadrature of int_0^1 r g(r) dr for even g
-    even: np.ndarray     # even samples on r -> values on the [0, 1] grid
-    odd: np.ndarray      # odd samples on r -> values on the [0, 1] grid
-
-    def operator(self, m):
-        """r**2 (d2/dr2 + (m/r) d/dr) with row 0 replaced by the value at r = 1."""
-        op = self.r[:, None] ** 2 * self.d2 + (m * self.r)[:, None] * self.d1
-        op[0] = 0.0
-        op[0, 0] = 1.0
-        return op
-
-
-@functools.lru_cache(maxsize=4)
-def _folded_grid(n_nodes):
-    D, x = chebyshev_matrix(n_nodes)
-    n = (n_nodes + 1) // 2
-    p = np.arange(n)
-    to_cheb = np.linalg.inv(np.cos(np.outer(p, 2 * p) * np.pi / n_nodes))
-    # with s = 2r**2 - 1, int_0^1 r T_2p(r) dr = int_{-1}^1 T_p(s) ds / 4,
-    # which is 1/(2(1 - p**2)) for even p and 0 for odd p
-    moments = np.zeros(n)
-    moments[::2] = 0.5 / (1.0 - p[::2] ** 2.0)
-    to_grid = barycentric_matrix(x, barycentric_weights(n_nodes + 1),
-                                 chebyshev_nodes(n_nodes))
-    even, odd = fold_columns(to_grid)
-    folded = _FoldedGrid(r=x[:n],
-                         d1=fold_columns(D[:n])[0],
-                         d2=fold_columns((D @ D)[:n])[0],
-                         to_cheb=to_cheb,
-                         weights=moments @ to_cheb,
-                         even=even,
-                         odd=odd)
-    for array in vars(folded).values():
-        array.flags.writeable = False  # shared by every caller of the cache
-    return folded
+def _fold_operator(m):
+    """The folded r**2 (d2/dr2 + (m/r) d/dr) with row 0 the value at r = 1."""
+    fold = radial_fold((N_NODES + 1) // 2)
+    op = fold.operator(m)
+    op[0] = 0.0
+    op[0, 0] = 1.0
+    return fold, op
 
 
 @dataclass(frozen=True)
@@ -135,10 +97,7 @@ def solve_U(lam, model: NutrientModel):
     """
     if lam < 0:
         raise ValidationError("lam must be nonnegative")
-    fold = _folded_grid(N_NODES)
-    grid = chebyshev_nodes(N_NODES)
-
-    op = fold.operator(1)
+    fold, op = _fold_operator(1)
     scale = lam * fold.r**2
     scale[0] = 0.0
     w = np.zeros_like(fold.r)
@@ -173,10 +132,10 @@ def solve_U(lam, model: NutrientModel):
             f"resolved by the fixed N_NODES = {N_NODES} collocation nodes "
             f"(trailing Chebyshev coefficient {tail:.1e}); choose a "
             "smaller R (or a larger A)")
-    du = fold.d1 @ u
+    du = fold.D[0] @ u
     du[0] = lam * (fold.weights @ model.f_at(u))
-    return RadialProfile(grid=grid, values=fold.even @ u,
-                         deriv_values=fold.odd @ du, fold_values=u)
+    return RadialProfile(grid=chebyshev_nodes(N_NODES), values=fold.to_unit[0] @ u,
+                         deriv_values=fold.to_unit[1] @ du, fold_values=u)
 
 
 def _solve_mode(n, R_A, v0, model):
@@ -190,23 +149,23 @@ def _solve_mode(n, R_A, v0, model):
         raise ValidationError("n must be nonnegative")
     if R_A <= 0:
         raise ValidationError("R_A must be positive")
-    fold = _folded_grid(N_NODES)
     if v0.fold_values is None:
         raise ValidationError("v0 must be a profile returned by solve_U")
+    fold, op = _fold_operator(2 * n + 1)
     q = R_A * R_A * fold.r**2 * model.fprime_at(v0.fold_values)
     q[0] = 0.0
-    w = np.linalg.solve(fold.operator(2 * n + 1) - np.diag(q), q)
-    return w, fold.d1 @ w
+    w = np.linalg.solve(op - np.diag(q), q)
+    return w, fold.D[0] @ w
 
 
 def solve_u_n(n, R_A, v0: RadialProfile, model: NutrientModel):
     """Solve the mode-n linear equation, normalised to u(0) = 1."""
     w, dw = _solve_mode(n, R_A, v0, model)
-    fold = _folded_grid(N_NODES)
-    values = fold.even @ (1.0 + w)
+    even, odd = radial_fold((N_NODES + 1) // 2).to_unit
+    values = even @ (1.0 + w)
     c = values[0]
     return RadialProfile(grid=chebyshev_nodes(N_NODES),
-                         values=values / c, deriv_values=fold.odd @ dw / c)
+                         values=values / c, deriv_values=odd @ dw / c)
 
 
 def boundary_ratio(n, R_A, v0, model):

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from tumorspec import dynamics, fields
 from tumorspec.disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
                             apply_mapped_laplacian, barycentric_matrix,
-                            barycentric_weights, chebyshev_points,
-                            eval_field_columns, mapped_radius,
-                            theta_derivative)
+                            barycentric_weights, chebyshev_nodes,
+                            chebyshev_points, eval_field_columns,
+                            mapped_radius, radial_fold, theta_derivative)
 from tumorspec.dynamics import evolve_nonlinear, phi
 from tumorspec.errors import SolverError
 from tumorspec.fields import (center_value, gmres, harmonic_residual,
@@ -196,6 +196,17 @@ class TestPerturbedNutrient:
             errs.append(np.max(np.abs(wnum - pred)))
         assert errs[0] < 50.0 * 1e-4   # O(eps^2) at eps = 1e-2
         assert errs[1] < errs[0] / 20.0   # quadratic, not linear, in eps
+
+    def test_largest_grid_matches_the_default_radial_resolution(self, id_model):
+        # the roundoff of an exact field's residual grows with n_r (about
+        # 2e-6 at n_r = 256); the Newton loop must stop there, not fail
+        s = ShapeState.from_modes([(2, 3e-2, 0.0), (3, 2e-2, 0.5)], 1.2)
+        low = []
+        for n_r in (64, 256):
+            grid = DiskGrid(n_r=n_r, n_theta=32)
+            nut = solve_nutrient(_map_coefs(s, grid), id_model, grid)
+            low.append(np.fft.rfft(nut.normal_derivative_trace)[:6] / grid.n_theta)
+        assert np.max(np.abs(low[1] - low[0])) <= 1e-9
 
 
 class TestMappedOperator:
@@ -441,3 +452,39 @@ class TestBarycentricMatrix:
         nodes = chebyshev_points(N)
         m = barycentric_matrix(nodes, barycentric_weights(N + 1), nodes[::-1])
         assert np.array_equal(m, np.eye(N + 1)[::-1])
+
+
+class TestRadialFold:
+    @pytest.mark.parametrize("n", [16, 33])
+    def test_reproduces_polynomials_of_either_parity(self, n, rng):
+        fold = radial_fold(n)
+        r = fold.r
+        # D2 carries a roundoff of about N**4 eps, 2e-9 at N = 65
+        assert np.max(np.abs(fold.D[0] @ r**4 - 4 * r**3)) <= 1e-12
+        assert np.max(np.abs(fold.D2[0] @ r**4 - 12 * r**2)) <= 1e-8
+        assert np.max(np.abs(fold.D[1] @ r**3 - 3 * r**2)) <= 1e-12
+        assert np.max(np.abs(fold.D2[1] @ r**3 - 6 * r)) <= 1e-8
+        p = np.arange(n)
+        T_even = np.cos(np.outer(np.arccos(r), 2 * p))   # column p is T_2p
+        assert np.max(np.abs(fold.to_cheb @ T_even - np.eye(n))) <= 1e-13
+        assert fold.weights @ np.ones(n) == pytest.approx(0.5, abs=1e-15)
+        assert fold.weights @ r**2 == pytest.approx(0.25, abs=1e-15)
+        u = rng.uniform(0.0, 1.0, 20)
+        for x, (even, odd) in [(chebyshev_nodes(2 * n - 1), fold.to_unit),
+                               (u, fold.interpolation(u))]:
+            assert np.max(np.abs(even @ r**2 - x**2)) <= 1e-14
+            assert np.max(np.abs(odd @ r**3 - x**3)) <= 1e-14
+
+    def test_arrays_are_read_only(self):
+        fold = radial_fold(16)
+        for array in (fold.r, *fold.D, *fold.D2, fold.to_cheb, fold.weights,
+                      *fold.to_unit):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_grids_of_equal_n_r_share_one_fold(self):
+        grid = DiskGrid(n_r=33, n_theta=8)
+        assert grid.fold is radial_fold(33)
+        misses = radial_fold.cache_info().misses
+        assert DiskGrid(n_r=33, n_theta=16).fold is grid.fold
+        assert radial_fold.cache_info().misses == misses

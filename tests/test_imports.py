@@ -1,6 +1,6 @@
 """Checks of the package source: no unused import (in the tests either), no
-dangling export, no process machinery loaded by the command line, and a
-runtime without scipy."""
+name or method that nothing reads, no dangling export, no process machinery
+loaded by the command line, and a runtime without scipy."""
 
 import ast
 import json
@@ -14,6 +14,7 @@ import tumorspec
 
 SOURCES = sorted(Path(tumorspec.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+BENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 
 
 def unused_imports(tree):
@@ -50,6 +51,59 @@ def test_unused_import_is_detected():
     tree = ast.parse("import os\nfrom .disk import dealias, theta_derivative\n"
                      "__all__ = ['os']\nx = dealias\n")
     assert unused_imports(tree) == [(2, "theta_derivative")]
+
+
+def definitions(tree):
+    """Module-level names and "Class.method" names a module defines, without
+    dunders."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+    return [name for name in names if not name.split(".")[-1].startswith("__")]
+
+
+def read_names(tree):
+    """Every name a module reads: loaded names, attributes, imported names and
+    the dotted parts of string constants (monkeypatch targets, ``__all__``)."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.update(node.value.split("."))
+    return read
+
+
+def unread_definitions(defining, reading):
+    """Definitions of the ``defining`` trees that no ``reading`` tree reads."""
+    read = set().union(*map(read_names, reading))
+    return sorted(name for tree in defining for name in definitions(tree)
+                  if name.split(".")[-1] not in read)
+
+
+def test_every_definition_is_read():
+    trees = [ast.parse(path.read_text()) for path in SOURCES + TESTS + BENCH]
+    assert unread_definitions(trees[:len(SOURCES)], trees) == []
+
+
+def test_unread_definition_is_detected():
+    module = ast.parse("LIMIT = 3\nSTEP = 1\ndef used(): pass\ndef dead(): pass\n"
+                       "class C:\n    def __init__(self): pass\n"
+                       "    def kept(self): pass\n    def gone(self): pass\n")
+    reader = ast.parse("used(C().kept())\nx = STEP\nsetattr(m, 'LIMIT', 4)\n"
+                       "dead = 0\n")
+    assert unread_definitions([module], [module, reader]) == ["C.gone", "dead"]
 
 
 def test_every_export_resolves():
