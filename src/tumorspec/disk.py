@@ -8,7 +8,11 @@ even- or odd-folded differentiation matrix. This is the standard way to
 avoid both the coordinate singularity at r = 0 and any 1/r evaluation there.
 
 Row 0 of every (n_r x n_theta) field array is the boundary r = 1; radii are
-stored descending.
+stored descending. Theta-spectra are stored in the mode layout of
+:meth:`DiskGrid.to_modes` (even modes first, then odd), in which
+:func:`mapped_laplacian_kernel` applies the mapped operator with one GEMM
+per parity and :class:`ModePreconditioner` inverts its angularly constant
+part without a transform.
 
 A perturbed domain is pulled back to this disk by one map per shape,
 :class:`MappedCoefficients`: it splits rho into its half-turn parts once and
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SolverError, ValidationError
 
 
 def chebyshev_points(N):
@@ -101,11 +105,14 @@ class RadialFold:
     to_cheb: np.ndarray    # even samples on r -> coefficients of T_0, T_2, ...
     weights: np.ndarray    # quadrature of int_0^1 r g(r) dr for even g
     to_unit: tuple         # samples on r -> values on the [0, 1] profile grid
+    stacked: tuple         # [D; D2], one matrix per parity
+    stacked_interior: tuple  # the same on the nodes below r = 1
 
     def operator(self, m, parity=0):
-        """r**2 d2/dr2 + m r d/dr on functions of the given parity."""
+        """r**2 d2/dr2 + m r d/dr on functions of the given parity; for an
+        array of m, the stack of one operator per m."""
         return (self.r[:, None] ** 2 * self.D2[parity]
-                + (m * self.r)[:, None] * self.D[parity])
+                + (np.asarray(m)[..., None] * self.r)[..., None] * self.D[parity])
 
     def interpolation(self, x):
         """(even, odd) matrices from samples on r to values at the radii x."""
@@ -128,23 +135,39 @@ def radial_fold(n):
     # which is 1/(2(1 - p**2)) for even p and 0 for odd p
     moments = np.zeros(n)
     moments[::2] = 0.5 / (1.0 - p[::2] ** 2.0)
-    fold = RadialFold(r=x[:n], D=_fold(D[:n]), D2=_fold((D @ D)[:n]),
-                      to_cheb=to_cheb, weights=moments @ to_cheb,
-                      to_unit=_fold(barycentric_matrix(x, w, chebyshev_nodes(N))))
+    D1, D2 = _fold(D[:n]), _fold((D @ D)[:n])
+    fold = RadialFold(r=x[:n], D=D1, D2=D2, to_cheb=to_cheb,
+                      weights=moments @ to_cheb,
+                      to_unit=_fold(barycentric_matrix(x, w, chebyshev_nodes(N))),
+                      stacked=tuple(np.vstack(pair) for pair in zip(D1, D2)),
+                      stacked_interior=tuple(np.vstack([d[1:, 1:] for d in pair])
+                                             for pair in zip(D1, D2)))
     for array in (fold.r, *fold.D, *fold.D2, fold.to_cheb, fold.weights,
-                  *fold.to_unit):
+                  *fold.to_unit, *fold.stacked, *fold.stacked_interior):
         array.flags.writeable = False
     return fold
 
 
 @dataclass(frozen=True)
 class DiskGrid:
+    """The collocation grid: n_r folded Chebyshev radii times n_theta angles.
+
+    A field's theta-spectrum is stored in the mode layout of
+    :meth:`to_modes`: the real view of the rfft coefficients (real and
+    imaginary part of each mode side by side), the even modes first and the
+    odd ones after them, so each parity's radial derivatives are one real
+    GEMM on a contiguous block of columns.
+    """
     n_r: int = 64        # positive radial collocation nodes (incl. boundary)
     n_theta: int = 128
     fold: RadialFold = field(init=False, repr=False, compare=False)
     r: np.ndarray = field(init=False, repr=False, compare=False)
     theta: np.ndarray = field(init=False, repr=False, compare=False)
     k: np.ndarray = field(init=False, repr=False, compare=False)
+    modes: np.ndarray = field(init=False, repr=False, compare=False)
+    mode_scale: np.ndarray = field(init=False, repr=False, compare=False)
+    _natural: np.ndarray = field(init=False, repr=False, compare=False)
+    _symbols: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_theta <= 0 or self.n_theta % 2:
@@ -157,18 +180,44 @@ class DiskGrid:
         object.__setattr__(self, "theta", 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta)
         object.__setattr__(self, "k",
                            np.fft.fftfreq(self.n_theta, d=1.0 / self.n_theta).astype(int))
+        q = np.arange(self.n_theta // 2 + 1)
+        modes = np.concatenate([q[0::2], q[1::2]])
+        # sqrt(w_q / n_theta), w_q = 2 except at q = 0 and Nyquist: the
+        # Euclidean norm of the scaled mode layout is that of the samples
+        weight = np.where((modes == 0) | (2 * modes == self.n_theta), 1.0, 2.0)
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "_natural", np.argsort(modes))
+        # symbols of d/dtheta and d2/dtheta2 in the mode layout
+        object.__setattr__(self, "_symbols", (1j * modes, -modes**2.0))
+        object.__setattr__(self, "mode_scale",
+                           np.repeat(np.sqrt(weight / self.n_theta), 2))
 
-    def fold_derivative(self, Vh, order=1):
-        """Parity-correct radial derivative of an rfft theta-spectrum array.
+    @property
+    def split(self):
+        """Number of columns of the even modes in the mode layout."""
+        return 2 * ((self.n_theta // 2 + 2) // 2)
 
-        Column q is angular mode q >= 0, so the even modes are the columns
-        0::2 and the odd modes the columns 1::2.
+    def to_modes(self, V):
+        """The theta-spectrum of the samples V in the mode layout."""
+        return np.fft.rfft(V, axis=-1).take(self.modes, axis=-1).view(float)
+
+    def from_modes(self, X):
+        """The samples whose theta-spectrum in the mode layout is X."""
+        return np.fft.irfft(X.view(complex).take(self._natural, axis=-1),
+                            n=self.n_theta, axis=-1)
+
+    def fold_derivative(self, X, out, interior=False):
+        """Parity-correct [V_r; V_rr] of the theta-spectrum X (mode layout),
+        written to ``out`` (2 len(X) rows).
+
+        One real GEMM per parity with the fold's stacked [D; D2]; with
+        ``interior``, X holds the rows below r = 1 of a field that vanishes
+        there, and so does the result.
         """
-        De, Do = self.fold.D if order == 1 else self.fold.D2
-        out = np.empty_like(Vh)
-        out[:, 0::2] = De @ Vh[:, 0::2]
-        out[:, 1::2] = Do @ Vh[:, 1::2]
-        return out
+        stacked = self.fold.stacked_interior if interior else self.fold.stacked
+        split = self.split
+        np.matmul(stacked[0], X[:, :split], out=out[:, :split])
+        np.matmul(stacked[1], X[:, split:], out=out[:, split:])
 
 
 def theta_derivative(values, order=1):
@@ -190,14 +239,6 @@ def dealias(values):
     cutoff = n // 3
     spec[..., cutoff + 1:] = 0.0
     return np.fft.irfft(spec, n=n, axis=-1)
-
-
-def boundary_curvature(rho, rho_p, R):
-    """Curvature of the polar curve s = R (1 + rho(theta)); rho_p = rho'."""
-    h = 1.0 + rho
-    rho_pp = theta_derivative(rho, 2)
-    denom = h**2 + rho_p**2
-    return dealias((h**2 + 2.0 * rho_p**2 - h * rho_pp) / (R * denom**1.5))
 
 
 @dataclass
@@ -239,46 +280,74 @@ class MappedCoefficients:
 
     @classmethod
     def from_boundary(cls, rho, R, r_nodes):
-        """The map of the shape rho (samples on the angular grid) at r_nodes."""
-        turned = np.roll(rho, len(rho) // 2)     # rho(theta + pi)
-        E = 0.5 * (rho + turned)
-        O = 0.5 * (rho - turned)
-        Ep = theta_derivative(E, 1)
-        Op = theta_derivative(O, 1)
-        Epp = theta_derivative(E, 2)
-        Opp = theta_derivative(O, 2)
+        """The map of the shape rho (samples on the angular grid) at r_nodes.
+
+        E and O are the even- and odd-mode parts of rho's spectrum, so one
+        rfft and one stacked irfft give them with their theta-derivatives.
+        """
+        n = len(rho)
+        spec = np.fft.rfft(rho)
+        q = np.arange(len(spec))
+        parts = spec * np.array([q % 2 == 0, q % 2 == 1])   # even and odd modes
+        dq = 1j * q * (2 * q != n)   # the unpaired Nyquist mode has no odd derivative
+        E, O, Ep, Op, Epp, Opp = np.fft.irfft(
+            np.concatenate([parts, dq * parts, -q**2 * parts]), n=n)
 
         r = np.asarray(r_nodes, dtype=float)[:, None]
         phi = r * (1.0 + E + r * O)
         J = 1.0 + E + 2.0 * r * O
-        J_r = 2.0 * O[None, :] + np.zeros_like(phi)
         phi_t = r * Ep + r**2 * Op
+        Jp = Ep + 2.0 * r * Op     # J_theta
 
         g = dealias(phi_t / J)
-        g_r = dealias((Ep + 2.0 * r * Op - 2.0 * g * O) / J)
-        g_t = dealias((r * Epp + r**2 * Opp - g * (Ep + 2.0 * r * Op)) / J)
-
-        a_rr = dealias((phi / J) ** 2 + g**2)
-        a_rt = -2.0 * g
-        a_r = dealias(-(phi**2) * J_r / J**3 + phi / J - g_t + g * g_r)
+        g_r, g_t = dealias(np.stack([Jp - 2.0 * g * O,
+                                     r * Epp + r**2 * Opp - g * Jp]) / J)
+        a_rr, a_r = dealias(np.stack([(phi / J) ** 2 + g**2,
+                                      -2.0 * phi**2 * O / J**3 + phi / J
+                                      - g_t + g * g_r]))
 
         h = 1.0 + rho
-        rho_p = theta_derivative(rho, 1)
-        return cls(phi=phi, a_rr=a_rr, a_r=a_r, a_rt=a_rt, scale=(R * phi) ** 2,
-                   h=h, E=E, O=O, beta=rho_p / h,
-                   J1=1.0 + 1.5 * rho - 0.5 * turned,
-                   curvature=boundary_curvature(rho, rho_p, R), R=float(R))
+        rho_p, rho_pp = Ep + Op, Epp + Opp
+        curvature = dealias((h**2 + 2.0 * rho_p**2 - h * rho_pp)
+                            / (R * (h**2 + rho_p**2) ** 1.5))
+        return cls(phi=phi, a_rr=a_rr, a_r=a_r, a_rt=-2.0 * g, scale=(R * phi) ** 2,
+                   h=h, E=E, O=O, beta=rho_p / h, J1=1.0 + E + 2.0 * O,
+                   curvature=curvature, R=float(R))
+
+
+def mapped_laplacian_kernel(grid: DiskGrid, coefs: MappedCoefficients, X,
+                            interior=False, potential=None):
+    """Scaled Laplacian R**2 phi**2 Delta, minus ``potential`` times the
+    field, in samples, from the field's theta-spectrum X (mode layout).
+
+    With ``interior`` X and the result hold the rows below r = 1 of a field
+    that vanishes there. One GEMM per parity gives V_r and V_rr
+    (:meth:`DiskGrid.fold_derivative`), the angular derivatives are products
+    with the mode numbers, and one irfft of [V_r, V_rr, V_rt, V_tt (, V)]
+    brings them to the samples, where the coefficients of the map combine
+    them.
+    """
+    rows = slice(1, None) if interior else slice(None)
+    n = len(X)
+    spectra = np.empty((4 if potential is None else 5, n, X.shape[1] // 2), complex)
+    grid.fold_derivative(X, spectra[:2].view(float).reshape(2 * n, X.shape[1]),
+                         interior)
+    Vh = X.view(complex)
+    np.multiply(grid._symbols[0], spectra[0], out=spectra[2])
+    np.multiply(grid._symbols[1], Vh, out=spectra[3])
+    if potential is not None:
+        spectra[4] = Vh
+    Vr, Vrr, Vrt, Vtt, *V = np.fft.irfft(spectra.take(grid._natural, axis=-1),
+                                         n=grid.n_theta, axis=-1)
+    out = coefs.a_rr[rows] * Vrr + coefs.a_r[rows] * Vr + Vtt + coefs.a_rt[rows] * Vrt
+    if potential is not None:
+        out -= potential * V[0]
+    return out
 
 
 def apply_mapped_laplacian(grid: DiskGrid, coefs: MappedCoefficients, V):
     """Scaled Laplacian R**2 phi**2 * Delta acting on mapped-grid samples."""
-    Vh = np.fft.rfft(V, axis=1)
-    k = np.arange(Vh.shape[1])
-    Vrh = grid.fold_derivative(Vh, order=1)
-    Vr, Vrr, Vtt, Vrt = np.fft.irfft(
-        np.stack([Vrh, grid.fold_derivative(Vh, order=2), -k**2 * Vh,
-                  1j * k * Vrh]), n=grid.n_theta, axis=-1)
-    return coefs.a_rr * Vrr + coefs.a_r * Vr + Vtt + coefs.a_rt * Vrt
+    return mapped_laplacian_kernel(grid, coefs, grid.to_modes(V))
 
 
 def mapped_radius(coefs: MappedCoefficients, s_over_R, theta_index):
@@ -294,44 +363,54 @@ def mapped_radius(coefs: MappedCoefficients, s_over_R, theta_index):
 
 
 def boundary_radial_derivative(grid: DiskGrid, V):
-    """d/dr at r = 1 of a mapped-grid field."""
-    Vrh = grid.fold_derivative(np.fft.rfft(V, axis=1), order=1)
-    return np.fft.irfft(Vrh[0], n=grid.n_theta)
+    """d/dr at r = 1 of a mapped-grid field: row 0 of each parity's D."""
+    X = grid.to_modes(V)
+    split = grid.split
+    return grid.from_modes(np.concatenate([grid.fold.D[0][0] @ X[:, :split],
+                                           grid.fold.D[1][0] @ X[:, split:]]))
 
 
 class ModePreconditioner:
-    """Inverses of the radial collocation operators of every angular mode.
+    """Fast diagonalisation of the radial collocation operators of every
+    angular mode (Lynch, Rice & Thomas, *Numer. Math.* 6, 1964).
 
-    Mode q >= 0 sees r**2 d2/dr2 + r d/dr - q**2 minus the diagonal
-    ``potential`` (already carrying the r**2 scaling of the mapped operator),
-    with the parity-q fold of the radial derivatives. Its boundary row is the
-    identity and the boundary data are zero, so the interior values of the
-    solution are the inverse of the interior block applied to the interior
-    residual. Those blocks are built as one (n_q, n_r - 1, n_r - 1) stack and
-    inverted together. Exact for angularly constant coefficients; used as
-    the preconditioner of the Krylov solves of the mapped
-    (variable-coefficient) problems.
+    Mode q >= 0 sees L_p - q**2, where L_p is r**2 d2/dr2 + r d/dr minus the
+    diagonal ``potential`` (an (n_r,) array already carrying the r**2
+    scaling of the mapped operator) with the fold of parity p = q mod 2. Its
+    boundary row is the identity and the boundary data are zero, so the
+    interior values of the solution are the inverse of the interior block
+    applied to the interior residual. One real eigendecomposition of each
+    parity's interior block, L_p = V_p Lambda_p V_p^-1, inverts every mode of
+    that parity: (L_p - q**2)^-1 = V_p (Lambda_p - q**2)^-1 V_p^-1. Exact for
+    angularly constant coefficients; used as the preconditioner of the
+    Krylov solves of the mapped (variable-coefficient) problems.
     """
 
     def __init__(self, grid: DiskGrid, potential=None):
-        self.n_theta = grid.n_theta
-        q = np.arange(grid.n_theta // 2 + 1)
-        even, odd = (grid.fold.operator(1, p)[1:, 1:] for p in (0, 1))
-        L = np.where((q % 2 == 0)[:, None, None], even, odd)
-        shift = (q**2)[:, None] + (0.0 if potential is None
-                                   else np.asarray(potential, dtype=float)[1:])
-        interior = np.arange(grid.n_r - 1)
-        L[:, interior, interior] -= shift
-        self._inv = np.linalg.inv(L)
+        split = grid.split
+        self._parities = []
+        for parity, cols in enumerate((slice(0, split), slice(split, None))):
+            L = grid.fold.operator(1, parity)[1:, 1:]
+            if potential is not None:
+                L[np.diag_indices_from(L)] -= np.asarray(potential, dtype=float)[1:]
+            lam, V = np.linalg.eig(L)
+            if np.iscomplexobj(lam):
+                raise SolverError(
+                    f"the radial operator of parity {parity} on {grid.n_r} "
+                    "nodes has complex eigenvalues; the preconditioner "
+                    "needs real ones")
+            q = np.repeat(grid.modes, 2)[cols]
+            self._parities.append((V, np.linalg.inv(V),
+                                   1.0 / (lam[:, None] - q**2), cols))
 
-    def solve_interior(self, residual):
-        """Solve with zero boundary data; residual has n_r - 1 interior rows."""
-        Rh = np.fft.rfft(residual, axis=1)
-        n_int, n_q = Rh.shape
-        # real and imaginary parts as the two columns of each mode's rhs
-        parts = np.ascontiguousarray(Rh.T).view(float).reshape(n_q, n_int, 2)
-        out = (self._inv @ parts).view(complex).reshape(n_q, n_int)
-        return np.fft.irfft(out.T, n=self.n_theta, axis=1)
+    def solve_interior(self, X):
+        """Solve with zero boundary data for the residual X: the theta-spectrum
+        (mode layout) of its n_r - 1 interior rows. Returns the solution's,
+        with two GEMMs and one product per parity and no transform."""
+        out = np.empty_like(X)
+        for V, V_inv, inv_shift, cols in self._parities:
+            np.matmul(V, inv_shift * (V_inv @ X[:, cols]), out=out[:, cols])
+        return out
 
 
 def harmonic_extension(grid: DiskGrid, boundary):

@@ -15,20 +15,41 @@ correction for the interior residual of the mapped Laplacian, and each
 nutrient Newton step adds the correction for the interior residual of the
 semilinear equation. The collocation systems are solved by :func:`gmres`,
 this module's port of restarted, left-preconditioned GMRES (Saad & Schultz,
-*SIAM J. Sci. Stat. Comput.* 7, 1986), preconditioned with the
-per-angular-mode radial inverses. The pressure preconditioner depends only
-on the grid size: :func:`_laplace_preconditioner` keeps the last one. The
-nutrient one is the exact inverse at the radial equilibrium of radius R,
-which depends only on the grid size, R and the model: :func:`_equilibrium`
-builds it with that equilibrium and keeps the last one, so every nutrient
-solve of an evolution, which keeps R and moves the boundary only near the
-equilibrium, shares one. It serves every Newton step of a solve (for the
-identity model f' is constant, so it is the one every step would build).
-Both caches are keyed on (n_r, n_theta), so they keep no caller's grid
-alive and equal grids share their entries.
+*SIAM J. Sci. Stat. Comput.* 7, 1986). Its unknowns are the rfft
+coefficients of the interior rows in the mode layout of
+:meth:`tumorspec.disk.DiskGrid.to_modes` (even modes first, then odd),
+scaled by sqrt(w_q / n_theta) with w_q = 1 at q = 0 and at Nyquist and 2
+elsewhere, so that their Euclidean norm is that of the samples and the
+relative tolerance means what it means in physical space. An iteration
+costs one GEMM per parity and one irfft and one rfft in the operator
+(:func:`tumorspec.disk.mapped_laplacian_kernel`), and no transform in the
+preconditioner: :class:`tumorspec.disk.ModePreconditioner` inverts every
+angular mode's radial operator by one eigendecomposition per parity (fast
+diagonalisation). The pressure preconditioner depends only on the grid
+size: :func:`_laplace_preconditioner` keeps the last one. The nutrient one
+is the exact inverse at the radial equilibrium of radius R, which depends
+only on the grid size, R and the model: :func:`_equilibrium` builds it with
+that equilibrium and keeps the last one, so every nutrient solve of an
+evolution, which keeps R and moves the boundary only near the equilibrium,
+shares one. It serves every Newton step of a solve (for the identity model
+f' is constant, so it is the one every step would build). Both caches are
+keyed on (n_r, n_theta), so they keep no caller's grid alive and equal
+grids share their entries.
+
+The nutrient Newton loop stops once the max interior residual is at most
+``NEWTON_TOL``, or once it is at most the grid's roundoff floor
+(:func:`_roundoff_floor`) and either stalls (falls by less than half) or
+cannot fall further. After a correction delta of v the new residual is,
+up to the roundoff of evaluating it, -(r + scale (f(v + delta) - f(v) -
+f'(v) delta)), where r is the linear residual that GMRES left. The 2-norm
+of r, which GMRES returns, plus the max of the nonlinear remainder bounds
+what another Newton step could remove (Eisenstat & Walker, *SIAM J. Sci.
+Comput.* 17, 1996, on not oversolving); when that bound is at most
+``NEWTON_TOL``, the part of the residual above it is roundoff, and no
+further solve is spent to find that out.
 A Krylov iteration that ends above the roundoff floor raises SolverError.
-The tolerances of both loops are the module constants below and, for a
-stalled Newton loop, the grid's roundoff floor (:func:`_roundoff_floor`).
+The tolerances of both loops are the module constants below and the
+grid's roundoff floor.
 """
 
 import functools
@@ -39,7 +60,8 @@ import numpy as np
 
 from .disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
                    apply_mapped_laplacian, boundary_radial_derivative, dealias,
-                   eval_field_columns, harmonic_extension, radial_fold)
+                   eval_field_columns, harmonic_extension,
+                   mapped_laplacian_kernel, radial_fold)
 from .errors import SolverError
 from .models import NutrientModel
 from .radial import solve_U
@@ -86,16 +108,17 @@ def gmres(matvec, psolve, b, rtol, restart, maxiter):
     cycle from the true residual. The field artifacts depend on the order of
     the floating-point operations here bit for bit; keep it.
 
-    Returns (x, info, history): info is 0 when |b - A x| <= rtol |b| and
-    ``maxiter`` otherwise; history lists, per cycle run, the estimate |M r|
-    after each of its inner iterations.
+    Returns (x, info, history, rnorm): info is 0 when |b - A x| <= rtol |b|
+    and ``maxiter`` otherwise; history lists, per cycle run, the estimate
+    |M r| after each of its inner iterations; rnorm is the true residual
+    |b - A x| of the returned x, computed at the end of the last cycle.
     """
     n = len(b)
     x = np.zeros(n)
     history = []
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0.0:
-        return x, 0, history
+        return x, 0, history, 0.0
     atol = rtol * float(bnrm2)   # absolute threshold on the true residual
     eps = np.finfo(float).eps
     restart = min(restart, n)
@@ -167,38 +190,43 @@ def gmres(matvec, psolve, b, rtol, restart, maxiter):
         else:
             ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
         ptol = presid * min(ptol_max_factor, atol / rnorm)
-    return x, (0 if rnorm <= atol else maxiter), history
+    return x, (0 if rnorm <= atol else maxiter), history, rnorm
 
 
 def _interior_solve(grid, coefs, potential, rhs, precond, tol):
-    """Interior values of the correction with zero boundary data.
+    """Interior values of the correction with zero boundary data, and the
+    2-norm of its linear residual.
 
     Solves (mapped Laplacian - potential) W = rhs on the interior rows, with
     W = 0 on the boundary row; potential is None or an (n_r, n_theta) array,
-    and rhs holds the n_r - 1 interior rows.
+    and rhs holds the n_r - 1 interior rows. GMRES iterates on the interior
+    rows' theta-spectra in the mode layout of :meth:`DiskGrid.to_modes`,
+    scaled by ``grid.mode_scale`` so that their Euclidean norm is that of the
+    samples: the tolerance and the residual norm mean what they mean in
+    physical space. An iteration costs one rfft and one irfft, in the
+    operator; the preconditioner needs no transform.
     """
-    shape = (grid.n_r - 1, grid.n_theta)
+    shape = (grid.n_r - 1, 2 * len(grid.modes))
+    scale = grid.mode_scale
+    if potential is not None:
+        potential = potential[1:, :]
 
-    def matvec(w):
-        W = np.zeros((grid.n_r, grid.n_theta))
-        W[1:, :] = w.reshape(shape)
-        out = apply_mapped_laplacian(grid, coefs, W)
-        if potential is not None:
-            out = out - potential * W
-        return out[1:, :].ravel()
+    def matvec(x):
+        out = mapped_laplacian_kernel(grid, coefs, x.reshape(shape) / scale,
+                                      interior=True, potential=potential)
+        return (grid.to_modes(out) * scale).ravel()
 
-    def psolve(w):
-        return precond.solve_interior(w.reshape(shape)).ravel()
+    def psolve(x):
+        return precond.solve_interior(x.reshape(shape)).ravel()
 
-    b = rhs.ravel()
-    bnorm = np.linalg.norm(b)
-    x, info, history = gmres(matvec, psolve, b, rtol=tol, restart=60,
-                             maxiter=10)
+    b = (grid.to_modes(rhs) * scale).ravel()
+    x, info, history, rnorm = gmres(matvec, psolve, b, rtol=tol, restart=60,
+                                    maxiter=10)
     if info != 0:
         # the preconditioned iteration stalls once the unpreconditioned
         # residual reaches the roundoff floor of the differentiation
         # matrices; accept the iterate in that case
-        achieved = np.linalg.norm(matvec(x) - b) / bnorm
+        achieved = rnorm / np.linalg.norm(b)
         if achieved > 1e-8:
             last = [p for presids in history for p in presids][-4:]
             raise SolverError(
@@ -207,7 +235,7 @@ def _interior_solve(grid, coefs, potential, rhs, precond, tol):
                 f"residual {achieved:.3e} on {b.size} unknowns; last "
                 "preconditioned residual estimates "
                 + ", ".join(f"{p:.3e}" for p in last))
-    return x.reshape(shape)
+    return grid.from_modes(x.reshape(shape) / scale), rnorm
 
 
 def solve_pressure(coefs: MappedCoefficients, A, G, grid: DiskGrid):
@@ -221,7 +249,7 @@ def solve_pressure(coefs: MappedCoefficients, A, G, grid: DiskGrid):
     V[1:, :] += _interior_solve(grid, coefs, None,
                                 -apply_mapped_laplacian(grid, coefs, V)[1:, :],
                                 _laplace_preconditioner(grid.n_r, grid.n_theta),
-                                KRYLOV_TOL)
+                                KRYLOV_TOL)[0]
     return DiskField(values=V,
                      normal_derivative_trace=boundary_radial_derivative(grid, V))
 
@@ -242,8 +270,7 @@ def _equilibrium(n_r, n_theta, R, model: NutrientModel):
 
     Returns v0 as a read-only (n_r, 1) column and the ModePreconditioner of
     the potential R**2 r**2 f'(v0(r)), the exact radial inverse on the circle
-    of radius R. One entry is kept: an evolution uses one key throughout, and
-    on the largest grid the inverses take about 270 MB.
+    of radius R. One entry is kept: an evolution uses one key throughout.
     """
     grid = DiskGrid(n_r=n_r, n_theta=n_theta)
     v0 = solve_U(R * R, model).at(grid.r)
@@ -280,19 +307,27 @@ def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGr
 
     history = []
     for _ in range(MAX_NEWTON_ITERS):
-        F = apply_mapped_laplacian(grid, coefs, v) - scale * model.f_at(v)
+        sf = scale * model.f_at(v)
+        F = apply_mapped_laplacian(grid, coefs, v) - sf
         res = float(np.max(np.abs(F[1:, :])))
         history.append(res)
         if res <= NEWTON_TOL:
             break
-        if len(history) >= 2 and res > 0.5 * history[-2] \
-                and res <= _roundoff_floor(grid.n_r):
+        if res <= _roundoff_floor(grid.n_r) and len(history) >= 2 and (
+                res > 0.5 * history[-2]
+                # what another step could remove: the linear residual of
+                # the last correction and the nonlinear remainder of f
+                or rnorm + float(np.max(np.abs((sf - sf_old)[1:, :]
+                                               - potential[1:, :] * delta)))
+                <= NEWTON_TOL):
             # no further progress at the roundoff floor of the operator
             break
         potential = scale * model.fprime_at(v)
         # one Newton correction: J delta = -F with zero boundary data
-        v[1:, :] += _interior_solve(grid, coefs, potential, -F[1:, :], precond,
-                                    max(KRYLOV_TOL, 1e-4 * res))
+        delta, rnorm = _interior_solve(grid, coefs, potential, -F[1:, :],
+                                       precond, max(KRYLOV_TOL, 1e-4 * res))
+        v[1:, :] += delta
+        sf_old = sf
     else:
         raise SolverError(
             "nutrient Newton iteration did not converge; residual history: "

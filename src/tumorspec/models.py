@@ -46,14 +46,23 @@ class NutrientModel:
             )
 
     def f_at(self, u):
-        return np.polynomial.polynomial.polyval(u, self.f_coeffs)
+        return _horner(u, self.f_coeffs)
 
     def fprime_at(self, u):
-        return np.polynomial.polynomial.polyval(u, self.fprime_coeffs)
+        return _horner(u, self.fprime_coeffs)
 
     @property
     def f_of_one(self):
         return float(self.f_at(1.0))
+
+
+def _horner(x, c):
+    """The polynomial with ascending coefficients c at x, in the operations
+    of numpy's polyval (bit for bit) without its argument handling."""
+    c0 = c[-1] + x * 0
+    for i in range(2, len(c) + 1):
+        c0 = c[-i] + c0 * x
+    return c0
 
 
 def identity_model():

@@ -47,11 +47,12 @@ R_MAX = 16.0
 
 
 def _fold_operator(m):
-    """The folded r**2 (d2/dr2 + (m/r) d/dr) with row 0 the value at r = 1."""
+    """The folded r**2 (d2/dr2 + (m/r) d/dr) with row 0 the value at r = 1
+    (a stack of them for an array of m)."""
     fold = radial_fold((N_NODES + 1) // 2)
     op = fold.operator(m)
-    op[0] = 0.0
-    op[0, 0] = 1.0
+    op[..., 0, :] = 0.0
+    op[..., 0, 0] = 1.0
     return fold, op
 
 
@@ -98,6 +99,7 @@ def solve_U(lam, model: NutrientModel):
     if lam < 0:
         raise ValidationError("lam must be nonnegative")
     fold, op = _fold_operator(1)
+    diagonal = np.diag_indices_from(op)
     scale = lam * fold.r**2
     scale[0] = 0.0
     w = np.zeros_like(fold.r)
@@ -109,9 +111,10 @@ def solve_U(lam, model: NutrientModel):
         for _ in range(MAX_NEWTON_ITERS):
             F = op @ w - scale * model.f_at(1.0 + w)
             history.append(float(np.max(np.abs(F))))
+            jacobian = op.copy()
+            jacobian[diagonal] -= scale * model.fprime_at(1.0 + w)
             try:
-                step = np.linalg.solve(
-                    op - np.diag(scale * model.fprime_at(1.0 + w)), -F)
+                step = np.linalg.solve(jacobian, -F)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"singular Newton matrix for U at lam={lam}") from exc
             w = w + step
@@ -143,34 +146,41 @@ def _solve_mode(n, R_A, v0, model):
 
     In this deviation form, w'' + (2n+1)/r w' - R**2 f'(v0) w = R**2 f'(v0)
     with w(1) = 0, the boundary ratio u'(1)/u(1) = w'(1) keeps its relative
-    accuracy when it is small (small R or large n). Returns w and w'.
+    accuracy when it is small (small R or large n). Returns the fold and w;
+    for an array of modes n, w stacks one solution per mode, all from one
+    stacked solve.
     """
-    if n < 0:
+    if np.any(np.asarray(n) < 0):
         raise ValidationError("n must be nonnegative")
     if R_A <= 0:
         raise ValidationError("R_A must be positive")
     if v0.fold_values is None:
         raise ValidationError("v0 must be a profile returned by solve_U")
-    fold, op = _fold_operator(2 * n + 1)
+    fold, op = _fold_operator(2 * np.asarray(n) + 1)
     q = R_A * R_A * fold.r**2 * model.fprime_at(v0.fold_values)
     q[0] = 0.0
-    w = np.linalg.solve(op - np.diag(q), q)
-    return w, fold.D[0] @ w
+    diagonal = np.arange(len(q))
+    op[..., diagonal, diagonal] -= q
+    return fold, np.linalg.solve(op, q)
 
 
 def solve_u_n(n, R_A, v0: RadialProfile, model: NutrientModel):
     """Solve the mode-n linear equation, normalised to u(0) = 1."""
-    w, dw = _solve_mode(n, R_A, v0, model)
-    even, odd = radial_fold((N_NODES + 1) // 2).to_unit
+    fold, w = _solve_mode(n, R_A, v0, model)
+    even, odd = fold.to_unit
     values = even @ (1.0 + w)
     c = values[0]
     return RadialProfile(grid=chebyshev_nodes(N_NODES),
-                         values=values / c, deriv_values=odd @ dw / c)
+                         values=values / c, deriv_values=odd @ (fold.D[0] @ w) / c)
 
 
 def boundary_ratio(n, R_A, v0, model):
-    """Return u_n'(1) / u_n(1)."""
-    return float(_solve_mode(n, R_A, v0, model)[1][0])
+    """Return u_n'(1) / u_n(1): a float for an int n, an array for an array
+    of modes (one stacked solve)."""
+    fold, w = _solve_mode(n, R_A, v0, model)
+    if w.ndim == 1:
+        return float((fold.D[0] @ w)[0])
+    return np.array([(fold.D[0] @ row)[0] for row in w])
 
 
 @dataclass(frozen=True)

@@ -74,9 +74,7 @@ def build_table(params: ModelParameters, k_max=DEFAULT_K_MAX):
 
     f1 = params.model.f_of_one
     ks = np.arange(k_max + 1)
-    ratio = np.array([
-        boundary_ratio(k, R, v0, params.model) for k in ks
-    ])
+    ratio = boundary_ratio(ks, R, v0, params.model)
     denom = 0.5 * params.A * ratio + params.A - f1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lam = -ks.astype(float) ** 3 / R**3 + 0.0   # + 0.0 makes lambda_0 0, not -0

@@ -12,7 +12,8 @@ from tumorspec.disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
                             apply_mapped_laplacian, barycentric_matrix,
                             barycentric_weights, chebyshev_nodes,
                             chebyshev_points, eval_field_columns,
-                            mapped_radius, radial_fold, theta_derivative)
+                            mapped_laplacian_kernel, mapped_radius,
+                            radial_fold, theta_derivative)
 from tumorspec.dynamics import evolve_nonlinear, phi
 from tumorspec.errors import SolverError
 from tumorspec.fields import (center_value, gmres, harmonic_residual,
@@ -150,9 +151,11 @@ class TestGmres:
     def test_matches_dense_solve(self, system, restart):
         A, b = system
         jacobi = np.diag(A).copy()
-        x, info, history = gmres(lambda v: A @ v, lambda v: v / jacobi, b,
-                                 rtol=1e-13, restart=restart, maxiter=20)
+        x, info, history, rnorm = gmres(lambda v: A @ v, lambda v: v / jacobi,
+                                        b, rtol=1e-13, restart=restart,
+                                        maxiter=20)
         assert info == 0
+        assert rnorm == np.linalg.norm(b - A @ x)
         exact = np.linalg.solve(A, b)
         assert np.max(np.abs(x - exact)) <= 1e-10 * np.max(np.abs(exact))
         assert all(len(cycle) <= restart for cycle in history)
@@ -161,18 +164,19 @@ class TestGmres:
 
     def test_zero_rhs_gives_zero(self, system):
         A, _ = system
-        x, info, history = gmres(lambda v: A @ v, lambda v: v, np.zeros(40),
-                                 rtol=1e-12, restart=60, maxiter=10)
-        assert info == 0 and history == []
+        x, info, history, rnorm = gmres(lambda v: A @ v, lambda v: v,
+                                        np.zeros(40), rtol=1e-12, restart=60,
+                                        maxiter=10)
+        assert info == 0 and history == [] and rnorm == 0.0
         assert not x.any()
 
     def test_unconverged_reports_maxiter(self, system):
         A, b = system
-        x, info, history = gmres(lambda v: A @ v, lambda v: v, b, rtol=1e-14,
-                                 restart=3, maxiter=1)
+        x, info, history, rnorm = gmres(lambda v: A @ v, lambda v: v, b,
+                                        rtol=1e-14, restart=3, maxiter=1)
         assert info == 1
         assert [len(cycle) for cycle in history] == [3]
-        assert np.linalg.norm(A @ x - b) > 1e-14 * np.linalg.norm(b)
+        assert rnorm == np.linalg.norm(b - A @ x) > 1e-14 * np.linalg.norm(b)
 
 
 class TestPerturbedNutrient:
@@ -196,6 +200,39 @@ class TestPerturbedNutrient:
             errs.append(np.max(np.abs(wnum - pred)))
         assert errs[0] < 50.0 * 1e-4   # O(eps^2) at eps = 1e-2
         assert errs[1] < errs[0] / 20.0   # quadratic, not linear, in eps
+
+    def test_one_linear_solve_reaches_the_roundoff_floor(self, unit_steady,
+                                                         id_model, small_grid,
+                                                         monkeypatch):
+        # criterion 7a's velocity evaluation: after one correction the
+        # residual sits at the evaluation roundoff, a little above NEWTON_TOL,
+        # and the linear residual bounds what another step could remove
+        solves = []
+        solve = fields.gmres
+
+        def counted(*args, **kwargs):
+            solves.append(None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fields, "gmres", counted)
+        s = ShapeState.from_modes([(2, 1e-3, 0.0)], unit_steady.R_A)
+        solve_nutrient(_map_coefs(s, small_grid), id_model, small_grid)
+        assert len(solves) == 1
+
+    def test_every_reducing_step_is_taken(self, poly_model):
+        # f is not linear: the remainder keeps the loop going until one more
+        # Newton step changes the field by no more than roundoff
+        grid = DiskGrid()
+        s = ShapeState.from_modes([(3, 0.15, 0.0), (7, 0.05, 0.4)], 3.0)
+        assert s.sup_norm() == pytest.approx(0.196, abs=5e-4)
+        coefs = _map_coefs(s, grid)
+        v = solve_nutrient(coefs, poly_model, grid).values
+        F = apply_mapped_laplacian(grid, coefs, v) - coefs.scale * poly_model.f_at(v)
+        _, precond = fields._equilibrium(grid.n_r, grid.n_theta, 3.0, poly_model)
+        delta, _ = fields._interior_solve(
+            grid, coefs, coefs.scale * poly_model.fprime_at(v), -F[1:, :],
+            precond, fields.KRYLOV_TOL)
+        assert np.max(np.abs(delta)) <= 1e-12
 
     def test_largest_grid_matches_the_default_radial_resolution(self, id_model):
         # the roundoff of an exact field's residual grows with n_r (about
@@ -223,13 +260,29 @@ class TestMappedOperator:
             res = apply_mapped_laplacian(grid, coefs, V)
             assert np.max(np.abs(res[1:, :])) < 1e-5 * R**m
 
-    def test_reduces_to_polar_laplacian_unperturbed(self, small_grid):
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 7])
+    def test_reduces_to_polar_laplacian_unperturbed(self, k, small_grid):
+        # r**k cos(k theta + c) is harmonic, for either parity of k
         grid = small_grid
         s = ShapeState.zero(4, 1.5)
         coefs = _map_coefs(s, grid)
-        V = grid.r[:, None] ** 2 * np.cos(2.0 * grid.theta[None, :])
+        V = grid.r[:, None] ** k * np.cos(k * grid.theta[None, :] + 0.4)
         res = apply_mapped_laplacian(grid, coefs, V)
         assert np.max(np.abs(res)) < 1e-8
+
+    def test_interior_kernel_matches_the_operator(self, small_grid, rng):
+        # the interior rows of the operator, minus a potential, on a field
+        # that vanishes on the boundary, as the Krylov matvec applies them
+        grid = small_grid
+        coefs = _map_coefs(ShapeState.from_modes([(2, 5e-2, 0.3), (3, 2e-2, 1.0)],
+                                                 1.4), grid)
+        W = rng.standard_normal((grid.n_r, grid.n_theta))
+        W[0, :] = 0.0
+        potential = rng.uniform(0.5, 2.0, (grid.n_r - 1, grid.n_theta))
+        expected = apply_mapped_laplacian(grid, coefs, W)[1:, :] - potential * W[1:, :]
+        got = mapped_laplacian_kernel(grid, coefs, grid.to_modes(W[1:, :]),
+                                      interior=True, potential=potential)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_mapped_radius_inverts_map(self, small_grid):
         grid = small_grid
@@ -321,8 +374,61 @@ class TestModePreconditioner:
         res = apply_mapped_laplacian(grid, coefs, V)
         if with_potential:
             res -= potential[:, None] * V
-        back = ModePreconditioner(grid, potential).solve_interior(res[1:, :])
-        assert np.max(np.abs(back - V[1:, :])) <= 1e-10 * np.max(np.abs(V))
+        back = ModePreconditioner(grid, potential).solve_interior(
+            grid.to_modes(res[1:, :]))
+        assert np.max(np.abs(grid.from_modes(back) - V[1:, :])) \
+            <= 1e-10 * np.max(np.abs(V))
+
+    @pytest.mark.parametrize("n_r, n_theta", [(16, 32), (64, 128)])
+    @pytest.mark.parametrize("with_potential", [False, True])
+    def test_matches_the_explicit_inverse(self, n_r, n_theta, with_potential,
+                                          rng):
+        # V_p (Lambda_p - q**2)^-1 V_p^-1 is the inverse of each mode's block
+        grid = DiskGrid(n_r=n_r, n_theta=n_theta)
+        potential = 2.0 * grid.r**2 * (1.0 + grid.r**2) if with_potential else None
+        X = rng.standard_normal((n_r - 1, 2 * len(grid.modes)))
+        got = ModePreconditioner(grid, potential).solve_interior(X)
+        for j, q in enumerate(np.repeat(grid.modes, 2)):
+            block = grid.fold.operator(1, q % 2)[1:, 1:] - q**2 * np.eye(n_r - 1)
+            if with_potential:
+                block -= np.diag(potential[1:])
+            expected = np.linalg.inv(block) @ X[:, j]
+            assert np.max(np.abs(got[:, j] - expected)) \
+                <= 1e-12 * np.max(np.abs(expected))
+
+    def test_complex_eigenvalues_are_refused(self, monkeypatch):
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda L: (eig(L)[0] + 1e-3j, eig(L)[1] + 0j))
+        with pytest.raises(SolverError, match="complex eigenvalues"):
+            ModePreconditioner(DiskGrid(n_r=8, n_theta=8))
+
+    def test_one_transform_pair_per_iteration(self, unit_steady, monkeypatch):
+        # a GMRES iteration (one operator and one preconditioner application)
+        # costs one rfft and one irfft; the preconditioner needs none
+        grid = DiskGrid(n_r=16, n_theta=32)
+        s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
+        solved = []
+        solve = fields.gmres
+
+        def recorded(matvec, psolve, b, **kwargs):
+            solved.append((matvec, psolve, b))
+            return solve(matvec, psolve, b, **kwargs)
+
+        monkeypatch.setattr(fields, "gmres", recorded)
+        solve_pressure(_map_coefs(s, grid), unit_steady.A, 2.0, grid)
+        calls = []
+        for name in ("rfft", "irfft"):
+            transform = getattr(np.fft, name)
+
+            def counted(*args, name=name, transform=transform, **kwargs):
+                calls.append(name)
+                return transform(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        (matvec, psolve, b), = solved
+        psolve(matvec(b))
+        assert sorted(calls) == ["irfft", "rfft"]
 
     def test_one_laplace_preconditioner_per_grid(self, unit_steady, id_model,
                                                  built):
@@ -382,14 +488,14 @@ class TestModePreconditioner:
         per_shape = ModePreconditioner(
             grid, (coefs.scale * poly_model.fprime_at(start)).mean(axis=1))
 
+        # an operator application is a residual or a GMRES matvec
         applies = []
-        apply = fields.apply_mapped_laplacian
+        for name in ("apply_mapped_laplacian", "mapped_laplacian_kernel"):
+            def counted(*args, apply=getattr(fields, name), **kwargs):
+                applies.append(None)
+                return apply(*args, **kwargs)
 
-        def counted(*args):
-            applies.append(None)
-            return apply(*args)
-
-        monkeypatch.setattr(fields, "apply_mapped_laplacian", counted)
+            monkeypatch.setattr(fields, name, counted)
 
         def solve(precond):
             monkeypatch.setattr(fields, "_equilibrium",

@@ -45,8 +45,8 @@ def _system(seed, n, preconditioner):
 def test_gmres_matches_scipy_bit_for_bit(seed, n, preconditioner, rtol,
                                          restart, maxiter):
     matvec, psolve, b = _system(seed, n, preconditioner)
-    x, info, _ = gmres(matvec, psolve, b, rtol=rtol, restart=restart,
-                       maxiter=maxiter)
+    x, info, _, _ = gmres(matvec, psolve, b, rtol=rtol, restart=restart,
+                          maxiter=maxiter)
     op = sparse_linalg.LinearOperator((n, n), matvec=matvec)
     M = sparse_linalg.LinearOperator((n, n), matvec=psolve)
     x_ref, info_ref = sparse_linalg.gmres(op, b, M=M, rtol=rtol, atol=0.0,
