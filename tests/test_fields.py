@@ -260,15 +260,15 @@ class TestMappedOperator:
             res = apply_mapped_laplacian(grid, coefs, V)
             assert np.max(np.abs(res[1:, :])) < 1e-5 * R**m
 
-    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 7])
-    def test_reduces_to_polar_laplacian_unperturbed(self, k, small_grid):
+    def test_reduces_to_polar_laplacian_unperturbed(self, small_grid):
         # r**k cos(k theta + c) is harmonic, for either parity of k
         grid = small_grid
         s = ShapeState.zero(4, 1.5)
         coefs = _map_coefs(s, grid)
-        V = grid.r[:, None] ** k * np.cos(k * grid.theta[None, :] + 0.4)
-        res = apply_mapped_laplacian(grid, coefs, V)
-        assert np.max(np.abs(res)) < 1e-8
+        for k in (0, 1, 2, 3, 4, 7):
+            V = grid.r[:, None] ** k * np.cos(k * grid.theta[None, :] + 0.4)
+            res = apply_mapped_laplacian(grid, coefs, V)
+            assert np.max(np.abs(res)) < 1e-8
 
     def test_interior_kernel_matches_the_operator(self, small_grid, rng):
         # the interior rows of the operator, minus a potential, on a field
@@ -584,7 +584,7 @@ class TestRadialFold:
     def test_arrays_are_read_only(self):
         fold = radial_fold(16)
         for array in (fold.r, *fold.D, *fold.D2, fold.to_cheb, fold.weights,
-                      *fold.to_unit):
+                      *fold.to_unit, *fold.stacked, *fold.stacked_interior):
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
