@@ -231,14 +231,18 @@ def theta_derivative(values, order=1):
     return np.fft.irfft(spec, n=n, axis=-1)
 
 
+def truncated_spectrum(values):
+    """The rfft along the last (angular) axis with the modes above n // 3
+    set to zero (the 2/3 rule)."""
+    values = np.asarray(values, dtype=float)
+    spec = np.fft.rfft(values, axis=-1)
+    spec[..., values.shape[-1] // 3 + 1:] = 0.0
+    return spec
+
+
 def dealias(values):
     """2/3-rule truncation along the last (angular) axis."""
-    values = np.asarray(values, dtype=float)
-    n = values.shape[-1]
-    spec = np.fft.rfft(values, axis=-1)
-    cutoff = n // 3
-    spec[..., cutoff + 1:] = 0.0
-    return np.fft.irfft(spec, n=n, axis=-1)
+    return np.fft.irfft(truncated_spectrum(values), n=np.shape(values)[-1], axis=-1)
 
 
 @dataclass

@@ -41,7 +41,8 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .fields import solve_nutrient, solve_pressure
-from .disk import DiskGrid, MappedCoefficients, dealias, theta_derivative
+from .disk import (DiskGrid, MappedCoefficients, theta_derivative,
+                   truncated_spectrum)
 from .models import NutrientModel
 from .shapes import ADMISSIBLE_SUP_NORM, ShapeState
 from .spectrum import ModelParameters, build_table
@@ -79,17 +80,17 @@ def phi(shape: ShapeState, A, G, model: NutrientModel, grid: DiskGrid = None,
 
     h, beta = coefs.h, coefs.beta
     v_r = nut.normal_derivative_trace
-    v_t = theta_derivative(nut.boundary_trace)
     q_r = pres.normal_derivative_trace
-    q_t = theta_derivative(pres.boundary_trace)
+    v_t, q_t = theta_derivative(np.stack([nut.boundary_trace, pres.boundary_trace]))
 
     radial_factor = (1.0 + beta**2) * h / coefs.J1
     values = (radial_factor * (G * v_r - q_r) - beta * (G * v_t - q_t)) \
         / (R * R * h) - 0.5 * A * G * h
-    values = dealias(values)
 
-    spec = np.fft.rfft(values) / grid.n_theta
-    coeffs = spec[:grid.n_theta // 3 + 1].copy()
+    # the dealiased values and their coefficients from one spectrum
+    spec = truncated_spectrum(values)
+    values = np.fft.irfft(spec, n=grid.n_theta)
+    coeffs = spec[:grid.n_theta // 3 + 1] / grid.n_theta
     coeffs[0] = coeffs[0].real
     return PhiResult(values=values, coeffs=coeffs, nutrient=nut)
 

@@ -6,6 +6,7 @@ field perturbation excited by a single boundary mode, used to cross-check the
 nonlinear field solver.
 """
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -15,6 +16,7 @@ from .radial import RadialProfile
 from .shapes import ShapeState
 from .spectrum import SpectrumTable
 
+MIN_TIME_SPAN = math.sqrt(np.finfo(float).tiny)   # ~1.5e-154
 GrowthFit = namedtuple("GrowthFit", ["rate", "residual"])
 
 
@@ -61,8 +63,12 @@ def fit_growth_rate(series):
     a = np.array([p[1] for p in pts])
     if np.any(a <= 0):
         raise ValidationError("amplitudes must be positive for a log fit")
-    if np.ptp(t) == 0:
-        raise ValidationError("the samples span no time, so no rate can be fitted")
+    # np.polyfit scales by the root sum of squares of t, which underflows
+    # to 0 (a division by zero) when the samples span no more than this
+    if np.ptp(t) < MIN_TIME_SPAN:
+        raise ValidationError(
+            f"the samples span no time (t_last - t_first = {np.ptp(t):.3g} < "
+            f"{MIN_TIME_SPAN:.3g}), so no rate can be fitted")
     slope, intercept = np.polyfit(t, np.log(a), 1)
     residual = float(np.max(np.abs(np.log(a) - (slope * t + intercept))))
     return GrowthFit(rate=float(slope), residual=residual)

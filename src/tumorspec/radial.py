@@ -8,9 +8,10 @@ This module handles the two ODE families posed on [0, 1]:
   ``u'' + (2n+1)/r u' = R**2 f'(v0) u``, regular at r = 0, for the angular
   mode families,
 
-together with the steady-radius equation ``dU/dr(1, R**2) = A R**2 / 2`` and
-the explicit power series for the first two mode profiles of the identity
-model.
+together with the steady-radius equation ``dU/dr(1, R**2) = A R**2 / 2``,
+whose root is sought in lam = R**2 from the exact value of
+dU/dr(1, lam) / lam - A/2 at lam = 0, and the explicit power series for the
+first two mode profiles of the identity model.
 
 Both families are singular at r = 0 and have even solutions. They are
 discretised by Chebyshev collocation on the :class:`tumorspec.disk.RadialFold`
@@ -26,6 +27,7 @@ Newton loop for U, the trailing Chebyshev-coefficient check that rejects an
 unresolved U, and U'(1) taken by the fold's flux quadrature.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -44,15 +46,21 @@ N_NODES = 65              # odd collocation degree of the folded grid (>= 5)
 # N_NODES resolves U at lam = R**2 (for the identity model, 65 nodes resolve
 # it at R = 64 and not at R = 96)
 R_MAX = 16.0
+# Brent on lam = R**2 stops at ROOT_RTOL relative to lam (1e-14 relative to
+# R); the absolute floor only keeps the step positive at lam = 0
+ROOT_RTOL = 2e-14
+ROOT_XTOL = 1e-300
 
 
-def _fold_operator(m):
-    """The folded r**2 (d2/dr2 + (m/r) d/dr) with row 0 the value at r = 1
-    (a stack of them for an array of m)."""
-    fold = radial_fold((N_NODES + 1) // 2)
-    op = fold.operator(m)
-    op[..., 0, :] = 0.0
-    op[..., 0, 0] = 1.0
+@functools.lru_cache(maxsize=2)
+def _center_operator(n_nodes):
+    """The fold of n_nodes and its r**2 (d2/dr2 + (1/r) d/dr) with row 0 the
+    value at r = 1 (read-only), cached per node count."""
+    fold = radial_fold((n_nodes + 1) // 2)
+    op = fold.operator(1)
+    op[0, :] = 0.0
+    op[0, 0] = 1.0
+    op.flags.writeable = False
     return fold, op
 
 
@@ -85,24 +93,23 @@ class RadialProfile:
         return out.reshape(r_arr.shape) if np.ndim(r) else out[0].item()
 
 
-def solve_U(lam, model: NutrientModel):
-    """Solve the parameter-dependent center problem by collocation and Newton.
+def _solve_center(lam, model, start=None):
+    """Newton's method for the center problem at lam, from W = U - 1 = start
+    (zero if None) on the folded nodes.
 
-    Newton iterates on W = U - 1 from W = 0 and stops once its update falls
-    below ``REL_TOL * max|U| + ABS_TOL``. A SolverError is raised when that
-    takes more than ``MAX_NEWTON_ITERS`` steps (it carries the residual
-    history), and when the trailing Chebyshev coefficients of U show that
-    ``N_NODES`` does not resolve it. The boundary flux
-    U'(1) = lam * int_0^1 r f(U) dr is taken by quadrature, which is better
-    conditioned than differentiating U at r = 1.
+    Returns W and the uptake int_0^1 r f(U) dr, taken by the fold's flux
+    quadrature, so that U'(1) = lam * uptake. Raises SolverError when Newton
+    takes more than ``MAX_NEWTON_ITERS`` steps, when an iterate is not
+    finite, and when the trailing Chebyshev coefficients of U show that
+    ``N_NODES`` does not resolve it.
     """
     if lam < 0:
         raise ValidationError("lam must be nonnegative")
-    fold, op = _fold_operator(1)
-    diagonal = np.diag_indices_from(op)
+    fold, op = _center_operator(N_NODES)
+    diagonal = np.arange(len(fold.r))
     scale = lam * fold.r**2
     scale[0] = 0.0
-    w = np.zeros_like(fold.r)
+    w = np.zeros_like(fold.r) if start is None else start
     history = []
     converged = False
     # at a huge lam the iterate overflows; the finiteness test turns that
@@ -112,7 +119,7 @@ def solve_U(lam, model: NutrientModel):
             F = op @ w - scale * model.f_at(1.0 + w)
             history.append(float(np.max(np.abs(F))))
             jacobian = op.copy()
-            jacobian[diagonal] -= scale * model.fprime_at(1.0 + w)
+            jacobian[diagonal, diagonal] -= scale * model.fprime_at(1.0 + w)
             try:
                 step = np.linalg.solve(jacobian, -F)
             except np.linalg.LinAlgError as exc:
@@ -135,10 +142,31 @@ def solve_U(lam, model: NutrientModel):
             f"resolved by the fixed N_NODES = {N_NODES} collocation nodes "
             f"(trailing Chebyshev coefficient {tail:.1e}); choose a "
             "smaller R (or a larger A)")
+    return w, fold.weights @ model.f_at(u)
+
+
+def _center_profile(lam, w, uptake):
+    """The RadialProfile of the center solution W = U - 1 at lam."""
+    fold, _ = _center_operator(N_NODES)
+    u = 1.0 + w
     du = fold.D[0] @ u
-    du[0] = lam * (fold.weights @ model.f_at(u))
+    du[0] = lam * uptake
     return RadialProfile(grid=chebyshev_nodes(N_NODES), values=fold.to_unit[0] @ u,
                          deriv_values=fold.to_unit[1] @ du, fold_values=u)
+
+
+def solve_U(lam, model: NutrientModel):
+    """Solve the parameter-dependent center problem by collocation and Newton.
+
+    Newton iterates on W = U - 1 from W = 0 and stops once its update falls
+    below ``REL_TOL * max|U| + ABS_TOL``. A SolverError is raised when that
+    takes more than ``MAX_NEWTON_ITERS`` steps (it carries the residual
+    history), and when the trailing Chebyshev coefficients of U show that
+    ``N_NODES`` does not resolve it. The boundary flux
+    U'(1) = lam * int_0^1 r f(U) dr is taken by quadrature, which is better
+    conditioned than differentiating U at r = 1.
+    """
+    return _center_profile(lam, *_solve_center(lam, model))
 
 
 def _solve_mode(n, R_A, v0, model):
@@ -156,7 +184,12 @@ def _solve_mode(n, R_A, v0, model):
         raise ValidationError("R_A must be positive")
     if v0.fold_values is None:
         raise ValidationError("v0 must be a profile returned by solve_U")
-    fold, op = _fold_operator(2 * np.asarray(n) + 1)
+    fold = radial_fold((N_NODES + 1) // 2)
+    # the sum of fold.operator(2n + 1) in one allocation for all modes
+    op = ((2 * np.asarray(n) + 1)[..., None] * fold.r)[..., None] * fold.D[0]
+    op += fold.r[:, None] ** 2 * fold.D2[0]
+    op[..., 0, :] = 0.0
+    op[..., 0, 0] = 1.0
     q = R_A * R_A * fold.r**2 * model.fprime_at(v0.fold_values)
     q[0] = 0.0
     diagonal = np.arange(len(q))
@@ -249,50 +282,52 @@ def _brentq(f, a, b, f_a, f_b, xtol, rtol, maxiter=100):
 def steady_radius(A, model: NutrientModel):
     """Locate the steady radius and its radial nutrient profile.
 
-    The steady radius solves dU/dr(1, R**2) = A R**2 / 2; the left side is
-    computed by collocation and Newton (:func:`solve_U`), the root located by
-    bracketing from R = 1e-3 up to ``R_MAX`` and by :func:`_brentq`, this
-    module's port of Brent's method, with xtol = 1e-14, rtol = 8.9e-16 and
-    at most 100 steps.
+    The steady radius solves dU/dr(1, R**2) = A R**2 / 2. Divided by R**2 and
+    written in lam = R**2 this is h(lam) = int_0^1 r f(U) dr - A / 2 = 0, a
+    nearly linear function of lam with the exact value h(0) = (f(1) - A) / 2
+    > 0 (U = 1 at lam = 0). The bracket runs from lam = 0, which costs no
+    solve, to the first of R = 1, 2, 4, ..., ``R_MAX`` where h <= 0, each
+    sampled by a center solve from U = 1. :func:`_brentq`, this module's
+    port of Brent's method, then locates the root to ``ROOT_RTOL`` relative
+    to lam (half of it relative to R) in at most 100 steps; each of its
+    center solves starts Newton from the previous solution. The profile is
+    that of the root's own solution.
     """
     f1 = model.f_of_one
     if not 0.0 < A < f1:
         raise ValidationError(f"A must lie in (0, f(1)) = (0, {f1}); got {A}")
 
-    def g(R):
-        return solve_U(R * R, model).deriv_at_1 - A * R * R / 2.0
+    solutions = {}
+    w = None
 
-    lo = 1e-3
-    g_lo = g(lo)
+    def h(lam, warm=True):
+        nonlocal w
+        w, uptake = _solve_center(lam, model, w if warm else None)
+        solutions[lam] = (w, uptake)
+        return uptake - A / 2.0
+
     hi = 1.0
-    g_hi = g(hi)
-    samples = [(lo, g_lo), (hi, g_hi)]
-    while g_hi > 0.0 and hi < R_MAX:
+    samples = []
+    while True:
+        h_hi = h(hi * hi, warm=False)
+        samples.append((hi, hi * hi * h_hi))     # (R, g(R) = R**2 h(R**2))
+        if h_hi <= 0.0 or hi >= R_MAX:
+            break
         hi = min(2.0 * hi, R_MAX)
-        g_hi = g(hi)
-        samples.append((hi, g_hi))
-    if g_lo < 0.0 or g_hi > 0.0:
-        # g_lo < 0: the root lies below lo, and only an A below
-        # 2 dU/dr(1, lo**2) / lo**2 = A + 2 g(lo) / lo**2 brings it in;
-        # g_hi > 0 only at hi = R_MAX: the root lies above R_MAX, and only an
-        # A above A + 2 g(R_MAX) / R_MAX**2 brings it in. An exact zero at
-        # either end is a root, which _brentq returns.
-        if g_lo < 0.0:
-            cause = (f"the steady radius lies below the lower end {lo:g}; the "
-                     f"largest reachable A is {A + 2.0 * g_lo / lo**2:.9g}, "
-                     f"got {A:.10g}; ")
-        else:
-            cause = (f"the steady radius lies above R_MAX = {R_MAX:g}; the "
-                     f"smallest reachable A is {A + 2.0 * g_hi / R_MAX**2:.6g}, "
-                     f"got {A:.6g}; ")
+    if h_hi > 0.0:
+        # the root lies above R_MAX, and only an A above A + 2 h(R_MAX**2)
+        # brings it in; an exact zero at hi is a root, which _brentq returns
         raise BracketError(
-            f"no sign change when bracketing the steady radius; {cause}sampled "
+            "no sign change when bracketing the steady radius; the steady "
+            f"radius lies above R_MAX = {R_MAX:g}; the smallest reachable A is "
+            f"{A + 2.0 * h_hi:.6g}, got {A:.6g}; sampled "
             + ", ".join(f"g({r:.4g})={v:.4g}" for r, v in samples),
             samples=samples)
 
-    R_A = _brentq(g, lo, hi, g_lo, g_hi, xtol=1e-14, rtol=8.9e-16)
-
-    v0 = solve_U(R_A * R_A, model)
+    lam_A = _brentq(h, 0.0, hi * hi, (f1 - A) / 2.0, h_hi,
+                    xtol=ROOT_XTOL, rtol=ROOT_RTOL)
+    R_A = math.sqrt(lam_A)
+    v0 = _center_profile(lam_A, *solutions[lam_A])
     alpha_A = R_A * R_A * (f1 - A / 2.0)
     return SteadyState(R_A=float(R_A), alpha_A=float(alpha_A), v0=v0, A=float(A))
 

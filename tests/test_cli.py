@@ -12,13 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tumorspec import cli
 from tumorspec.cli import SCHEMA, main, parse_seed_shape
 from tumorspec.errors import ValidationError
 
-from oracles import identity_steady_A
+from oracles import bessel_i, identity_steady_A
 
 
 def read_csv(path):
@@ -85,15 +85,16 @@ class TestSteadyCommand:
         assert "R_MAX = 16" in err and "smallest reachable A is 0.121" in err
         assert not out.exists()
 
-    def test_radius_below_bracket_exits_3(self, tmp_path, capsys):
-        # for the identity model the steady radius at A = 1 - 1e-7 lies
-        # below the lower bracket end 1e-3
-        out = tmp_path / "out"
-        assert main(["steady", "--A", "0.9999999", "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert "below the lower end 0.001" in err
-        assert "largest reachable A is 0.999999875, got 0.9999999;" in err
-        assert not out.exists()
+    @pytest.mark.parametrize("A", [1.0 - 1e-7, 1.0 - 1e-12],
+                             ids=["1-1e-7", "1-1e-12"])
+    def test_radius_near_zero_exits_0(self, tmp_path, A):
+        # the steady radius lies far below R = 1e-3 here (A ~ 1 - R**2 / 8);
+        # the forward error of R_A is bounded by how A itself rounds,
+        # eps / (2 (1 - A)) relative, so the check is the backward error
+        assert main(["steady", "--A", repr(A), "--out", str(tmp_path)]) == 0
+        R = json.loads((tmp_path / "steady.json").read_text())["R_A"]
+        assert 0.0 < R < 1e-3
+        assert abs(2.0 * bessel_i(1, R) / (R * bessel_i(0, R)) - A) <= 1e-14
 
     @pytest.mark.parametrize("model, code", [("poly:1,-0.1", 0), ("poly:0,1", 2)],
                              ids=["negative_coefficient", "zero_slope_at_0"])
@@ -592,6 +593,10 @@ def _runs(draw):
 class TestCommandLineFuzz:
     @settings(max_examples=250, deadline=None)
     @given(run=_runs())
+    # a time span whose square underflows once made np.polyfit divide by 0
+    @example(run=("evolve", {"A": 0.5, "G": 0.0, "mode": "linear",
+                             "seed_shape": "1:0.0625:0.0", "err_target": 1.0,
+                             "t_end": 9.71628076279447e-226}))
     def test_exit_code_and_finite_artifacts(self, run):
         command, cfg = run
         with tempfile.TemporaryDirectory() as tmp:

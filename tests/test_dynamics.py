@@ -9,7 +9,8 @@ import pytest
 from tumorspec import dynamics
 from tumorspec.dynamics import ERR_TARGET, evolve_nonlinear, phi
 from tumorspec.errors import ValidationError
-from tumorspec.disk import DiskGrid
+from tumorspec.disk import DiskGrid, MappedCoefficients
+from tumorspec.fields import solve_pressure
 from tumorspec.linear import fit_growth_rate
 from tumorspec.shapes import ShapeState
 from tumorspec.spectrum import (ModelParameters, build_table, g_star,
@@ -45,6 +46,43 @@ class TestVelocityAtEquilibrium:
         expected = G * (v0.deriv_at_1 / R**2 - A / 2.0)
         assert np.allclose(res.values, expected, atol=1e-9)
         assert expected > 0.0  # smaller than steady: the radius grows
+
+    def test_assembly_takes_four_transforms(self, setup, id_model, small_grid,
+                                            monkeypatch):
+        # past the map and the field solves: one rfft and one irfft for the
+        # theta derivatives of both traces, one of each for the dealiased
+        # values and their coefficients
+        A, G, table = setup
+        n = small_grid.n_theta
+        s = ShapeState.from_modes([(3, 2e-2, 0.0), (2, 1e-2, 0.3)], table.R)
+        ref = phi(s, A, G, id_model, small_grid)
+        coefs = MappedCoefficients.from_boundary(s.to_grid(n), table.R,
+                                                 small_grid.r)
+        pres = solve_pressure(coefs, A, G, small_grid)
+        monkeypatch.setattr(dynamics.MappedCoefficients, "from_boundary",
+                            lambda *args: coefs)
+        monkeypatch.setattr(dynamics, "solve_nutrient",
+                            lambda *args, **kwargs: ref.nutrient)
+        monkeypatch.setattr(dynamics, "solve_pressure", lambda *args: pres)
+        calls = []
+        for name in ("rfft", "irfft"):
+            transform = getattr(np.fft, name)
+
+            def counted(*args, name=name, transform=transform, **kwargs):
+                calls.append(name)
+                return transform(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        s.require_admissible()      # the transforms phi makes of the shape
+        s.to_grid(n)
+        shape_calls = len(calls)
+        calls.clear()
+        got = phi(s, A, G, id_model, small_grid)
+        assert len(calls) == shape_calls + 4
+        assert np.array_equal(got.values, ref.values)
+        expected = np.fft.rfft(ref.values)[:n // 3 + 1] / n
+        assert np.max(np.abs(got.coeffs - expected)) <= \
+            1e-14 * np.max(np.abs(expected))
 
 
 class TestSymbolCrossValidation:

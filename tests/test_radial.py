@@ -4,13 +4,13 @@ import math
 import re
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from tumorspec import radial
 from tumorspec.errors import BracketError, SolverError, ValidationError
+from tumorspec.models import parse_model_spec
 from tumorspec.radial import (appendix_series, boundary_ratio,
                               ode_residual_on_midpoints, solve_U, solve_u_n,
                               steady_radius)
@@ -210,28 +210,43 @@ class TestSteadyRadius:
         assert steady_radius(0.1215, id_model).R_A < R
 
 
-    def test_radius_below_lower_end_names_the_largest_reachable_A(self, id_model):
-        # the steady radius is at least 1e-3 for A below
-        # 2 I1(1e-3) / (1e-3 I0(1e-3)) = 1 - 1.25e-7 + O(1e-13)
-        lo = 1e-3
-        A_max = 2.0 * bessel_i(1, lo, 20) / (lo * bessel_i(0, lo, 20))
-        with pytest.raises(BracketError,
-                           match=f"below the lower end {lo:g};") as info:
-            steady_radius(0.9999999, id_model)
-        reported = re.search(r"largest reachable A is (\S+),", str(info.value))
-        assert float(reported.group(1)) == pytest.approx(A_max, rel=1e-9)
-        assert "got 0.9999999;" in str(info.value)
-        assert info.value.samples[0][0] == lo
-        assert steady_radius(0.99999987, id_model).R_A > lo
+    @pytest.mark.parametrize("A", [1.0 - 1e-7, 1.0 - 1e-12],
+                             ids=["1-1e-7", "1-1e-12"])
+    def test_radius_near_zero_is_found(self, id_model, A):
+        # the bracket starts at lam = R**2 = 0, so no A below f(1) is out
+        # of reach at the small end; R_A is checked by its backward error,
+        # as its forward error is bounded by how A rounds, eps / (2 (1 - A))
+        R = steady_radius(A, id_model).R_A
+        assert 0.0 < R < 1e-3
+        assert abs(2.0 * bessel_i(1, R) / (R * bessel_i(0, R)) - A) <= 1e-14
 
     def test_exact_zero_at_the_bracket_end_is_the_root(self, id_model,
                                                        monkeypatch):
         # a stub center problem with g(R) = A R**2 (1 - R**2) / 2, so g(1) = 0
-        # exactly and g(1e-3) > 0
+        # exactly and g > 0 below R = 1
         A = 0.5
-        monkeypatch.setattr(radial, "solve_U", lambda lam, model: SimpleNamespace(
-            deriv_at_1=A * lam * (2.0 - lam) / 2.0))
+        monkeypatch.setattr(radial, "_solve_center",
+                            lambda lam, model, start=None: (
+                                np.zeros((radial.N_NODES + 1) // 2),
+                                A * (2.0 - lam) / 2.0))
         assert steady_radius(A, id_model).R_A == 1.0
+
+    @pytest.mark.parametrize("model", ["identity", "poly:1,0.3"])
+    def test_root_takes_few_center_solves(self, model, monkeypatch):
+        # h(lam) = int_0^1 r f(U) dr - A/2 is nearly linear in lam = R**2,
+        # and Brent starts each solve from the previous one's solution
+        model = parse_model_spec(model)
+        A = 2.0 * solve_U(0.52**2, model).deriv_at_1 / 0.52**2
+        calls = []
+        solve = radial._solve_center
+
+        def counted(lam, model, start=None):
+            calls.append(lam)
+            return solve(lam, model, start)
+
+        monkeypatch.setattr(radial, "_solve_center", counted)
+        assert steady_radius(A, model).R_A == pytest.approx(0.52, rel=1e-12)
+        assert len(calls) <= 10
 
 
 class TestBrent:

@@ -151,6 +151,13 @@ class TestGrowthRateFit:
         with pytest.raises(ValidationError, match="span no time"):
             fit_growth_rate([(0.3, 1.0), (0.3, 2.0), (0.3, 0.5)])
 
+    def test_span_whose_square_underflows_raises(self):
+        # np.polyfit would divide by zero (a RuntimeWarning, an error here)
+        with pytest.raises(ValidationError, match="span no time"):
+            fit_growth_rate([(0.0, 1.0), (1e-160, 1.0), (2e-160, 1.0)])
+        fit = fit_growth_rate([(0.0, 1.0), (1e-150, 1.0), (2e-150, 1.0)])
+        assert fit.rate == 0.0
+
 
 class TestLinearizedModeProfile:
     def test_boundary_value(self, id_model, unit_steady):
