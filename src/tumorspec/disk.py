@@ -111,8 +111,9 @@ class RadialFold:
     def operator(self, m, parity=0):
         """r**2 d2/dr2 + m r d/dr on functions of the given parity; for an
         array of m, the stack of one operator per m."""
-        return (self.r[:, None] ** 2 * self.D2[parity]
-                + (np.asarray(m)[..., None] * self.r)[..., None] * self.D[parity])
+        op = (np.asarray(m)[..., None] * self.r)[..., None] * self.D[parity]
+        op += self.r[:, None] ** 2 * self.D2[parity]
+        return op
 
     def interpolation(self, x):
         """(even, odd) matrices from samples on r to values at the radii x."""

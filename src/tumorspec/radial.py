@@ -185,9 +185,7 @@ def _solve_mode(n, R_A, v0, model):
     if v0.fold_values is None:
         raise ValidationError("v0 must be a profile returned by solve_U")
     fold = radial_fold((N_NODES + 1) // 2)
-    # the sum of fold.operator(2n + 1) in one allocation for all modes
-    op = ((2 * np.asarray(n) + 1)[..., None] * fold.r)[..., None] * fold.D[0]
-    op += fold.r[:, None] ** 2 * fold.D2[0]
+    op = fold.operator(2 * np.asarray(n) + 1)
     op[..., 0, :] = 0.0
     op[..., 0, 0] = 1.0
     q = R_A * R_A * fold.r**2 * model.fprime_at(v0.fold_values)
