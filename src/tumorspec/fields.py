@@ -14,13 +14,14 @@ starts from the harmonic extension of its boundary data and adds the
 correction for the interior residual of the mapped Laplacian, and each
 nutrient Newton step adds the correction for the interior residual of the
 semilinear equation. The collocation systems are solved by :func:`gmres`,
-this module's port of restarted, left-preconditioned GMRES (Saad & Schultz,
-*SIAM J. Sci. Stat. Comput.* 7, 1986). Its unknowns are the rfft
-coefficients of the interior rows in the mode layout of
-:meth:`tumorspec.disk.DiskGrid.to_modes` (even modes first, then odd),
-scaled by sqrt(w_q / n_theta) with w_q = 1 at q = 0 and at Nyquist and 2
-elsewhere, so that their Euclidean norm is that of the samples and the
-relative tolerance means what it means in physical space. An iteration
+restarted GMRES with right preconditioning (Saad & Schultz, *SIAM J. Sci.
+Stat. Comput.* 7, 1986): its residual estimates are those of the
+unpreconditioned system, so it stops on the residual that the tolerance
+bounds. Its unknowns are the rfft coefficients of the interior rows in the
+mode layout of :meth:`tumorspec.disk.DiskGrid.to_modes` (even modes first,
+then odd), scaled by sqrt(w_q / n_theta) with w_q = 1 at q = 0 and at
+Nyquist and 2 elsewhere, so that their Euclidean norm is that of the samples
+and the relative tolerance means what it means in physical space. An iteration
 costs one GEMM per parity and one irfft and one rfft in the operator
 (:func:`tumorspec.disk.mapped_laplacian_kernel`), and no transform in the
 preconditioner: :class:`tumorspec.disk.ModePreconditioner` inverts every
@@ -81,115 +82,77 @@ class DiskField:
         return self.values[0]
 
 
-def _lartg(f, g):
-    """Givens rotation (c, s, r) with c f + s g = r and c g - s f = 0.
-
-    The unscaled branches of LAPACK dlartg (3.10 and later): c >= 0 and r
-    takes the sign of f.
-    """
-    if g == 0.0:
-        return 1.0, 0.0, f
-    if f == 0.0:
-        return 0.0, math.copysign(1.0, g), abs(g)
-    d = math.sqrt(f * f + g * g)
-    r = math.copysign(d, f)
-    return abs(f) / d, g / r, r
-
-
 def gmres(matvec, psolve, b, rtol, restart, maxiter):
-    """Restarted GMRES with left preconditioning, from x = 0.
+    """Restarted GMRES with right preconditioning, from x = 0.
 
     Solves A x = b, where ``matvec`` applies A and ``psolve`` the
-    preconditioner M to a flat array (Saad & Schultz 1986). Each cycle builds
-    an Arnoldi basis of M A by modified Gram-Schmidt and reduces its
-    Hessenberg matrix by Givens rotations. A cycle ends after ``restart``
-    inner iterations, at breakdown, or once the preconditioned residual
-    estimate |M r| falls to the inner tolerance, which is adapted after every
-    cycle from the true residual. The field artifacts depend on the order of
-    the floating-point operations here bit for bit; keep it.
+    preconditioner M, an approximate inverse of A, to a flat array (Saad &
+    Schultz 1986). Each cycle builds an Arnoldi basis V of A M from the
+    residual r by modified Gram-Schmidt and reduces its Hessenberg matrix by
+    Givens rotations, so the residual estimate after each inner iteration is
+    |b - A x| of the iterate it stands for, up to roundoff. A cycle ends once
+    that estimate falls to rtol |b|, at breakdown, or after ``restart``
+    inner iterations; it then updates x by M (V y), one preconditioner
+    application, and computes the true residual. Only a cycle that ran all
+    ``restart`` iterations is followed by another, from that residual.
 
     Returns (x, info, history, rnorm): info is 0 when |b - A x| <= rtol |b|
-    and ``maxiter`` otherwise; history lists, per cycle run, the estimate
-    |M r| after each of its inner iterations; rnorm is the true residual
+    and ``maxiter`` otherwise; history lists, per cycle run, the residual
+    estimate after each of its inner iterations; rnorm is the true residual
     |b - A x| of the returned x, computed at the end of the last cycle.
     """
     n = len(b)
     x = np.zeros(n)
     history = []
-    bnrm2 = np.linalg.norm(b)
-    if bnrm2 == 0.0:
+    r = b
+    rnorm = float(np.linalg.norm(b))
+    if rnorm == 0.0:
         return x, 0, history, 0.0
-    atol = rtol * float(bnrm2)   # absolute threshold on the true residual
+    atol = rtol * rnorm
     eps = np.finfo(float).eps
     restart = min(restart, n)
-
-    z = psolve(b)   # M r of the first cycle, since x starts at 0
-    ptol_max_factor = 1.0
-    ptol = np.linalg.norm(z) * min(ptol_max_factor, atol / bnrm2)
     v = np.empty((restart + 1, n))
-    h = np.zeros((restart, restart + 1))   # row j holds column j
+    h = np.zeros((restart, restart))   # row j: column j of the triangular factor
     for _ in range(maxiter):
-        if history:
-            z = psolve(r)
-        beta = np.linalg.norm(z)
-        np.multiply(z, 1 / beta, out=v[0])
-        S = [beta]   # right side of the rotated least-squares problem
-        givens = []
-        presids = []
-        history.append(presids)
-        breakdown = False
-        for col in range(restart):
-            w = psolve(matvec(v[col]))
+        np.multiply(r, 1 / rnorm, out=v[0])
+        g = [rnorm]   # right side of the rotated least-squares problem
+        rotations = []
+        estimates = []
+        history.append(estimates)
+        for j in range(restart):
+            w = matvec(psolve(v[j]))
             h0 = np.linalg.norm(w)
-            hcol = h[col]
-            for k in range(col + 1):
-                hk = np.dot(v[k], w)
-                hcol[k] = hk
+            column = []
+            for k in range(j + 1):
+                hk = float(v[k] @ w)
+                column.append(hk)
                 w -= hk * v[k]
-            h1 = np.linalg.norm(w)
-            if h1 <= eps * h0:    # M A x = M b solved exactly in this basis
+            h1 = float(np.linalg.norm(w))
+            breakdown = h1 <= eps * h0   # A M z = r solved exactly in this basis
+            if breakdown:
                 h1 = 0.0
-                breakdown = True
             else:
-                np.multiply(w, 1 / h1, out=v[col + 1])
-            column = hcol[:col + 1].tolist() + [h1]
-            for k, (c, s) in enumerate(givens):
-                n0, n1 = column[k], column[k + 1]
-                column[k] = c * n0 + s * n1
-                column[k + 1] = -s * n0 + c * n1
-            c, s, mag = _lartg(column[col], column[col + 1])
-            givens.append((c, s))
-            column[col], column[col + 1] = mag, 0.0
-            hcol[:col + 2] = column
-            rotated = -s * S[col]
-            S[col:] = [c * S[col], rotated]
-            presid = abs(rotated)
-            presids.append(presid)
-            if presid <= ptol or breakdown:
+                np.multiply(w, 1 / h1, out=v[j + 1])
+            column.append(h1)
+            for k, (c, s) in enumerate(rotations):
+                column[k:k + 2] = (c * column[k] + s * column[k + 1],
+                                   c * column[k + 1] - s * column[k])
+            d = math.hypot(column[j], h1)
+            c, s = column[j] / d, h1 / d
+            rotations.append((c, s))
+            column[j] = d
+            h[j, :j + 1] = column[:j + 1]
+            g[j:] = [c * g[j], -s * g[j]]
+            estimates.append(abs(g[j + 1]))
+            if estimates[-1] <= atol or breakdown:
                 break
-
-        # back substitution for the upper triangular h[:col+1, :col+1].T,
-        # a zero diagonal at the last row taken as a zero component
-        if h[col, col] == 0:
-            S[col] = 0.0
-        y = np.array(S[:col + 1])
-        for k in range(col, 0, -1):
-            if y[k] != 0:
-                y[k] /= h[k, k]
-                y[:k] -= y[k] * h[k, :k]
-        if y[0] != 0:
-            y[0] /= h[0, 0]
-        x += y @ v[:col + 1]
-
+        m = len(estimates)
+        y = np.linalg.solve(h[:m, :m].T, g[:m])
+        x += psolve(y @ v[:m])
         r = b - matvec(x)
-        rnorm = np.linalg.norm(r)
-        if rnorm <= atol or breakdown:
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= atol or m < restart:
             break
-        if presid <= ptol:   # inner test met but not the true one: tighten
-            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
-        else:
-            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
-        ptol = presid * min(ptol_max_factor, atol / rnorm)
     return x, (0 if rnorm <= atol else maxiter), history, rnorm
 
 
@@ -223,18 +186,18 @@ def _interior_solve(grid, coefs, potential, rhs, precond, tol):
     x, info, history, rnorm = gmres(matvec, psolve, b, rtol=tol, restart=60,
                                     maxiter=10)
     if info != 0:
-        # the preconditioned iteration stalls once the unpreconditioned
-        # residual reaches the roundoff floor of the differentiation
-        # matrices; accept the iterate in that case
+        # once the residual reaches the roundoff floor of the
+        # differentiation matrices, the residual estimates fall below the
+        # tolerance but the true residual does not; accept the iterate there
         achieved = rnorm / np.linalg.norm(b)
         if achieved > 1e-8:
-            last = [p for presids in history for p in presids][-4:]
+            last = [e for estimates in history for e in estimates][-4:]
             raise SolverError(
                 f"GMRES did not converge (info={info}) after {len(history)} "
                 f"cycles ({sum(map(len, history))} iterations); relative "
                 f"residual {achieved:.3e} on {b.size} unknowns; last "
-                "preconditioned residual estimates "
-                + ", ".join(f"{p:.3e}" for p in last))
+                "residual estimates "
+                + ", ".join(f"{e:.3e}" for e in last))
     return grid.from_modes(x.reshape(shape) / scale), rnorm
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tumorspec import dynamics
+from tumorspec import dynamics, fields
 from tumorspec.dynamics import ERR_TARGET, evolve_nonlinear, phi
 from tumorspec.errors import ValidationError
 from tumorspec.disk import DiskGrid, MappedCoefficients
@@ -308,6 +308,24 @@ class TestExponentialStepper:
         fit = fit_growth_rate([(p.t, p.shape.amplitude(2)) for p in traj.points])
         mu2 = table.mu_at(2)
         assert fit.rate == pytest.approx(mu2, rel=1e-4)
+
+    def test_few_matvecs_on_criterion_7a(self, monkeypatch, supercritical,
+                                         id_model, small_grid):
+        # right-preconditioned GMRES minimises |b - A x| itself: the same
+        # evolve made 136 GMRES matvecs with left preconditioning
+        calls = []
+        kernel = fields.mapped_laplacian_kernel
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(fields, "mapped_laplacian_kernel", counted)
+        A, G, table = supercritical
+        seed = ShapeState.from_modes([(2, 1e-3, 0.0)], table.R)
+        traj = evolve_nonlinear(seed, 0.5, A, G, id_model, small_grid)
+        assert traj.status == "completed"
+        assert len(calls) <= 128
 
     def test_short_run_keeps_five_points_and_a_rate(
             self, supercritical, id_model, small_grid):

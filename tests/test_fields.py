@@ -139,7 +139,68 @@ class TestPressure:
             solve_pressure(_map_coefs(s, grid), unit_steady.A, 2.0, grid)
 
 
+def _random_system(seed, n, preconditioner):
+    """A nonsymmetric matrix, a preconditioner apply and a right-hand side."""
+    gen = np.random.default_rng(seed)
+    A = gen.standard_normal((n, n)) + np.diag(gen.uniform(1.0, 10.0, n))
+    if preconditioner == "jacobi":
+        d = np.diag(A).copy()
+        psolve = lambda w: w / d   # noqa: E731
+    elif preconditioner == "dense":
+        inverse = np.linalg.inv(A + 0.1 * gen.standard_normal((n, n)))
+        psolve = lambda w: inverse @ w   # noqa: E731
+    else:
+        psolve = lambda w: w.copy()   # noqa: E731
+    return A, psolve, gen.standard_normal(n)
+
+
 class TestGmres:
+    @pytest.mark.parametrize("seed, n, preconditioner, rtol, restart, maxiter", [
+        (1, 40, "jacobi", 1e-11, 60, 10),
+        (2, 40, "jacobi", 1e-13, 5, 20),
+        (3, 30, "dense", 1e-14, 3, 10),
+        (4, 25, "identity", 1e-8, 4, 3),
+        (5, 50, "identity", 1e-14, 3, 1),
+    ])
+    def test_agrees_with_the_dense_oracle(self, seed, n, preconditioner, rtol,
+                                          restart, maxiter):
+        A, psolve, b = _random_system(seed, n, preconditioner)
+        x, info, history, rnorm = gmres(lambda v: A @ v, psolve, b, rtol=rtol,
+                                        restart=restart, maxiter=maxiter)
+        assert rnorm == np.linalg.norm(b - A @ x)
+        assert (info == 0) == (rnorm <= rtol * np.linalg.norm(b))
+        assert info in (0, maxiter)
+        # the roundoff of evaluating b - A x; the measured gaps below stay
+        # under it by a factor of 100 or more
+        roundoff = n * np.finfo(float).eps * (
+            np.linalg.norm(b) + np.linalg.norm(A, 2) * np.linalg.norm(x))
+        # x - A^-1 b = -A^-1 r
+        exact = np.linalg.solve(A, b)
+        assert np.linalg.norm(x - exact) \
+            <= np.linalg.norm(np.linalg.inv(A), 2) * (rnorm + roundoff)
+        # right preconditioning: the last cycle's last estimate is |b - A x|
+        # of the returned x, converged or not
+        assert abs(history[-1][-1] - rnorm) <= roundoff
+
+    def test_large_shape_needs_restarts(self, id_model, small_grid,
+                                        monkeypatch):
+        # mode 12 at amplitude 0.2: the last Newton step and the pressure
+        # solve each take more than one cycle of 60 iterations, so a single
+        # cycle would raise SolverError
+        cycles = []
+        solve = fields.gmres
+
+        def recorded(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            cycles.append(len(out[2]))
+            return out
+
+        monkeypatch.setattr(fields, "gmres", recorded)
+        s = ShapeState.from_modes([(12, 0.2, 0.0)], 1.0)
+        res = phi(s, 0.5, 2.0, id_model, small_grid)
+        assert np.all(np.isfinite(res.values))
+        assert max(cycles) > 1
+
     @pytest.fixture
     def system(self):
         # nonsymmetric and diagonally dominant, so Jacobi preconditions it
