@@ -12,7 +12,10 @@ stored descending. Theta-spectra are stored in the mode layout of
 :meth:`DiskGrid.to_modes` (even modes first, then odd), in which
 :func:`mapped_laplacian_kernel` applies the mapped operator with one GEMM
 per parity and :class:`ModePreconditioner` inverts its angularly constant
-part without a transform.
+part without a transform. The operator reads the spectrum of all n_r rows
+and returns its n_r - 1 interior rows only, the rows that every Dirichlet
+residual and Krylov matvec reads. In this layout the disk's exact harmonic
+extension of boundary data is a product: column q times r**q.
 
 A perturbed domain is pulled back to this disk by one map per shape,
 :class:`MappedCoefficients`: it splits rho into its half-turn parts once and
@@ -105,8 +108,7 @@ class RadialFold:
     to_cheb: np.ndarray    # even samples on r -> coefficients of T_0, T_2, ...
     weights: np.ndarray    # quadrature of int_0^1 r g(r) dr for even g
     to_unit: tuple         # samples on r -> values on the [0, 1] profile grid
-    stacked: tuple         # [D; D2], one matrix per parity
-    stacked_interior: tuple  # the same on the nodes below r = 1
+    stacked: tuple         # rows below r = 1 of [D; D2], one matrix per parity
 
     def operator(self, m, parity=0):
         """r**2 d2/dr2 + m r d/dr on functions of the given parity; for an
@@ -140,11 +142,10 @@ def radial_fold(n):
     fold = RadialFold(r=x[:n], D=D1, D2=D2, to_cheb=to_cheb,
                       weights=moments @ to_cheb,
                       to_unit=_fold(barycentric_matrix(x, w, chebyshev_nodes(N))),
-                      stacked=tuple(np.vstack(pair) for pair in zip(D1, D2)),
-                      stacked_interior=tuple(np.vstack([d[1:, 1:] for d in pair])
-                                             for pair in zip(D1, D2)))
+                      stacked=tuple(np.vstack([d[1:] for d in pair])
+                                    for pair in zip(D1, D2)))
     for array in (fold.r, *fold.D, *fold.D2, fold.to_cheb, fold.weights,
-                  *fold.to_unit, *fold.stacked, *fold.stacked_interior):
+                  *fold.to_unit, *fold.stacked):
         array.flags.writeable = False
     return fold
 
@@ -164,7 +165,6 @@ class DiskGrid:
     fold: RadialFold = field(init=False, repr=False, compare=False)
     r: np.ndarray = field(init=False, repr=False, compare=False)
     theta: np.ndarray = field(init=False, repr=False, compare=False)
-    k: np.ndarray = field(init=False, repr=False, compare=False)
     modes: np.ndarray = field(init=False, repr=False, compare=False)
     mode_scale: np.ndarray = field(init=False, repr=False, compare=False)
     _natural: np.ndarray = field(init=False, repr=False, compare=False)
@@ -179,8 +179,6 @@ class DiskGrid:
         object.__setattr__(self, "fold", fold)
         object.__setattr__(self, "r", fold.r)
         object.__setattr__(self, "theta", 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta)
-        object.__setattr__(self, "k",
-                           np.fft.fftfreq(self.n_theta, d=1.0 / self.n_theta).astype(int))
         q = np.arange(self.n_theta // 2 + 1)
         modes = np.concatenate([q[0::2], q[1::2]])
         # sqrt(w_q / n_theta), w_q = 2 except at q = 0 and Nyquist: the
@@ -207,18 +205,15 @@ class DiskGrid:
         return np.fft.irfft(X.view(complex).take(self._natural, axis=-1),
                             n=self.n_theta, axis=-1)
 
-    def fold_derivative(self, X, out, interior=False):
-        """Parity-correct [V_r; V_rr] of the theta-spectrum X (mode layout),
-        written to ``out`` (2 len(X) rows).
-
-        One real GEMM per parity with the fold's stacked [D; D2]; with
-        ``interior``, X holds the rows below r = 1 of a field that vanishes
-        there, and so does the result.
+    def fold_derivative(self, X, out):
+        """Parity-correct [V_r; V_rr] on the n_r - 1 interior rows from the
+        theta-spectrum X (mode layout, all n_r rows), written to ``out``
+        (2 (n_r - 1) rows): one real GEMM per parity with the fold's
+        ``stacked``.
         """
-        stacked = self.fold.stacked_interior if interior else self.fold.stacked
         split = self.split
-        np.matmul(stacked[0], X[:, :split], out=out[:, :split])
-        np.matmul(stacked[1], X[:, split:], out=out[:, split:])
+        np.matmul(self.fold.stacked[0], X[:, :split], out=out[:, :split])
+        np.matmul(self.fold.stacked[1], X[:, split:], out=out[:, split:])
 
 
 def theta_derivative(values, order=1):
@@ -321,37 +316,36 @@ class MappedCoefficients:
 
 
 def mapped_laplacian_kernel(grid: DiskGrid, coefs: MappedCoefficients, X,
-                            interior=False, potential=None):
+                            potential=None):
     """Scaled Laplacian R**2 phi**2 Delta, minus ``potential`` times the
-    field, in samples, from the field's theta-spectrum X (mode layout).
+    field, on the n_r - 1 interior rows, in samples, from the field's
+    theta-spectrum X (mode layout, all n_r rows).
 
-    With ``interior`` X and the result hold the rows below r = 1 of a field
-    that vanishes there. One GEMM per parity gives V_r and V_rr
-    (:meth:`DiskGrid.fold_derivative`), the angular derivatives are products
-    with the mode numbers, and one irfft of [V_r, V_rr, V_rt, V_tt (, V)]
-    brings them to the samples, where the coefficients of the map combine
-    them.
+    ``potential`` is None or holds the interior rows. One GEMM per parity
+    gives V_r and V_rr (:meth:`DiskGrid.fold_derivative`), the angular
+    derivatives are products with the mode numbers, and one irfft of
+    [V_r, V_rr, V_rt, V_tt (, V)] brings them to the samples, where the
+    coefficients of the map combine them.
     """
-    rows = slice(1, None) if interior else slice(None)
-    n = len(X)
+    n = len(X) - 1
     spectra = np.empty((4 if potential is None else 5, n, X.shape[1] // 2), complex)
-    grid.fold_derivative(X, spectra[:2].view(float).reshape(2 * n, X.shape[1]),
-                         interior)
-    Vh = X.view(complex)
+    grid.fold_derivative(X, spectra[:2].view(float).reshape(2 * n, X.shape[1]))
+    Vh = X[1:].view(complex)
     np.multiply(grid._symbols[0], spectra[0], out=spectra[2])
     np.multiply(grid._symbols[1], Vh, out=spectra[3])
     if potential is not None:
         spectra[4] = Vh
     Vr, Vrr, Vrt, Vtt, *V = np.fft.irfft(spectra.take(grid._natural, axis=-1),
                                          n=grid.n_theta, axis=-1)
-    out = coefs.a_rr[rows] * Vrr + coefs.a_r[rows] * Vr + Vtt + coefs.a_rt[rows] * Vrt
+    out = coefs.a_rr[1:] * Vrr + coefs.a_r[1:] * Vr + Vtt + coefs.a_rt[1:] * Vrt
     if potential is not None:
         out -= potential * V[0]
     return out
 
 
 def apply_mapped_laplacian(grid: DiskGrid, coefs: MappedCoefficients, V):
-    """Scaled Laplacian R**2 phi**2 * Delta acting on mapped-grid samples."""
+    """Scaled Laplacian R**2 phi**2 * Delta of mapped-grid samples, on the
+    n_r - 1 interior rows."""
     return mapped_laplacian_kernel(grid, coefs, grid.to_modes(V))
 
 
@@ -367,9 +361,9 @@ def mapped_radius(coefs: MappedCoefficients, s_over_R, theta_index):
     return 2.0 * s_over_R / (c1 + np.sqrt(c1 * c1 + 4.0 * O * s_over_R))
 
 
-def boundary_radial_derivative(grid: DiskGrid, V):
-    """d/dr at r = 1 of a mapped-grid field: row 0 of each parity's D."""
-    X = grid.to_modes(V)
+def boundary_radial_derivative(grid: DiskGrid, X):
+    """d/dr at r = 1 of the field whose theta-spectrum (mode layout) is X:
+    row 0 of each parity's D."""
     split = grid.split
     return grid.from_modes(np.concatenate([grid.fold.D[0][0] @ X[:, :split],
                                            grid.fold.D[1][0] @ X[:, split:]]))
@@ -416,13 +410,6 @@ class ModePreconditioner:
         for V, V_inv, inv_shift, cols in self._parities:
             np.matmul(V, inv_shift * (V_inv @ X[:, cols]), out=out[:, cols])
         return out
-
-
-def harmonic_extension(grid: DiskGrid, boundary):
-    """Poisson-kernel extension r^|k| of boundary data; exact disk harmonic."""
-    gh = np.fft.fft(np.asarray(boundary, dtype=float))
-    powers = grid.r[:, None] ** np.abs(grid.k)[None, :]
-    return np.fft.ifft(powers * gh[None, :], axis=1).real
 
 
 def eval_field_columns(grid: DiskGrid, V, radii):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
+from .errors import DomainValidityError, SolverError, ValidationError
 from .fields import solve_nutrient, solve_pressure
 from .disk import (DiskGrid, MappedCoefficients, theta_derivative,
                    truncated_spectrum)
@@ -165,10 +165,6 @@ def _etd3rk_step(c, n_c, dt, mu, remainder):
     return stepped, float(np.max(err))
 
 
-class _LeftNeighbourhood(Exception):
-    """A stage of a step reached the admissibility bound."""
-
-
 def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
                      grid: DiskGrid = None, err_target=ERR_TARGET):
     """Integrate the boundary evolution up to t_end.
@@ -217,11 +213,7 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
 
     def remainder(coeffs):
         nonlocal warm, calls
-        shape = make_shape(coeffs)
-        if shape.sup_norm() >= ADMISSIBLE_SUP_NORM:
-            # the velocity is undefined outside the admissible set
-            raise _LeftNeighbourhood
-        result = phi(shape, A, G, model, grid, warm)
+        result = phi(make_shape(coeffs), A, G, model, grid, warm)
         warm, calls = result.nutrient.values, calls + 1
         return result.coeffs - mu * coeffs
 
@@ -251,8 +243,10 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
         try:
             stepped, err = _etd3rk_step(state.coeffs, n_c, dt, mu, remainder)
             stage_left = False
-        except _LeftNeighbourhood:
-            # rejected like an overflowing step, so the exit time is resolved
+        except DomainValidityError:
+            # a stage left the admissible set, where the velocity is
+            # undefined: rejected like an overflowing step, so the exit
+            # time is resolved
             err, stage_left = np.inf, True
         if err <= err_target:
             t += dt

@@ -9,22 +9,23 @@ caller builds it once per shape and passes it to both solves, together with
 the :class:`tumorspec.disk.DiskGrid` whose nodes it was built on; the grid is
 the only resolution setting.
 
-Every linear solve is for a correction with zero boundary data: the pressure
-starts from the harmonic extension of its boundary data and adds the
-correction for the interior residual of the mapped Laplacian, and each
-nutrient Newton step adds the correction for the interior residual of the
-semilinear equation. The collocation systems are solved by :func:`gmres`,
-restarted GMRES with right preconditioning (Saad & Schultz, *SIAM J. Sci.
-Stat. Comput.* 7, 1986): its residual estimates are those of the
-unpreconditioned system, so it stops on the residual that the tolerance
-bounds. Its unknowns are the rfft coefficients of the interior rows in the
-mode layout of :meth:`tumorspec.disk.DiskGrid.to_modes` (even modes first,
-then odd), scaled by sqrt(w_q / n_theta) with w_q = 1 at q = 0 and at
-Nyquist and 2 elsewhere, so that their Euclidean norm is that of the samples
-and the relative tolerance means what it means in physical space. An iteration
-costs one GEMM per parity and one irfft and one rfft in the operator
-(:func:`tumorspec.disk.mapped_laplacian_kernel`), and no transform in the
-preconditioner: :class:`tumorspec.disk.ModePreconditioner` inverts every
+Both fields live in the mode layout of :meth:`tumorspec.disk.DiskGrid.to_modes`
+(even modes first, then odd). Every residual and Krylov matvec is one call
+of :func:`tumorspec.disk.mapped_laplacian_kernel`, which reads all n_r rows
+of a spectrum and returns the n_r - 1 interior rows, and every linear solve
+is for a correction with zero boundary data. The pressure lifts its boundary
+data to the disk's exact harmonic extension, mode q times r**q, and adds the
+correction for the lift's residual in that layout; each nutrient Newton step
+adds the correction for the residual of the semilinear equation. The
+collocation systems are solved by :func:`gmres`, restarted GMRES with right
+preconditioning (Saad & Schultz, *SIAM J. Sci. Stat. Comput.* 7, 1986): its
+residual estimates are those of the unpreconditioned system, so it stops on
+the residual that the tolerance bounds. Its unknowns are the interior rows'
+spectra scaled by sqrt(w_q / n_theta), with w_q = 1 at q = 0 and at Nyquist
+and 2 elsewhere, so that their Euclidean norm is that of the samples and the
+relative tolerance means what it means in physical space. An iteration costs
+one GEMM per parity, one irfft and one rfft in the kernel, and no transform
+in the preconditioner: :class:`tumorspec.disk.ModePreconditioner` inverts every
 angular mode's radial operator by one eigendecomposition per parity (fast
 diagonalisation). The pressure preconditioner depends only on the grid
 size: :func:`_laplace_preconditioner` keeps the last one. The nutrient one
@@ -61,8 +62,7 @@ import numpy as np
 
 from .disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
                    apply_mapped_laplacian, boundary_radial_derivative, dealias,
-                   eval_field_columns, harmonic_extension,
-                   mapped_laplacian_kernel, radial_fold)
+                   eval_field_columns, mapped_laplacian_kernel, radial_fold)
 from .errors import SolverError
 from .models import NutrientModel
 from .radial import solve_U
@@ -157,30 +157,27 @@ def gmres(matvec, psolve, b, rtol, restart, maxiter):
 
 
 def _interior_solve(grid, coefs, potential, rhs, precond, tol):
-    """Interior values of the correction with zero boundary data, and the
-    2-norm of its linear residual.
+    """The theta-spectrum (mode layout, all n_r rows) of the correction with
+    zero boundary data, and the 2-norm of its linear residual.
 
     Solves (mapped Laplacian - potential) W = rhs on the interior rows, with
-    W = 0 on the boundary row; potential is None or an (n_r, n_theta) array,
-    and rhs holds the n_r - 1 interior rows. GMRES iterates on the interior
-    rows' theta-spectra in the mode layout of :meth:`DiskGrid.to_modes`,
-    scaled by ``grid.mode_scale`` so that their Euclidean norm is that of the
-    samples: the tolerance and the residual norm mean what they mean in
-    physical space. An iteration costs one rfft and one irfft, in the
-    operator; the preconditioner needs no transform.
+    W = 0 on the boundary row; potential is None or, like rhs, holds the
+    n_r - 1 interior rows. GMRES iterates on the interior rows of W's
+    spectrum, scaled by ``grid.mode_scale`` (see the module docstring); each
+    matvec writes them below the zero boundary row of one buffer, which the
+    kernel reads whole.
     """
-    shape = (grid.n_r - 1, 2 * len(grid.modes))
+    W = np.zeros((grid.n_r, 2 * len(grid.modes)))
+    interior = W[1:]   # the boundary row of W stays zero
     scale = grid.mode_scale
-    if potential is not None:
-        potential = potential[1:, :]
 
     def matvec(x):
-        out = mapped_laplacian_kernel(grid, coefs, x.reshape(shape) / scale,
-                                      interior=True, potential=potential)
+        np.divide(x.reshape(interior.shape), scale, out=interior)
+        out = mapped_laplacian_kernel(grid, coefs, W, potential)
         return (grid.to_modes(out) * scale).ravel()
 
     def psolve(x):
-        return precond.solve_interior(x.reshape(shape)).ravel()
+        return precond.solve_interior(x.reshape(interior.shape)).ravel()
 
     b = (grid.to_modes(rhs) * scale).ravel()
     x, info, history, rnorm = gmres(matvec, psolve, b, rtol=tol, restart=60,
@@ -198,23 +195,25 @@ def _interior_solve(grid, coefs, potential, rhs, precond, tol):
                 f"residual {achieved:.3e} on {b.size} unknowns; last "
                 "residual estimates "
                 + ", ".join(f"{e:.3e}" for e in last))
-    return grid.from_modes(x.reshape(shape) / scale), rnorm
+    np.divide(x.reshape(interior.shape), scale, out=interior)
+    return W, rnorm
 
 
 def solve_pressure(coefs: MappedCoefficients, A, G, grid: DiskGrid):
     """Harmonic pressure with curvature + mitosis boundary data.
 
-    ``coefs`` is the map of the domain on the nodes of ``grid``.
+    ``coefs`` is the map of the domain on the nodes of ``grid``. The
+    dealiased data are lifted in the mode layout to the disk's exact
+    harmonic extension, mode q times r**q, and the correction for the
+    lift's interior residual is added in that layout.
     """
-    boundary = dealias(coefs.curvature - 0.25 * A * G * coefs.R**2 * coefs.h**2)
-    V = harmonic_extension(grid, boundary)
-    V[0, :] = boundary
-    V[1:, :] += _interior_solve(grid, coefs, None,
-                                -apply_mapped_laplacian(grid, coefs, V)[1:, :],
-                                _laplace_preconditioner(grid.n_r, grid.n_theta),
-                                KRYLOV_TOL)[0]
-    return DiskField(values=V,
-                     normal_derivative_trace=boundary_radial_derivative(grid, V))
+    data = dealias(coefs.curvature - 0.25 * A * G * coefs.R**2 * coefs.h**2)
+    X = grid.r[:, None] ** np.repeat(grid.modes, 2) * grid.to_modes(data)
+    X += _interior_solve(grid, coefs, None, -mapped_laplacian_kernel(grid, coefs, X),
+                         _laplace_preconditioner(grid.n_r, grid.n_theta),
+                         KRYLOV_TOL)[0]
+    return DiskField(values=grid.from_modes(X),
+                     normal_derivative_trace=boundary_radial_derivative(grid, X))
 
 
 @functools.lru_cache(maxsize=1)
@@ -262,17 +261,19 @@ def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGr
     Every Newton step is preconditioned with the exact radial inverse at that
     equilibrium (:func:`_equilibrium`).
     """
-    scale = coefs.scale
+    scale = coefs.scale[1:]
     v0, precond = _equilibrium(grid.n_r, grid.n_theta, coefs.R, model)
     v = np.broadcast_to(v0 if start is None else start,
                         (grid.n_r, grid.n_theta)).copy()
     v[0, :] = 1.0
+    interior = v[1:]   # the rows the Newton corrections update
 
     history = []
     for _ in range(MAX_NEWTON_ITERS):
-        sf = scale * model.f_at(v)
-        F = apply_mapped_laplacian(grid, coefs, v) - sf
-        res = float(np.max(np.abs(F[1:, :])))
+        X = grid.to_modes(v)
+        sf = scale * model.f_at(interior)
+        F = mapped_laplacian_kernel(grid, coefs, X) - sf
+        res = float(np.max(np.abs(F)))
         history.append(res)
         if res <= NEWTON_TOL:
             break
@@ -280,16 +281,16 @@ def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGr
                 res > 0.5 * history[-2]
                 # what another step could remove: the linear residual of
                 # the last correction and the nonlinear remainder of f
-                or rnorm + float(np.max(np.abs((sf - sf_old)[1:, :]
-                                               - potential[1:, :] * delta)))
+                or rnorm + float(np.max(np.abs(sf - sf_old - potential * step)))
                 <= NEWTON_TOL):
             # no further progress at the roundoff floor of the operator
             break
-        potential = scale * model.fprime_at(v)
+        potential = scale * model.fprime_at(interior)
         # one Newton correction: J delta = -F with zero boundary data
-        delta, rnorm = _interior_solve(grid, coefs, potential, -F[1:, :],
-                                       precond, max(KRYLOV_TOL, 1e-4 * res))
-        v[1:, :] += delta
+        delta, rnorm = _interior_solve(grid, coefs, potential, -F, precond,
+                                       max(KRYLOV_TOL, 1e-4 * res))
+        step = grid.from_modes(delta[1:])
+        interior += step
         sf_old = sf
     else:
         raise SolverError(
@@ -297,7 +298,7 @@ def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGr
             + ", ".join(f"{r:.3e}" for r in history))
 
     return DiskField(values=v,
-                     normal_derivative_trace=boundary_radial_derivative(grid, v))
+                     normal_derivative_trace=boundary_radial_derivative(grid, X))
 
 
 def center_value(grid: DiskGrid, values):
@@ -307,5 +308,4 @@ def center_value(grid: DiskGrid, values):
 
 def harmonic_residual(grid: DiskGrid, coefs: MappedCoefficients, field: DiskField):
     """Max interior residual of the mapped Laplace operator on the field."""
-    res = apply_mapped_laplacian(grid, coefs, field.values)
-    return float(np.max(np.abs(res[1:, :])))
+    return float(np.max(np.abs(apply_mapped_laplacian(grid, coefs, field.values))))

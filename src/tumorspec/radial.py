@@ -209,9 +209,8 @@ def boundary_ratio(n, R_A, v0, model):
     """Return u_n'(1) / u_n(1): a float for an int n, an array for an array
     of modes (one stacked solve)."""
     fold, w = _solve_mode(n, R_A, v0, model)
-    if w.ndim == 1:
-        return float((fold.D[0] @ w)[0])
-    return np.array([(fold.D[0] @ row)[0] for row in w])
+    ratio = w @ fold.D[0][0]
+    return ratio if np.ndim(n) else float(ratio)
 
 
 @dataclass(frozen=True)

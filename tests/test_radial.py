@@ -91,6 +91,18 @@ class TestModeFamilies:
         assert round(r0, 3) == 0.446
         assert round(r1, 3) == 0.240
 
+    def test_one_product_gives_every_ratio(self, id_model, unit_steady):
+        # the row-by-row products D w at r = 1 are the reference; one GEMV
+        # sums them in another order, so they agree to roundoff
+        ks = np.arange(65)
+        fold, w = radial._solve_mode(ks, 1.0, unit_steady.v0, id_model)
+        expected = np.array([(fold.D[0] @ row)[0] for row in w])
+        got = boundary_ratio(ks, 1.0, unit_steady.v0, id_model)
+        assert worst_relative_error(got, expected) <= 1e-13
+        one = boundary_ratio(5, 1.0, unit_steady.v0, id_model)
+        assert type(one) is float
+        assert one == pytest.approx(expected[5], rel=1e-13)
+
     def test_v0_not_from_solve_U_rejected(self, id_model, unit_steady):
         # a profile without the folded collocation values, such as a mode profile
         u1 = solve_u_n(1, 1.0, unit_steady.v0, id_model)
