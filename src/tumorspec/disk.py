@@ -14,8 +14,7 @@ stored descending. Theta-spectra are stored in the mode layout of
 per parity and :class:`ModePreconditioner` inverts its angularly constant
 part without a transform. The operator reads the spectrum of all n_r rows
 and returns its n_r - 1 interior rows only, the rows that every Dirichlet
-residual and Krylov matvec reads. In this layout the disk's exact harmonic
-extension of boundary data is a product: column q times r**q.
+residual and Krylov matvec reads.
 
 A perturbed domain is pulled back to this disk by one map per shape,
 :class:`MappedCoefficients`: it splits rho into its half-turn parts once and

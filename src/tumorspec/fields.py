@@ -9,34 +9,41 @@ caller builds it once per shape and passes it to both solves, together with
 the :class:`tumorspec.disk.DiskGrid` whose nodes it was built on; the grid is
 the only resolution setting.
 
-Both fields live in the mode layout of :meth:`tumorspec.disk.DiskGrid.to_modes`
-(even modes first, then odd). Every residual and Krylov matvec is one call
-of :func:`tumorspec.disk.mapped_laplacian_kernel`, which reads all n_r rows
-of a spectrum and returns the n_r - 1 interior rows, and every linear solve
-is for a correction with zero boundary data. The pressure lifts its boundary
-data to the disk's exact harmonic extension, mode q times r**q, and adds the
-correction for the lift's residual in that layout; each nutrient Newton step
-adds the correction for the residual of the semilinear equation. The
-collocation systems are solved by :func:`gmres`, restarted GMRES with right
-preconditioning (Saad & Schultz, *SIAM J. Sci. Stat. Comput.* 7, 1986): its
-residual estimates are those of the unpreconditioned system, so it stops on
-the residual that the tolerance bounds. Its unknowns are the interior rows'
-spectra scaled by sqrt(w_q / n_theta), with w_q = 1 at q = 0 and at Nyquist
-and 2 elsewhere, so that their Euclidean norm is that of the samples and the
-relative tolerance means what it means in physical space. An iteration costs
-one GEMM per parity, one irfft and one rfft in the kernel, and no transform
-in the preconditioner: :class:`tumorspec.disk.ModePreconditioner` inverts every
+The pressure is harmonic, and the boundary velocity reads only its boundary
+trace and normal derivative, so it is solved on the n_theta boundary nodes
+alone (:func:`_harmonic_field`): a single-layer potential plus a constant,
+with Kress's quadrature of the log kernel, is one dense (n_theta + 1)**2
+solve per shape, and the normal derivative is the adjoint double layer of
+its density. Its grid samples are computed only when they are read, by the
+compensated Cauchy formula, which stays accurate up to the boundary
+(:class:`HarmonicField`). The circulant log weights depend only on n_theta:
+:func:`_log_weights` keeps the last two.
+
+The nutrient lives in the mode layout of
+:meth:`tumorspec.disk.DiskGrid.to_modes` (even modes first, then odd). Every
+residual and Krylov matvec is one call of
+:func:`tumorspec.disk.mapped_laplacian_kernel`, which reads all n_r rows of a
+spectrum and returns the n_r - 1 interior rows, and each Newton step solves
+for the correction, with zero boundary data, of the residual of the
+semilinear equation. The collocation systems are solved by :func:`gmres`,
+restarted GMRES with right preconditioning (Saad & Schultz, *SIAM J. Sci.
+Stat. Comput.* 7, 1986): its residual estimates are those of the
+unpreconditioned system, so it stops on the residual that the tolerance
+bounds. Its unknowns are the interior rows' spectra scaled by
+sqrt(w_q / n_theta), with w_q = 1 at q = 0 and at Nyquist and 2 elsewhere,
+so that their Euclidean norm is that of the samples and the relative
+tolerance means what it means in physical space. An iteration costs one GEMM
+per parity, one irfft and one rfft in the kernel, and no transform in the
+preconditioner: :class:`tumorspec.disk.ModePreconditioner` inverts every
 angular mode's radial operator by one eigendecomposition per parity (fast
-diagonalisation). The pressure preconditioner depends only on the grid
-size: :func:`_laplace_preconditioner` keeps the last one. The nutrient one
-is the exact inverse at the radial equilibrium of radius R, which depends
-only on the grid size, R and the model: :func:`_equilibrium` builds it with
-that equilibrium and keeps the last one, so every nutrient solve of an
-evolution, which keeps R and moves the boundary only near the equilibrium,
-shares one. It serves every Newton step of a solve (for the identity model
-f' is constant, so it is the one every step would build). Both caches are
-keyed on (n_r, n_theta), so they keep no caller's grid alive and equal
-grids share their entries.
+diagonalisation). The preconditioner is the exact inverse at the radial
+equilibrium of radius R, which depends only on the grid size, R and the
+model: :func:`_equilibrium` builds it with that equilibrium and keeps the
+last one, so every nutrient solve of an evolution, which keeps R and moves
+the boundary only near the equilibrium, shares one. It serves every Newton
+step of a solve (for the identity model f' is constant, so it is the one
+every step would build). The cache is keyed on (n_r, n_theta, R, model), so
+it keeps no caller's grid alive and equal grids share its entry.
 
 The nutrient Newton loop stops once the max interior residual is at most
 ``NEWTON_TOL``, or once it is at most the grid's roundoff floor
@@ -61,15 +68,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
-                   apply_mapped_laplacian, boundary_radial_derivative, dealias,
-                   eval_field_columns, mapped_laplacian_kernel, radial_fold)
+                   apply_mapped_laplacian, boundary_radial_derivative,
+                   eval_field_columns, mapped_laplacian_kernel, radial_fold,
+                   truncated_spectrum)
 from .errors import SolverError
 from .models import NutrientModel
 from .radial import solve_U
 
 NEWTON_TOL = 1e-10        # max interior residual that ends the nutrient Newton loop
 MAX_NEWTON_ITERS = 30
-KRYLOV_TOL = 1e-11        # relative GMRES tolerance of the field solves
+KRYLOV_TOL = 1e-11        # relative GMRES tolerance of the nutrient solves
 
 
 @dataclass(frozen=True)
@@ -88,12 +96,14 @@ def gmres(matvec, psolve, b, rtol, restart, maxiter):
     Solves A x = b, where ``matvec`` applies A and ``psolve`` the
     preconditioner M, an approximate inverse of A, to a flat array (Saad &
     Schultz 1986). Each cycle builds an Arnoldi basis V of A M from the
-    residual r by modified Gram-Schmidt and reduces its Hessenberg matrix by
-    Givens rotations, so the residual estimate after each inner iteration is
-    |b - A x| of the iterate it stands for, up to roundoff. A cycle ends once
-    that estimate falls to rtol |b|, at breakdown, or after ``restart``
-    inner iterations; it then updates x by M (V y), one preconditioner
-    application, and computes the true residual. Only a cycle that ran all
+    residual r by classical Gram-Schmidt with one reorthogonalisation (two
+    products with the basis per iteration, orthogonal to working precision;
+    Giraud, Langou & Rozloznik, *Comput. Math. Appl.* 50, 2005) and reduces
+    its Hessenberg matrix by Givens rotations, so the residual estimate after
+    each inner iteration is |b - A x| of the iterate it stands for, up to
+    roundoff. A cycle ends once that estimate falls to rtol |b|, at
+    breakdown, or after ``restart`` inner iterations; it then updates x by
+    M (V y), one preconditioner application, and computes the true residual. Only a cycle that ran all
     ``restart`` iterations is followed by another, from that residual.
 
     Returns (x, info, history, rnorm): info is 0 when |b - A x| <= rtol |b|
@@ -122,11 +132,12 @@ def gmres(matvec, psolve, b, rtol, restart, maxiter):
         for j in range(restart):
             w = matvec(psolve(v[j]))
             h0 = np.linalg.norm(w)
-            column = []
-            for k in range(j + 1):
-                hk = float(v[k] @ w)
-                column.append(hk)
-                w -= hk * v[k]
+            basis = v[:j + 1]
+            coords = basis @ w
+            w -= coords @ basis
+            again = basis @ w   # the one reorthogonalisation
+            w -= again @ basis
+            column = (coords + again).tolist()
             h1 = float(np.linalg.norm(w))
             breakdown = h1 <= eps * h0   # A M z = r solved exactly in this basis
             if breakdown:
@@ -161,8 +172,8 @@ def _interior_solve(grid, coefs, potential, rhs, precond, tol):
     zero boundary data, and the 2-norm of its linear residual.
 
     Solves (mapped Laplacian - potential) W = rhs on the interior rows, with
-    W = 0 on the boundary row; potential is None or, like rhs, holds the
-    n_r - 1 interior rows. GMRES iterates on the interior rows of W's
+    W = 0 on the boundary row; potential, like rhs, holds the n_r - 1
+    interior rows. GMRES iterates on the interior rows of W's
     spectrum, scaled by ``grid.mode_scale`` (see the module docstring); each
     matvec writes them below the zero boundary row of one buffer, which the
     kernel reads whole.
@@ -202,28 +213,142 @@ def _interior_solve(grid, coefs, potential, rhs, precond, tol):
 def solve_pressure(coefs: MappedCoefficients, A, G, grid: DiskGrid):
     """Harmonic pressure with curvature + mitosis boundary data.
 
-    ``coefs`` is the map of the domain on the nodes of ``grid``. The
-    dealiased data are lifted in the mode layout to the disk's exact
-    harmonic extension, mode q times r**q, and the correction for the
-    lift's interior residual is added in that layout.
+    ``coefs`` is the map of the domain on the nodes of ``grid``. The field
+    is solved from the dealiased data on the n_theta boundary nodes
+    (:func:`_harmonic_field`); its ``values`` are computed on first read.
     """
-    data = dealias(coefs.curvature - 0.25 * A * G * coefs.R**2 * coefs.h**2)
-    X = grid.r[:, None] ** np.repeat(grid.modes, 2) * grid.to_modes(data)
-    X += _interior_solve(grid, coefs, None, -mapped_laplacian_kernel(grid, coefs, X),
-                         _laplace_preconditioner(grid.n_r, grid.n_theta),
-                         KRYLOV_TOL)[0]
-    return DiskField(values=grid.from_modes(X),
-                     normal_derivative_trace=boundary_radial_derivative(grid, X))
+    return _harmonic_field(coefs, truncated_spectrum(
+        coefs.curvature - 0.25 * A * G * coefs.R**2 * coefs.h**2))
 
 
-@functools.lru_cache(maxsize=1)
-def _laplace_preconditioner(n_r, n_theta):
-    """The potential-free ModePreconditioner of the n_r x n_theta grid.
+def _curve(coefs: MappedCoefficients):
+    """The boundary nodes y = R h e^{i theta} of the map and their
+    y' = dy/dtheta = R (h' + i h) e^{i theta} = y (beta + i)."""
+    n = len(coefs.h)
+    y = coefs.R * coefs.h * np.exp(2j * np.pi * np.arange(n) / n)
+    return y, y * (coefs.beta + 1j)
 
-    Keyed on the grid size, so equal grids share one and the cache keeps no
-    caller's grid alive; one entry, as for :func:`_equilibrium`.
+
+@dataclass(frozen=True, eq=False)
+class HarmonicField:
+    """A harmonic field on the domain of ``coefs``, solved on its boundary.
+
+    ``boundary_trace`` is the Dirichlet data and ``flux`` the physical
+    outward normal derivative at the n_theta boundary nodes;
+    ``normal_derivative_trace`` is the mapped d/dr at r = 1, as for
+    :class:`DiskField`.
     """
-    return ModePreconditioner(DiskGrid(n_r=n_r, n_theta=n_theta))
+    boundary_trace: np.ndarray
+    normal_derivative_trace: np.ndarray
+    flux: np.ndarray
+    coefs: MappedCoefficients
+
+    @functools.cached_property
+    def values(self):
+        """Samples on the grid of ``coefs`` (row 0 = boundary, radii
+        descending), computed on first read by the compensated Cauchy formula
+        (Helsing & Ojala, *J. Comput. Phys.* 227, 2008; Barnett, Wu &
+        Veerapaneni, *SIAM J. Sci. Comput.* 37, 2015): with f = q + i p
+        analytic in the domain, f(z) = sum_j f_j y'_j / (y_j - z) / sum_j
+        y'_j / (y_j - z), whose quadrature errors cancel between numerator
+        and denominator up to the boundary. The conjugate p has dp/ds = dq/dn
+        along the boundary (Cauchy-Riemann), so its trace is the spectral
+        theta-integral of the flux times |y'|. The grid point R phi e^{i
+        theta} is y phi / h. One grid row at a time, so memory stays
+        O(n_theta**2).
+        """
+        coefs = self.coefs
+        y, dy = _curve(coefs)
+        spec = np.fft.rfft(self.flux * np.abs(dy))
+        spec[1:-1] /= 1j * np.arange(1, len(spec) - 1)
+        spec[[0, -1]] = 0.0   # the constant is free; Nyquist has no antiderivative
+        f = self.boundary_trace + 1j * np.fft.irfft(spec, n=len(y))
+        values = np.empty(coefs.phi.shape)
+        values[0] = self.boundary_trace
+        for row, radius in zip(values[1:], coefs.phi[1:]):
+            kernel = dy / (y - (y * radius / coefs.h)[:, None])
+            row[:] = ((kernel @ f) / kernel.sum(axis=1)).real
+        return values
+
+
+@functools.lru_cache(maxsize=2)
+def _log_weights(n):
+    """The read-only circulant matrix of the log singularity of the single
+    layer on n nodes: -1/(4 pi) times Kress's weights of int log(4
+    sin**2((t - s)/2)) g(s) ds (Kress, *Linear Integral Equations*, 3rd ed.,
+    2014, section 12.3), plus log|2 sin((t_i - t_j)/2)| / n off the
+    diagonal, which the smooth remainder subtracts again. Kress's weights
+    are the irfft of -2 pi / k (k = 1..n/2), so the matrix is built from
+    that one symmetric row (row[l] = row[n - l])."""
+    row = np.fft.irfft(np.concatenate([[0.0], -2.0 * np.pi / np.arange(1, n // 2 + 1)]),
+                       n=n) / (-4.0 * np.pi)
+    row[1:] += np.log(2.0 * np.sin(np.pi * np.arange(1, n) / n)) / n
+    # row i is row[|i - j|]: window n - 1 - i of [row[n-1], ..., row[1], row]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([row[:0:-1], row]), n)
+    weights = windows[::-1].copy()
+    weights.flags.writeable = False
+    return weights
+
+
+def _harmonic_field(coefs: MappedCoefficients, spec):
+    """The harmonic field whose Dirichlet data have the rfft spectrum
+    ``spec`` on the boundary nodes of ``coefs``.
+
+    q = S sigma + c, with the single layer S sigma(x) = -1/(2 pi) int log|x -
+    y| sigma(y) ds_y and int sigma ds = 0, is uniquely solvable on every
+    curve (the constant covers the curves of logarithmic capacity 1). The
+    log kernel is integrated by Kress's split trapezoid rule
+    (:func:`_log_weights`) and its smooth remainder log(|y_i - y_j| / |2
+    sin((t_i - t_j)/2)|), which is log|y'_i| on the diagonal, by the
+    trapezoid rule, so the collocation system is one dense (n + 1)**2 solve.
+    The outward normal derivative is the interior trace of the adjoint double
+    layer, dq/dn = sigma/2 + K' sigma, whose smooth kernel -(1/2 pi) (x -
+    y).nu_x / |x - y|**2 is -kappa/(4 pi) on the diagonal, with kappa the
+    curvature of the nodes' curve (the dealiased ``coefs.curvature`` would
+    cost accuracy there). The mapped d/dr at r = 1 follows from dq/dn and
+    the data's theta-derivative q_t by the chain rule of the blended map:
+    q_r = J1 (|y'| dq/dn + beta q_t) / ((1 + beta**2) h).
+    """
+    n = len(coefs.h)
+    q = np.arange(len(spec))
+    data, data_t, h_tt = np.fft.irfft(
+        np.stack([spec, 1j * q * spec, -q * q * np.fft.rfft(coefs.h)]), n=n)
+    y, dy = _curve(coefs)
+    speed = np.abs(dy)
+    points = np.stack([y.real, y.imag])
+    diff = points[:, :, None] - points[:, None, :]   # x - y, componentwise
+    dist2 = np.einsum("kij,kij->ij", diff, diff)
+    np.fill_diagonal(dist2, speed * speed)
+    system = np.zeros((n + 1, n + 2))   # [matrix | right-hand side]
+    block = system[:n, :n]
+    np.log(dist2, out=block)
+    block *= -0.5 / n
+    block += _log_weights(n)
+    block *= speed
+    system[:n, n] = 1.0
+    system[n, :n] = speed
+    system[:n, n + 1] = data
+    # by QR, not LU: OpenBLAS's LU of more than 10000 entries rounds
+    # differently with one and two threads, its Householder QR does not on
+    # the default grid, and the artifacts must not depend on the BLAS thread
+    # count; the last column of R is Q^T b
+    R = np.linalg.qr(system, mode="r")
+    sigma = np.linalg.solve(R[:, :-1], R[:, -1])[:n]
+
+    h, beta = coefs.h, coefs.beta
+    curvature = ((1.0 + 2.0 * beta**2) * h - h_tt) \
+        / (coefs.R * h**2 * (1.0 + beta**2) ** 1.5)
+    # (x - y) / |x - y|**2, 0 on the diagonal, where x - y = 0, applied to
+    # sigma ds and dotted with nu_x = -i y' / |y'| = (Im y', -Re y') / |y'|
+    diff /= dist2
+    density = sigma * speed
+    kx, ky = diff @ density
+    flux = 0.5 * sigma - ((dy.imag * kx - dy.real * ky) / speed
+                          + 0.5 * curvature * density) / n
+    q_r = coefs.J1 * (speed * flux + beta * data_t) / ((1.0 + beta**2) * h)
+    return HarmonicField(boundary_trace=data, normal_derivative_trace=q_r,
+                         flux=flux, coefs=coefs)
 
 
 @functools.lru_cache(maxsize=1)
@@ -306,6 +431,11 @@ def center_value(grid: DiskGrid, values):
     return float(eval_field_columns(grid, values, 0.0).mean())
 
 
-def harmonic_residual(grid: DiskGrid, coefs: MappedCoefficients, field: DiskField):
-    """Max interior residual of the mapped Laplace operator on the field."""
+def harmonic_residual(grid: DiskGrid, coefs: MappedCoefficients, field):
+    """Max interior residual of the mapped Laplace operator on the field (a
+    :class:`DiskField` or :class:`HarmonicField`).
+
+    The pressure is harmonic to the accuracy of its boundary solve, so for
+    it this measures how well the grid resolves the exact field, not a
+    solver tolerance."""
     return float(np.max(np.abs(apply_mapped_laplacian(grid, coefs, field.values))))

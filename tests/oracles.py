@@ -7,9 +7,15 @@ closed forms, which is what makes these oracles possible:
     U(r, lam)      = I0(sqrt(lam) r) / I0(sqrt(lam))
     u_n(r)         = 2^n n! I_n(r) / r^n          (unit radius, identity model)
     u_n'(1)/u_n(1) = I_n'(1)/I_n(1) - n
+
+For the pressure solve, the real part of an entire function is harmonic on
+every domain, so its boundary samples and its derivatives are closed forms
+too (:func:`exact_harmonic` on the boundary of :func:`oracle_boundary`).
 """
 
 import math
+
+import numpy as np
 
 
 def bessel_i(n, x, terms=60):
@@ -64,3 +70,20 @@ def identity_g_star(A, k_max=64):
             if best is None or g < best:
                 best, best_k = g, k
     return best, best_k
+
+
+def oracle_boundary(n, a):
+    """rho = cos 3t + sin(7t + 0.3)/3 on n equispaced angles, scaled so that
+    its sup-norm over the circle (sampled at 2**16 angles) is a."""
+    def rho(t):
+        return np.cos(3 * t) + np.sin(7 * t + 0.3) / 3
+
+    sup = np.max(np.abs(rho(2 * np.pi * np.arange(2**16) / 2**16)))
+    return a * rho(2 * np.pi * np.arange(n) / n) / sup
+
+
+def exact_harmonic(z, R):
+    """q = Re F(z) with F(z) = e^{z/R} + (z/R)**5, and F'(z): the derivative
+    of q along a unit complex direction d at z is Re(F'(z) d)."""
+    w = np.asarray(z) / R
+    return (np.exp(w) + w**5).real, (np.exp(w) + 5 * w**4) / R

@@ -1,6 +1,7 @@
 """Field solves on the perturbed domain against radial and harmonic oracles."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -22,21 +23,22 @@ from tumorspec.linear import linearized_mode_profile
 from tumorspec.radial import solve_u_n
 from tumorspec.shapes import ShapeState
 
+from oracles import exact_harmonic, oracle_boundary
+
 
 @pytest.fixture
 def built(monkeypatch):
-    """Per ModePreconditioner built from now on: True for a Laplace one.
+    """The grid size of each ModePreconditioner built from now on.
 
-    The kept preconditioners are dropped first, so the count does not depend
+    The kept preconditioner is dropped first, so the count does not depend
     on which tests ran before.
     """
     fields._equilibrium.cache_clear()
-    fields._laplace_preconditioner.cache_clear()
     built = []
     init = ModePreconditioner.__init__
 
     def counted(self, grid, potential=None):
-        built.append(potential is None)
+        built.append((grid.n_r, grid.n_theta))
         init(self, grid, potential)
 
     monkeypatch.setattr(ModePreconditioner, "__init__", counted)
@@ -105,7 +107,7 @@ class TestPressure:
             assert abs(center_value(grid, pres.values) - ring.mean()) < 1e-8
 
     def test_boundary_trace_is_the_dealiased_data(self, unit_steady, small_grid):
-        # the boundary row comes back from the lifted spectrum by an irfft
+        # the boundary trace is the irfft of the truncated data spectrum
         grid = small_grid
         s = ShapeState.from_modes([(2, 5e-2, 0.3), (5, 2e-2, 0.9)],
                                   unit_steady.R_A)
@@ -139,16 +141,63 @@ class TestPressure:
         expected = (k**2 - 1.0) / R - 0.5 * A * G * R**2
         assert 2.0 * spec_b[k].real / eps == pytest.approx(expected, rel=1e-3)
 
-    def test_stalled_krylov_raises(self, unit_steady, monkeypatch):
-        # without a preconditioner GMRES ends far above the tolerance; the
-        # solve must report that instead of probing a dense matrix
-        monkeypatch.setattr(ModePreconditioner, "solve_interior",
-                            lambda self, residual: residual)
-        grid = DiskGrid(n_r=16, n_theta=32)
+    @pytest.mark.parametrize("R", [1.0, 3.33])
+    @pytest.mark.parametrize("n, a, bound", [(64, 0.01, 1e-8), (64, 0.03, 1e-8),
+                                             (128, 0.08, 1e-11),
+                                             (128, 0.15, 1e-11)])
+    def test_normal_derivative_of_an_exact_harmonic(self, n, a, bound, R):
+        # the physical and the mapped normal derivative of a field that is
+        # harmonic everywhere, from its samples on the boundary nodes
+        grid = DiskGrid(n_r=8, n_theta=n)
+        coefs = MappedCoefficients.from_boundary(oracle_boundary(n, a), R, grid.r)
+        y = R * coefs.h * np.exp(1j * grid.theta)
+        q, dF = exact_harmonic(y, R)
+        field = fields._harmonic_field(coefs, np.fft.rfft(q))
+        normal = -1j * y * (coefs.beta + 1j) / np.abs(y * (coefs.beta + 1j))
+        flux = (dF * normal).real
+        assert np.max(np.abs(field.flux - flux)) <= bound * np.max(np.abs(flux))
+        # d/dr of q(R phi(r, theta) e^{i theta}) at r = 1
+        q_r = (dF * R * coefs.J1 * np.exp(1j * grid.theta)).real
+        assert np.max(np.abs(field.normal_derivative_trace - q_r)) \
+            <= bound * np.max(np.abs(q_r))
+
+    @pytest.mark.parametrize("R", [1.0, 3.33])
+    @pytest.mark.parametrize("a", [0.01, 0.03])
+    def test_values_of_an_exact_harmonic(self, small_grid, a, R):
+        # every grid row, the one next to the boundary (r = 0.9988) included
+        grid = small_grid
+        coefs = MappedCoefficients.from_boundary(oracle_boundary(grid.n_theta, a),
+                                                 R, grid.r)
+        y = R * coefs.h * np.exp(1j * grid.theta)
+        field = fields._harmonic_field(coefs, np.fft.rfft(exact_harmonic(y, R)[0]))
+        exact = exact_harmonic(R * coefs.phi * np.exp(1j * grid.theta), R)[0]
+        assert np.max(np.abs(field.values - exact)) <= 1e-8 * np.max(np.abs(exact))
+
+    def test_memory_of_a_fine_boundary_solve(self):
+        # n_theta = 1024: the system is 8.4 MB, and a Cauchy evaluation of
+        # all 15 interior rows at once would hold 250 MB
+        grid = DiskGrid(n_r=16, n_theta=1024)
+        s = ShapeState.from_modes([(3, 0.1, 0.0), (40, 0.01, 0.5)], 1.0)
+        coefs = _map_coefs(s, grid)
+        fields._log_weights.cache_clear()
+        tracemalloc.start()
+        try:
+            pres = solve_pressure(coefs, 0.5, 2.0, grid)
+            assert np.isfinite(pres.values).all()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+
+    def test_values_are_computed_on_first_read(self, unit_steady, small_grid,
+                                               monkeypatch):
+        # the velocity reads only the traces
+        grid = small_grid
         s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
-        with pytest.raises(SolverError, match=r"after 10 cycles \(600 "
-                           r"iterations\); relative residual"):
-            solve_pressure(_map_coefs(s, grid), unit_steady.A, 2.0, grid)
+        pres = solve_pressure(_map_coefs(s, grid), unit_steady.A, 2.0, grid)
+        assert "values" not in vars(pres)
+        first = pres.values
+        assert pres.values is first
 
 
 def _random_system(seed, n, preconditioner):
@@ -196,9 +245,8 @@ class TestGmres:
 
     def test_large_shape_needs_restarts(self, id_model, small_grid,
                                         monkeypatch):
-        # mode 12 at amplitude 0.2: the last Newton step and the pressure
-        # solve each take more than one cycle of 60 iterations, so a single
-        # cycle would raise SolverError
+        # mode 12 at amplitude 0.2: the last Newton step takes more than one
+        # cycle of 60 iterations, so a single cycle would raise SolverError
         cycles = []
         solve = fields.gmres
 
@@ -273,6 +321,17 @@ class TestPerturbedNutrient:
             errs.append(np.max(np.abs(wnum - pred)))
         assert errs[0] < 50.0 * 1e-4   # O(eps^2) at eps = 1e-2
         assert errs[1] < errs[0] / 20.0   # quadratic, not linear, in eps
+
+    def test_stalled_krylov_raises(self, unit_steady, id_model, monkeypatch):
+        # without a preconditioner GMRES ends far above the tolerance; the
+        # solve must report that instead of probing a dense matrix
+        monkeypatch.setattr(ModePreconditioner, "solve_interior",
+                            lambda self, residual: residual)
+        grid = DiskGrid(n_r=16, n_theta=32)
+        s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
+        with pytest.raises(SolverError, match=r"after 10 cycles \(600 "
+                           r"iterations\); relative residual"):
+            solve_nutrient(_map_coefs(s, grid), id_model, grid)
 
     def test_one_linear_solve_reaches_the_roundoff_floor(self, unit_steady,
                                                          id_model, small_grid,
@@ -477,7 +536,8 @@ class TestModePreconditioner:
         with pytest.raises(SolverError, match="complex eigenvalues"):
             ModePreconditioner(DiskGrid(n_r=8, n_theta=8))
 
-    def test_one_transform_pair_per_iteration(self, unit_steady, monkeypatch):
+    def test_one_transform_pair_per_iteration(self, unit_steady, id_model,
+                                              monkeypatch):
         # a GMRES iteration (one operator and one preconditioner application)
         # costs one rfft and one irfft; the preconditioner needs none
         grid = DiskGrid(n_r=16, n_theta=32)
@@ -490,7 +550,7 @@ class TestModePreconditioner:
             return solve(matvec, psolve, b, **kwargs)
 
         monkeypatch.setattr(fields, "gmres", recorded)
-        solve_pressure(_map_coefs(s, grid), unit_steady.A, 2.0, grid)
+        solve_nutrient(_map_coefs(s, grid), id_model, grid)
         calls = []
         for name in ("rfft", "irfft"):
             transform = getattr(np.fft, name)
@@ -500,25 +560,18 @@ class TestModePreconditioner:
                 return transform(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
-        (matvec, psolve, b), = solved
+        matvec, psolve, b = solved[0]
         psolve(matvec(b))
         assert sorted(calls) == ["irfft", "rfft"]
 
-    def test_one_laplace_preconditioner_per_grid(self, unit_steady, id_model,
-                                                 built):
-        s = ShapeState.from_modes([(2, 1e-3, 0.0)], unit_steady.R_A)
-        traj = evolve_nonlinear(s, 0.01, unit_steady.A, 2.0, id_model,
-                                DiskGrid(n_r=16, n_theta=32))
-        assert len(traj.points) >= 3          # several velocity evaluations
-        assert built.count(True) == 1         # one pressure preconditioner
-
     def test_equal_grid_reuses_both_preconditioners(self, unit_steady,
                                                     id_model, built):
-        # the caches are keyed on the grid size, not on the grid object
+        # the cache is keyed on the grid size, not on the grid object; the
+        # nutrient preconditioner is the only one (the pressure has none)
         s = ShapeState.from_modes([(2, 1e-3, 0.0)], unit_steady.R_A)
         evolve_nonlinear(s, 0.01, unit_steady.A, 2.0, id_model,
                          DiskGrid(n_r=16, n_theta=32))
-        assert sorted(built) == [False, True]
+        assert built == [(16, 32)]
         built.clear()
         evolve_nonlinear(s, 0.01, unit_steady.A, 2.0, id_model,
                          DiskGrid(n_r=16, n_theta=32))
@@ -542,8 +595,7 @@ class TestModePreconditioner:
         traj = evolve_nonlinear(s, 0.01, unit_steady.A, 2.0, model,
                                 DiskGrid(n_r=16, n_theta=32))
         assert len(traj.points) >= 4          # at least 3 steps
-        assert built.count(False) == 1        # one nutrient preconditioner
-        assert built.count(True) == 1         # one pressure preconditioner
+        assert built == [(16, 32)]            # one nutrient preconditioner
 
     def test_equilibrium_preconditioner_serves_a_large_perturbation(
             self, poly_model, monkeypatch):
@@ -588,7 +640,7 @@ class TestModePreconditioner:
         grid = DiskGrid(n_r=16, n_theta=32)
         s = ShapeState.from_modes([(2, 3e-2, 0.0), (3, 2e-2, 0.5)], 1.2)
         solve_nutrient(_map_coefs(s, grid), poly_model, grid)
-        assert built == [False]
+        assert built == [(16, 32)]
 
     def test_standalone_phi_is_the_first_velocity_of_an_evolve(self, poly_model,
                                                                monkeypatch):
