@@ -5,7 +5,10 @@ a single JSON document; the FLAGS, before or after the command, override its
 fields, and load_config checks the merged keys once against SCHEMA. Every
 artifact is written by _write_json or _write_csv, every CSV number by _fmt
 with 17 significant digits under a header row, and identical configurations
-produce byte-identical files.
+produce byte-identical files under the same BLAS thread count. (A nonlinear
+evolve on a grid finer than the default 64x128 can differ in the last
+digits between OpenBLAS thread counts, whose threaded and single-threaded
+products round differently.)
 
 Exit codes: 0 success, 2 validation error (an unknown key is one), 3 solver
 failure, 4 halt because the evolving shape left the admissible

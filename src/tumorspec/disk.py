@@ -215,17 +215,6 @@ class DiskGrid:
         np.matmul(self.fold.stacked[1], X[:, split:], out=out[:, split:])
 
 
-def theta_derivative(values, order=1):
-    """Spectral derivative of a periodic sample array along its last axis."""
-    values = np.asarray(values, dtype=float)
-    n = values.shape[-1]
-    k = np.fft.rfftfreq(n, d=1.0 / n)
-    spec = np.fft.rfft(values, axis=-1) * (1j * k) ** order
-    if order % 2 and n % 2 == 0:
-        spec[..., -1] = 0.0  # drop the unpaired Nyquist mode for odd derivatives
-    return np.fft.irfft(spec, n=n, axis=-1)
-
-
 def truncated_spectrum(values):
     """The rfft along the last (angular) axis with the modes above n // 3
     set to zero (the 2/3 rule)."""
@@ -262,7 +251,10 @@ class MappedCoefficients:
 
     It is invertible on the whole admissible set: J >= 1 - 3 sup|rho| > 0.
     The boundary quantities (h, beta, J1, curvature) are the ones the
-    pressure data and the boundary velocity read.
+    pressure and the boundary velocity read. The curvature is the exact
+    curvature of the node curve, not dealiased: the pressure truncates its
+    data itself, and its boundary solve needs the exact value on the
+    diagonal of its flux kernel.
     """
     phi: np.ndarray      # (n_r, n_theta) mapped radius / R
     a_rr: np.ndarray
@@ -307,8 +299,8 @@ class MappedCoefficients:
 
         h = 1.0 + rho
         rho_p, rho_pp = Ep + Op, Epp + Opp
-        curvature = dealias((h**2 + 2.0 * rho_p**2 - h * rho_pp)
-                            / (R * (h**2 + rho_p**2) ** 1.5))
+        curvature = ((h**2 + 2.0 * rho_p**2 - h * rho_pp)
+                     / (R * (h**2 + rho_p**2) ** 1.5))
         return cls(phi=phi, a_rr=a_rr, a_r=a_r, a_rt=-2.0 * g, scale=(R * phi) ** 2,
                    h=h, E=E, O=O, beta=rho_p / h, J1=1.0 + E + 2.0 * O,
                    curvature=curvature, R=float(R))

@@ -1,19 +1,20 @@
 """The nonlinear boundary velocity and its time integration.
 
-phi assembles the boundary velocity from the two field solves, the boundary
-normal factor, and the mitosis drift:
+phi assembles the boundary velocity from the normal fluxes of the two
+fields and the mitosis drift:
 
-    phi(rho) = [ c (G v_r - q_r) - beta (G v_t - q_t) ] / (R**2 h)
-               - (A G / 2) h,
-    h = 1 + rho,  beta = rho'/h,  c = (1 + beta**2) h / phi_r(1),
+    phi(rho) = sqrt(1 + beta**2) (G dv/dn - dq/dn) / R - (A G / 2) h,
+    h = 1 + rho,  beta = rho'/h,
 
-with all traces taken at the mapped boundary r = 1 and phi_r the radial
-Jacobian of the blended map there. Each evaluation builds the map of the
-shape once (:class:`tumorspec.disk.MappedCoefficients`); both field solves
-and the boundary factors h, beta and phi_r(1) are read from it. Every
-nutrient solve is preconditioned with the exact radial inverse at the
-equilibrium of radius R (:func:`tumorspec.fields._equilibrium`), so one is
-built per evolution and a standalone evaluation gets the same.
+with dv/dn and dq/dn the physical outward normal derivatives of the
+nutrient and the pressure at the boundary nodes (each field's ``flux``);
+the factor sqrt(1 + beta**2) / R turns the normal speed into the rate of
+rho. Each evaluation builds the map of the shape once
+(:class:`tumorspec.disk.MappedCoefficients`); both field solves and the
+boundary factors h and beta are read from it. Every nutrient solve is
+preconditioned with the exact radial inverse at the equilibrium of radius
+R (:func:`tumorspec.fields._equilibrium`), so one is built per evolution
+and a standalone evaluation gets the same.
 
 Time stepping is the third-order exponential Runge-Kutta scheme ETD3RK of
 Cox and Matthews (J. Comput. Phys. 176, 2002) on the linearized spectrum.
@@ -41,8 +42,7 @@ import numpy as np
 
 from .errors import DomainValidityError, SolverError, ValidationError
 from .fields import solve_nutrient, solve_pressure
-from .disk import (DiskGrid, MappedCoefficients, theta_derivative,
-                   truncated_spectrum)
+from .disk import DiskGrid, MappedCoefficients, truncated_spectrum
 from .models import NutrientModel
 from .shapes import ADMISSIBLE_SUP_NORM, ShapeState
 from .spectrum import ModelParameters, build_table
@@ -76,16 +76,9 @@ def phi(shape: ShapeState, A, G, model: NutrientModel, grid: DiskGrid = None,
 
     coefs = MappedCoefficients.from_boundary(shape.to_grid(grid.n_theta), R, grid.r)
     nut = solve_nutrient(coefs, model, grid, start=nutrient_start)
-    pres = solve_pressure(coefs, A, G, grid)
-
-    h, beta = coefs.h, coefs.beta
-    v_r = nut.normal_derivative_trace
-    q_r = pres.normal_derivative_trace
-    v_t, q_t = theta_derivative(np.stack([nut.boundary_trace, pres.boundary_trace]))
-
-    radial_factor = (1.0 + beta**2) * h / coefs.J1
-    values = (radial_factor * (G * v_r - q_r) - beta * (G * v_t - q_t)) \
-        / (R * R * h) - 0.5 * A * G * h
+    pres = solve_pressure(coefs, A, G)
+    values = np.hypot(1.0, coefs.beta) / R * (G * nut.flux - pres.flux) \
+        - 0.5 * A * G * coefs.h
 
     # the dealiased values and their coefficients from one spectrum
     spec = truncated_spectrum(values)

@@ -5,16 +5,18 @@ r = R (1 + rho(theta)) and pulled back to the unit disk with the blended
 radial map s = R phi(r, theta). One :class:`tumorspec.disk.MappedCoefficients`
 holds that map for a shape: the operator coefficients, and the boundary
 quantities (h = 1 + rho, the curvature) that the pressure data read. The
-caller builds it once per shape and passes it to both solves, together with
-the :class:`tumorspec.disk.DiskGrid` whose nodes it was built on; the grid is
-the only resolution setting.
+caller builds it once per shape on the nodes of a
+:class:`tumorspec.disk.DiskGrid`, the only resolution setting, and passes it
+to both solves; the nutrient solve also takes that grid. Each solve returns
+its field's physical outward normal derivative on the boundary nodes,
+``flux``, the one quantity the boundary velocity reads.
 
-The pressure is harmonic, and the boundary velocity reads only its boundary
-trace and normal derivative, so it is solved on the n_theta boundary nodes
-alone (:func:`_harmonic_field`): a single-layer potential plus a constant,
-with Kress's quadrature of the log kernel, is one dense (n_theta + 1)**2
-solve per shape, and the normal derivative is the adjoint double layer of
-its density. Its grid samples are computed only when they are read, by the
+The pressure is harmonic, and the boundary velocity reads only its normal
+derivative, so it is solved on the n_theta boundary nodes alone
+(:func:`_harmonic_field`): a single-layer potential plus a constant, with
+Kress's quadrature of the log kernel, is one dense (n_theta + 1)**2 solve
+per shape, and the normal derivative is the adjoint double layer of its
+density. Its grid samples are computed only when they are read, by the
 compensated Cauchy formula, which stays accurate up to the boundary
 (:class:`HarmonicField`). The circulant log weights depend only on n_theta:
 :func:`_log_weights` keeps the last two.
@@ -82,12 +84,8 @@ KRYLOV_TOL = 1e-11        # relative GMRES tolerance of the nutrient solves
 
 @dataclass(frozen=True)
 class DiskField:
-    values: np.ndarray                    # row 0 = boundary, radii descending
-    normal_derivative_trace: np.ndarray   # d/dr at r = 1 in mapped coordinates
-
-    @property
-    def boundary_trace(self):
-        return self.values[0]
+    values: np.ndarray   # row 0 = boundary, radii descending
+    flux: np.ndarray     # physical outward normal derivative on the boundary
 
 
 def gmres(matvec, psolve, b, rtol, restart, maxiter):
@@ -103,8 +101,9 @@ def gmres(matvec, psolve, b, rtol, restart, maxiter):
     each inner iteration is |b - A x| of the iterate it stands for, up to
     roundoff. A cycle ends once that estimate falls to rtol |b|, at
     breakdown, or after ``restart`` inner iterations; it then updates x by
-    M (V y), one preconditioner application, and computes the true residual. Only a cycle that ran all
-    ``restart`` iterations is followed by another, from that residual.
+    M (V y), one preconditioner application, and computes the true
+    residual. Only a cycle that ran all ``restart`` iterations is followed
+    by another, from that residual.
 
     Returns (x, info, history, rnorm): info is 0 when |b - A x| <= rtol |b|
     and ``maxiter`` otherwise; history lists, per cycle run, the residual
@@ -210,12 +209,12 @@ def _interior_solve(grid, coefs, potential, rhs, precond, tol):
     return W, rnorm
 
 
-def solve_pressure(coefs: MappedCoefficients, A, G, grid: DiskGrid):
+def solve_pressure(coefs: MappedCoefficients, A, G):
     """Harmonic pressure with curvature + mitosis boundary data.
 
-    ``coefs`` is the map of the domain on the nodes of ``grid``. The field
-    is solved from the dealiased data on the n_theta boundary nodes
-    (:func:`_harmonic_field`); its ``values`` are computed on first read.
+    The field is solved from the dealiased data on the n_theta boundary
+    nodes of ``coefs`` (:func:`_harmonic_field`); its ``values``, on the
+    grid the map was built on, are computed on first read.
     """
     return _harmonic_field(coefs, truncated_spectrum(
         coefs.curvature - 0.25 * A * G * coefs.R**2 * coefs.h**2))
@@ -234,12 +233,10 @@ class HarmonicField:
     """A harmonic field on the domain of ``coefs``, solved on its boundary.
 
     ``boundary_trace`` is the Dirichlet data and ``flux`` the physical
-    outward normal derivative at the n_theta boundary nodes;
-    ``normal_derivative_trace`` is the mapped d/dr at r = 1, as for
+    outward normal derivative at the n_theta boundary nodes, as for
     :class:`DiskField`.
     """
     boundary_trace: np.ndarray
-    normal_derivative_trace: np.ndarray
     flux: np.ndarray
     coefs: MappedCoefficients
 
@@ -305,15 +302,10 @@ def _harmonic_field(coefs: MappedCoefficients, spec):
     The outward normal derivative is the interior trace of the adjoint double
     layer, dq/dn = sigma/2 + K' sigma, whose smooth kernel -(1/2 pi) (x -
     y).nu_x / |x - y|**2 is -kappa/(4 pi) on the diagonal, with kappa the
-    curvature of the nodes' curve (the dealiased ``coefs.curvature`` would
-    cost accuracy there). The mapped d/dr at r = 1 follows from dq/dn and
-    the data's theta-derivative q_t by the chain rule of the blended map:
-    q_r = J1 (|y'| dq/dn + beta q_t) / ((1 + beta**2) h).
+    exact curvature ``coefs.curvature`` of the nodes' curve.
     """
     n = len(coefs.h)
-    q = np.arange(len(spec))
-    data, data_t, h_tt = np.fft.irfft(
-        np.stack([spec, 1j * q * spec, -q * q * np.fft.rfft(coefs.h)]), n=n)
+    data = np.fft.irfft(spec, n=n)
     y, dy = _curve(coefs)
     speed = np.abs(dy)
     points = np.stack([y.real, y.imag])
@@ -336,19 +328,14 @@ def _harmonic_field(coefs: MappedCoefficients, spec):
     R = np.linalg.qr(system, mode="r")
     sigma = np.linalg.solve(R[:, :-1], R[:, -1])[:n]
 
-    h, beta = coefs.h, coefs.beta
-    curvature = ((1.0 + 2.0 * beta**2) * h - h_tt) \
-        / (coefs.R * h**2 * (1.0 + beta**2) ** 1.5)
     # (x - y) / |x - y|**2, 0 on the diagonal, where x - y = 0, applied to
     # sigma ds and dotted with nu_x = -i y' / |y'| = (Im y', -Re y') / |y'|
     diff /= dist2
     density = sigma * speed
     kx, ky = diff @ density
     flux = 0.5 * sigma - ((dy.imag * kx - dy.real * ky) / speed
-                          + 0.5 * curvature * density) / n
-    q_r = coefs.J1 * (speed * flux + beta * data_t) / ((1.0 + beta**2) * h)
-    return HarmonicField(boundary_trace=data, normal_derivative_trace=q_r,
-                         flux=flux, coefs=coefs)
+                          + 0.5 * coefs.curvature * density) / n
+    return HarmonicField(boundary_trace=data, flux=flux, coefs=coefs)
 
 
 @functools.lru_cache(maxsize=1)
@@ -422,8 +409,11 @@ def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGr
             "nutrient Newton iteration did not converge; residual history: "
             + ", ".join(f"{r:.3e}" for r in history))
 
+    # v = 1 on the boundary, so its gradient there is normal, and the flux
+    # is hypot(1, beta) times the physical d/ds = v_r / (R J1)
+    v_r = boundary_radial_derivative(grid, X)
     return DiskField(values=v,
-                     normal_derivative_trace=boundary_radial_derivative(grid, X))
+                     flux=np.hypot(1.0, coefs.beta) * v_r / (coefs.R * coefs.J1))
 
 
 def center_value(grid: DiskGrid, values):

@@ -47,18 +47,17 @@ class TestVelocityAtEquilibrium:
         assert np.allclose(res.values, expected, atol=1e-9)
         assert expected > 0.0  # smaller than steady: the radius grows
 
-    def test_assembly_takes_four_transforms(self, setup, id_model, small_grid,
-                                            monkeypatch):
+    def test_assembly_takes_two_transforms(self, setup, id_model, small_grid,
+                                           monkeypatch):
         # past the map and the field solves: one rfft and one irfft for the
-        # theta derivatives of both traces, one of each for the dealiased
-        # values and their coefficients
+        # dealiased values and their coefficients
         A, G, table = setup
         n = small_grid.n_theta
         s = ShapeState.from_modes([(3, 2e-2, 0.0), (2, 1e-2, 0.3)], table.R)
         ref = phi(s, A, G, id_model, small_grid)
         coefs = MappedCoefficients.from_boundary(s.to_grid(n), table.R,
                                                  small_grid.r)
-        pres = solve_pressure(coefs, A, G, small_grid)
+        pres = solve_pressure(coefs, A, G)
         monkeypatch.setattr(dynamics.MappedCoefficients, "from_boundary",
                             lambda *args: coefs)
         monkeypatch.setattr(dynamics, "solve_nutrient",
@@ -78,7 +77,7 @@ class TestVelocityAtEquilibrium:
         shape_calls = len(calls)
         calls.clear()
         got = phi(s, A, G, id_model, small_grid)
-        assert len(calls) == shape_calls + 4
+        assert len(calls) == shape_calls + 2
         assert np.array_equal(got.values, ref.values)
         expected = np.fft.rfft(ref.values)[:n // 3 + 1] / n
         assert np.max(np.abs(got.coeffs - expected)) <= \
