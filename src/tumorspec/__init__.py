@@ -3,24 +3,12 @@
 Steady radial equilibria, the stability spectrum of the linearized boundary
 dynamics, and linear / fully nonlinear shape evolution with spectral field
 solves on the perturbed domain.
+
+Each export is imported from its module on first access (PEP 562), so a
+command loads only the modules it runs.
 """
 
-from .dynamics import (PhiResult, Trajectory, TrajectoryPoint,
-                       evolve_nonlinear, phi)
-from .errors import (BracketError, DomainValidityError, SolverError,
-                     TumorSpecError, ValidationError)
-from .disk import DiskGrid
-from .fields import (DiskField, center_value, harmonic_residual,
-                     solve_nutrient, solve_pressure)
-from .linear import (GrowthFit, evolve_linear, fit_growth_rate,
-                     linearized_mode_profile)
-from .models import (NutrientModel, identity_model, parse_model_spec,
-                     polynomial_model)
-from .radial import (RadialProfile, SteadyState, appendix_series,
-                     boundary_ratio, solve_U, solve_u_n, steady_radius)
-from .shapes import ADMISSIBLE_SUP_NORM, ShapeState
-from .spectrum import (DEFAULT_K_MAX, ModelParameters, SpectrumTable,
-                       build_table, g_star, l_G_index)
+import importlib
 
 __version__ = "0.1.0"
 
@@ -36,3 +24,34 @@ __all__ = [
     "polynomial_model", "solve_U", "solve_nutrient", "solve_pressure",
     "solve_u_n", "steady_radius",
 ]
+
+_MODULES = {
+    "dynamics": ("PhiResult", "Trajectory", "TrajectoryPoint",
+                 "evolve_nonlinear", "phi"),
+    "errors": ("BracketError", "DomainValidityError", "SolverError",
+               "TumorSpecError", "ValidationError"),
+    "disk": ("DiskGrid",),
+    "fields": ("DiskField", "center_value", "harmonic_residual",
+               "solve_nutrient", "solve_pressure"),
+    "linear": ("GrowthFit", "evolve_linear", "fit_growth_rate",
+               "linearized_mode_profile"),
+    "models": ("NutrientModel", "identity_model", "parse_model_spec",
+               "polynomial_model"),
+    "radial": ("RadialProfile", "SteadyState", "appendix_series",
+               "boundary_ratio", "solve_U", "solve_u_n", "steady_radius"),
+    "shapes": ("ADMISSIBLE_SUP_NORM", "ShapeState"),
+    "spectrum": ("DEFAULT_K_MAX", "ModelParameters", "SpectrumTable",
+                 "build_table", "g_star", "l_G_index"),
+}
+_MODULE_OF = {name: module for module, names in _MODULES.items()
+              for name in names}
+
+
+def __getattr__(name):
+    if name in _MODULES:   # the submodules stay reachable as attributes
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

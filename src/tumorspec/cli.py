@@ -5,10 +5,8 @@ a single JSON document; the FLAGS, before or after the command, override its
 fields, and load_config checks the merged keys once against SCHEMA. Every
 artifact is written by _write_json or _write_csv, every CSV number by _fmt
 with 17 significant digits under a header row, and identical configurations
-produce byte-identical files under the same BLAS thread count. (A nonlinear
-evolve on a grid finer than the default 64x128 can differ in the last
-digits between OpenBLAS thread counts, whose threaded and single-threaded
-products round differently.)
+produce byte-identical files: :func:`main` runs numpy's OpenBLAS on one
+thread, whose products round the same whatever OPENBLAS_NUM_THREADS says.
 
 Exit codes: 0 success, 2 validation error (an unknown key is one), 3 solver
 failure, 4 halt because the evolving shape left the admissible
@@ -17,6 +15,8 @@ neighbourhood. A sweep returns the worst code of its runs.
 
 import argparse
 import csv
+import ctypes
+import functools
 import json
 import sys
 from pathlib import Path
@@ -24,13 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from .disk import DiskGrid
-from .dynamics import ERR_TARGET, evolve_nonlinear
 from .errors import SolverError, ValidationError
-from .linear import evolve_linear, fit_growth_rate
 from .models import identity_model, parse_model_spec
 from .radial import (appendix_series, boundary_ratio, solve_U, solve_u_n,
                      steady_radius)
-from .shapes import ShapeState
 from .spectrum import DEFAULT_K_MAX, ModelParameters, build_table, report_dict
 
 EXIT_OK = 0
@@ -172,7 +169,7 @@ SCHEMA = {
     "n_samples": (_at_most(MAX_SAMPLES, _positive(_integer)), 200),
     "n_r": (_at_most(MAX_N_R, _integer), DiskGrid.n_r),
     "n_theta": (_at_most(MAX_N_THETA, _integer), DiskGrid.n_theta),
-    "err_target": (_positive(_real), ERR_TARGET),
+    "err_target": (_positive(_real), None),   # None: dynamics.ERR_TARGET
     "sweep": (_sweep, None),
     "out": (_text, "."),
 }
@@ -272,6 +269,11 @@ def _snapshot(t, shape):
 
 
 def cmd_evolve(cfg):
+    # the evolution modules load only for this command
+    from .dynamics import ERR_TARGET, evolve_nonlinear
+    from .linear import evolve_linear, fit_growth_rate
+    from .shapes import ShapeState
+
     model = parse_model_spec(cfg["model"])
     A, G = _required(cfg, "A"), _required(cfg, "G")
     mode, t_end, R = cfg["mode"], cfg["t_end"], cfg["R"]
@@ -296,7 +298,7 @@ def cmd_evolve(cfg):
     else:
         grid = DiskGrid(n_r=cfg["n_r"], n_theta=cfg["n_theta"])
         traj = evolve_nonlinear(shape0, t_end, A, G, model, grid,
-                                cfg["err_target"])
+                                cfg["err_target"] or ERR_TARGET)
         status = traj.status
         shapes = [(p.t, p.shape) for p in traj.points]
 
@@ -420,9 +422,43 @@ def _guarded(fn, *args):
         return EXIT_SOLVER
 
 
+@functools.lru_cache(maxsize=1)
+def _openblas_threads():
+    """The get and set functions of the thread count of the OpenBLAS that
+    numpy bundles, or None where numpy's BLAS does not export them."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)   # dlsym sees its BLAS
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
+
+
 def main(argv=None):
+    """Run one command and return its exit code.
+
+    The command runs on one thread of numpy's OpenBLAS, whose threaded and
+    single-threaded products round differently, and the previous count is
+    restored on return. Where numpy's BLAS does not export
+    ``scipy_openblas_set_num_threads64_``, the count is left as it is. A
+    library caller of :func:`tumorspec.dynamics.phi` runs with the count its
+    environment sets.
+    """
     args = build_parser().parse_args(argv)
-    return _guarded(lambda: COMMANDS[args.command](load_config(args)))
+    threads = _openblas_threads()
+    if threads:
+        get_threads, set_threads = threads
+        previous = get_threads()
+        set_threads(1)
+    try:
+        return _guarded(lambda: COMMANDS[args.command](load_config(args)))
+    finally:
+        if threads:
+            set_threads(previous)
 
 
 if __name__ == "__main__":

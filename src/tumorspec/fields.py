@@ -22,8 +22,8 @@ compensated Cauchy formula, which stays accurate up to the boundary
 :func:`_log_weights` keeps the last two.
 
 The nutrient lives in the mode layout of
-:meth:`tumorspec.disk.DiskGrid.to_modes` (even modes first, then odd). Every
-residual and Krylov matvec is one call of
+:meth:`tumorspec.disk.DiskGrid.to_modes` (even modes first, then odd). The first
+residual and every Krylov matvec is one call of
 :func:`tumorspec.disk.mapped_laplacian_kernel`, which reads all n_r rows of a
 spectrum and returns the n_r - 1 interior rows, and each Newton step solves
 for the correction, with zero boundary data, of the residual of the
@@ -47,20 +47,22 @@ step of a solve (for the identity model f' is constant, so it is the one
 every step would build). The cache is keyed on (n_r, n_theta, R, model), so
 it keeps no caller's grid alive and equal grids share its entry.
 
-The nutrient Newton loop stops once the max interior residual is at most
-``NEWTON_TOL``, or once it is at most the grid's roundoff floor
-(:func:`_roundoff_floor`) and either stalls (falls by less than half) or
-cannot fall further. After a correction delta of v the new residual is,
-up to the roundoff of evaluating it, -(r + scale (f(v + delta) - f(v) -
-f'(v) delta)), where r is the linear residual that GMRES left. The 2-norm
-of r, which GMRES returns, plus the max of the nonlinear remainder bounds
-what another Newton step could remove (Eisenstat & Walker, *SIAM J. Sci.
-Comput.* 17, 1996, on not oversolving); when that bound is at most
-``NEWTON_TOL``, the part of the residual above it is roundoff, and no
-further solve is spent to find that out.
-A Krylov iteration that ends above the roundoff floor raises SolverError.
-The tolerances of both loops are the module constants below and the
-grid's roundoff floor.
+The nutrient Newton loop evaluates the residual F = L v - scale f(v) once,
+at the start. After a correction delta, GMRES leaves the linear residual
+r = -F - J delta, which it computed from its last product, and the new
+residual is F = -r - scale (f(v + delta) - f(v) - f'(v) delta), the
+inexact-Newton bookkeeping of Eisenstat & Walker (*SIAM J. Sci. Comput.*
+17, 1996); v's spectrum, which the flux reads, is updated by delta's. The
+loop stops once max|F| is at most ``NEWTON_TOL``. A residual derived so
+carries the roundoff of the corrections, not that of applying the operator
+to v, which grows with n_r and with the map (eps |r**2 D2 + r D|_inf alone
+is 1.9e-8 at n_r = 64) and would keep a residual evaluated afresh above
+``NEWTON_TOL``. Each Krylov solve targets |r|_2 <= ``NEWTON_TOL`` / 2, which
+bounds max|r|; for a model with f'' != 0 it stops already at 1e-4 max|F|
+relative to |F|_2, since the nonlinear remainder calls for another step
+anyway. A Newton step of a model with f'' = 0 is exact, so its one Krylov
+solve ends the loop. GMRES raises SolverError when its true relative
+residual ends above 1e-8, and ``MAX_NEWTON_ITERS`` bounds the loop.
 """
 
 import functools
@@ -71,7 +73,7 @@ import numpy as np
 
 from .disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
                    apply_mapped_laplacian, boundary_radial_derivative,
-                   eval_field_columns, mapped_laplacian_kernel, radial_fold,
+                   eval_field_columns, mapped_laplacian_kernel,
                    truncated_spectrum)
 from .errors import SolverError
 from .models import NutrientModel
@@ -79,7 +81,6 @@ from .radial import solve_U
 
 NEWTON_TOL = 1e-10        # max interior residual that ends the nutrient Newton loop
 MAX_NEWTON_ITERS = 30
-KRYLOV_TOL = 1e-11        # relative GMRES tolerance of the nutrient solves
 
 
 @dataclass(frozen=True)
@@ -105,10 +106,11 @@ def gmres(matvec, psolve, b, rtol, restart, maxiter):
     residual. Only a cycle that ran all ``restart`` iterations is followed
     by another, from that residual.
 
-    Returns (x, info, history, rnorm): info is 0 when |b - A x| <= rtol |b|
+    Returns (x, info, history, r): info is 0 when |b - A x| <= rtol |b|
     and ``maxiter`` otherwise; history lists, per cycle run, the residual
-    estimate after each of its inner iterations; rnorm is the true residual
-    |b - A x| of the returned x, computed at the end of the last cycle.
+    estimate after each of its inner iterations; r is the true residual
+    b - A x of the returned x, computed at the end of the last cycle (b
+    itself when b = 0).
     """
     n = len(b)
     x = np.zeros(n)
@@ -116,7 +118,7 @@ def gmres(matvec, psolve, b, rtol, restart, maxiter):
     r = b
     rnorm = float(np.linalg.norm(b))
     if rnorm == 0.0:
-        return x, 0, history, 0.0
+        return x, 0, history, b
     atol = rtol * rnorm
     eps = np.finfo(float).eps
     restart = min(restart, n)
@@ -163,12 +165,13 @@ def gmres(matvec, psolve, b, rtol, restart, maxiter):
         rnorm = float(np.linalg.norm(r))
         if rnorm <= atol or m < restart:
             break
-    return x, (0 if rnorm <= atol else maxiter), history, rnorm
+    return x, (0 if rnorm <= atol else maxiter), history, r
 
 
 def _interior_solve(grid, coefs, potential, rhs, precond, tol):
     """The theta-spectrum (mode layout, all n_r rows) of the correction with
-    zero boundary data, and the 2-norm of its linear residual.
+    zero boundary data, and the samples of its linear residual on the
+    interior rows, from GMRES's last product.
 
     Solves (mapped Laplacian - potential) W = rhs on the interior rows, with
     W = 0 on the boundary row; potential, like rhs, holds the n_r - 1
@@ -190,13 +193,13 @@ def _interior_solve(grid, coefs, potential, rhs, precond, tol):
         return precond.solve_interior(x.reshape(interior.shape)).ravel()
 
     b = (grid.to_modes(rhs) * scale).ravel()
-    x, info, history, rnorm = gmres(matvec, psolve, b, rtol=tol, restart=60,
-                                    maxiter=10)
+    x, info, history, r = gmres(matvec, psolve, b, rtol=tol, restart=60,
+                                maxiter=10)
     if info != 0:
         # once the residual reaches the roundoff floor of the
         # differentiation matrices, the residual estimates fall below the
         # tolerance but the true residual does not; accept the iterate there
-        achieved = rnorm / np.linalg.norm(b)
+        achieved = np.linalg.norm(r) / np.linalg.norm(b)
         if achieved > 1e-8:
             last = [e for estimates in history for e in estimates][-4:]
             raise SolverError(
@@ -206,7 +209,7 @@ def _interior_solve(grid, coefs, potential, rhs, precond, tol):
                 "residual estimates "
                 + ", ".join(f"{e:.3e}" for e in last))
     np.divide(x.reshape(interior.shape), scale, out=interior)
-    return W, rnorm
+    return W, grid.from_modes(r.reshape(interior.shape) / scale)
 
 
 def solve_pressure(coefs: MappedCoefficients, A, G):
@@ -353,15 +356,6 @@ def _equilibrium(n_r, n_theta, R, model: NutrientModel):
     return v0[:, None], precond
 
 
-@functools.lru_cache(maxsize=None)
-def _roundoff_floor(n_r):
-    """Residual below which a stalled Newton loop has reached roundoff: the
-    larger of 1e3 NEWTON_TOL and eps |r**2 D2 + r D|_inf, which bounds the
-    roundoff of an exact field (1.9e-8 at n_r = 64, 5.0e-6 at 256)."""
-    op = radial_fold(n_r).operator(1)
-    return max(1e3 * NEWTON_TOL, np.finfo(float).eps * np.linalg.norm(op, np.inf))
-
-
 def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGrid,
                    start=None):
     """Semilinear nutrient problem, Newton iteration on the mapped disk.
@@ -371,7 +365,10 @@ def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGr
     field of a previous time step); None starts from the radial equilibrium
     profile of radius ``coefs.R``. The boundary row is set to 1 either way.
     Every Newton step is preconditioned with the exact radial inverse at that
-    equilibrium (:func:`_equilibrium`).
+    equilibrium (:func:`_equilibrium`). The residual is evaluated once, at
+    the start; each later one is derived from the linear residual of the
+    correction's Krylov solve and the nonlinear remainder of f, and the loop
+    stops once its max is at most ``NEWTON_TOL`` (see the module docstring).
     """
     scale = coefs.scale[1:]
     v0, precond = _equilibrium(grid.n_r, grid.n_theta, coefs.R, model)
@@ -379,35 +376,36 @@ def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGr
                         (grid.n_r, grid.n_theta)).copy()
     v[0, :] = 1.0
     interior = v[1:]   # the rows the Newton corrections update
+    X = grid.to_modes(v)
+    sf = scale * model.f_at(interior)
+    F = mapped_laplacian_kernel(grid, coefs, X) - sf
+    # a Newton step of a model with f'' = 0 is exact: its Krylov solve goes
+    # straight to the target
+    forcing = 0.0 if model.is_linear else 1e-4
 
     history = []
     for _ in range(MAX_NEWTON_ITERS):
-        X = grid.to_modes(v)
-        sf = scale * model.f_at(interior)
-        F = mapped_laplacian_kernel(grid, coefs, X) - sf
         res = float(np.max(np.abs(F)))
         history.append(res)
         if res <= NEWTON_TOL:
             break
-        if res <= _roundoff_floor(grid.n_r) and len(history) >= 2 and (
-                res > 0.5 * history[-2]
-                # what another step could remove: the linear residual of
-                # the last correction and the nonlinear remainder of f
-                or rnorm + float(np.max(np.abs(sf - sf_old - potential * step)))
-                <= NEWTON_TOL):
-            # no further progress at the roundoff floor of the operator
-            break
         potential = scale * model.fprime_at(interior)
-        # one Newton correction: J delta = -F with zero boundary data
-        delta, rnorm = _interior_solve(grid, coefs, potential, -F, precond,
-                                       max(KRYLOV_TOL, 1e-4 * res))
+        # one Newton correction: J delta = -F with zero boundary data, to a
+        # linear residual r with |r|_2 <= NEWTON_TOL / 2, which bounds max|r|
+        delta, r = _interior_solve(
+            grid, coefs, potential, -F, precond,
+            max(0.5 * NEWTON_TOL / np.linalg.norm(F), forcing * res))
+        X += delta
         step = grid.from_modes(delta[1:])
         interior += step
-        sf_old = sf
+        sf_new = scale * model.f_at(interior)
+        # F(v + delta) = F + J delta - scale (f(v + delta) - f(v) - f'(v) delta)
+        F = -r - (sf_new - sf - potential * step)
+        sf = sf_new
     else:
         raise SolverError(
             "nutrient Newton iteration did not converge; residual history: "
-            + ", ".join(f"{r:.3e}" for r in history))
+            + ", ".join(f"{e:.3e}" for e in history))
 
     # v = 1 on the boundary, so its gradient there is normal, and the flux
     # is hypot(1, beta) times the physical d/ds = v_r / (R J1)

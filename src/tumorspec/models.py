@@ -52,6 +52,11 @@ class NutrientModel:
         return _horner(u, self.fprime_coeffs)
 
     @property
+    def is_linear(self):
+        """Whether f'' = 0, so that one Newton step solves a collocation system."""
+        return not np.any(self.fprime_coeffs[1:])
+
+    @property
     def f_of_one(self):
         return float(self.f_at(1.0))
 

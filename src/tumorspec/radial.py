@@ -98,10 +98,12 @@ def _solve_center(lam, model, start=None):
     (zero if None) on the folded nodes.
 
     Returns W and the uptake int_0^1 r f(U) dr, taken by the fold's flux
-    quadrature, so that U'(1) = lam * uptake. Raises SolverError when Newton
-    takes more than ``MAX_NEWTON_ITERS`` steps, when an iterate is not
-    finite, and when the trailing Chebyshev coefficients of U show that
-    ``N_NODES`` does not resolve it.
+    quadrature, so that U'(1) = lam * uptake. For a model with f'' = 0 the
+    first Newton step solves the collocation system, so no second solve
+    confirms it. Raises SolverError when Newton takes more than
+    ``MAX_NEWTON_ITERS`` steps, when an iterate is not finite, and when the
+    trailing Chebyshev coefficients of U show that ``N_NODES`` does not
+    resolve it.
     """
     if lam < 0:
         raise ValidationError("lam must be nonnegative")
@@ -127,7 +129,9 @@ def _solve_center(lam, model, start=None):
             w = w + step
             if not np.all(np.isfinite(w)):
                 break
-            if np.max(np.abs(step)) <= REL_TOL * np.max(np.abs(1.0 + w)) + ABS_TOL:
+            # a step of a model with f'' = 0 is exact
+            if model.is_linear or \
+                    np.max(np.abs(step)) <= REL_TOL * np.max(np.abs(1.0 + w)) + ABS_TOL:
                 converged = True
                 break
     if not converged:
@@ -159,7 +163,8 @@ def solve_U(lam, model: NutrientModel):
     """Solve the parameter-dependent center problem by collocation and Newton.
 
     Newton iterates on W = U - 1 from W = 0 and stops once its update falls
-    below ``REL_TOL * max|U| + ABS_TOL``. A SolverError is raised when that
+    below ``REL_TOL * max|U| + ABS_TOL``, or after one step for a model with
+    f'' = 0, whose step is exact. A SolverError is raised when that
     takes more than ``MAX_NEWTON_ITERS`` steps (it carries the residual
     history), and when the trailing Chebyshev coefficients of U show that
     ``N_NODES`` does not resolve it. The boundary flux

@@ -272,23 +272,51 @@ class TestEvolveCommand:
 
     def test_nonlinear_output_independent_of_blas_threads(self, tmp_path,
                                                          package_env):
-        # the default 64x128 grid; the single-mode run takes four accepted
-        # steps, so the adaptive step size is read from err more than once
-        for seed, t_end, rows in (("3:1e-3,2:5e-4:0.3", "0.005", 4),
-                                  ("3:1e-3", "0.05", 5)):
+        # the default 64x128 grid, then 64x256, where OpenBLAS's threaded and
+        # single-threaded products round differently and only the one thread
+        # that main sets keeps the files equal; the single-mode runs take
+        # four accepted steps, so the adaptive step size is read from err
+        # more than once
+        for case, (seed, t_end, rows, grid) in enumerate((
+                ("3:1e-3,2:5e-4:0.3", "0.005", 4, {}),
+                ("3:1e-3", "0.05", 5, {}),
+                ("3:1e-3", "0.01", 5, {"n_r": 64, "n_theta": 256}))):
+            if grid and cli._openblas_threads() is None:
+                pytest.skip("numpy's BLAS does not export "
+                            "scipy_openblas_set_num_threads64_, so main leaves "
+                            "the thread count of a finer grid as it is")
+            config = tmp_path / f"{case}.json"
+            config.write_text(json.dumps(grid))
             outputs = []
             for threads in ("1", "2"):
-                out = tmp_path / seed / threads
+                out = tmp_path / str(case) / threads
                 subprocess.run(
-                    [sys.executable, "-m", "tumorspec.cli", "evolve", "--A", "0.5",
-                     "--G", "2.0", "--seed-shape", seed, "--t-end", t_end,
-                     "--out", str(out)],
+                    [sys.executable, "-m", "tumorspec.cli", "evolve", "--config",
+                     str(config), "--A", "0.5", "--G", "2.0", "--seed-shape", seed,
+                     "--t-end", t_end, "--out", str(out)],
                     env=dict(package_env, OPENBLAS_NUM_THREADS=threads), check=True,
                     capture_output=True)
                 outputs.append([(out / name).read_bytes()
                                 for name in ("trajectory.csv", "snapshots.json")])
             assert len(read_csv(out / "trajectory.csv")) >= rows
             assert outputs[0] == outputs[1]
+
+    def test_command_runs_on_one_blas_thread(self, monkeypatch):
+        threads = cli._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS does not export "
+                        "scipy_openblas_set_num_threads64_")
+        get_threads, set_threads = threads
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, "steady",
+                            lambda cfg: seen.append(get_threads()) or 0)
+        previous = get_threads()
+        set_threads(2)
+        try:
+            assert main(["steady"]) == 0
+            assert seen == [1] and get_threads() == 2
+        finally:
+            set_threads(previous)
 
     def test_inadmissible_seed_exits_2(self, tmp_path):
         assert main(["evolve", "--A", "0.5", "--G", "1.0",

@@ -246,19 +246,27 @@ class TestSteadyRadius:
     @pytest.mark.parametrize("model", ["identity", "poly:1,0.3"])
     def test_root_takes_few_center_solves(self, model, monkeypatch):
         # h(lam) = int_0^1 r f(U) dr - A/2 is nearly linear in lam = R**2,
-        # and Brent starts each solve from the previous one's solution
+        # and Brent starts each solve from the previous one's solution; for
+        # the identity the first Newton step is exact, so a center solve is
+        # one LU solve
         model = parse_model_spec(model)
         A = 2.0 * solve_U(0.52**2, model).deriv_at_1 / 0.52**2
-        calls = []
-        solve = radial._solve_center
+        calls, solves = [], []
+        solve, lu_solve = radial._solve_center, np.linalg.solve
 
         def counted(lam, model, start=None):
             calls.append(lam)
             return solve(lam, model, start)
 
+        def counted_lu(a, b):
+            solves.append(None)
+            return lu_solve(a, b)
+
         monkeypatch.setattr(radial, "_solve_center", counted)
+        monkeypatch.setattr(np.linalg, "solve", counted_lu)
         assert steady_radius(A, model).R_A == pytest.approx(0.52, rel=1e-12)
         assert len(calls) <= 10
+        assert len(solves) <= (1 if model.is_linear else 3) * len(calls)
 
 
 class TestBrent:
