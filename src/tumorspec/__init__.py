@@ -18,9 +18,8 @@ __all__ = [
     "NutrientModel", "PhiResult", "RadialProfile", "ShapeState", "SolverError",
     "SpectrumTable", "SteadyState", "Trajectory", "TrajectoryPoint",
     "TumorSpecError", "ValidationError", "appendix_series", "boundary_ratio",
-    "build_table", "center_value", "evolve_linear", "evolve_nonlinear",
-    "fit_growth_rate", "g_star", "harmonic_residual", "identity_model",
-    "l_G_index", "linearized_mode_profile", "parse_model_spec", "phi",
+    "build_table", "evolve_linear", "evolve_nonlinear", "fit_growth_rate",
+    "g_star", "identity_model", "l_G_index", "parse_model_spec", "phi",
     "polynomial_model", "solve_U", "solve_nutrient", "solve_pressure",
     "solve_u_n", "steady_radius",
 ]
@@ -31,10 +30,8 @@ _MODULES = {
     "errors": ("BracketError", "DomainValidityError", "SolverError",
                "TumorSpecError", "ValidationError"),
     "disk": ("DiskGrid",),
-    "fields": ("DiskField", "center_value", "harmonic_residual",
-               "solve_nutrient", "solve_pressure"),
-    "linear": ("GrowthFit", "evolve_linear", "fit_growth_rate",
-               "linearized_mode_profile"),
+    "fields": ("DiskField", "solve_nutrient", "solve_pressure"),
+    "linear": ("GrowthFit", "evolve_linear", "fit_growth_rate"),
     "models": ("NutrientModel", "identity_model", "parse_model_spec",
                "polynomial_model"),
     "radial": ("RadialProfile", "SteadyState", "appendix_series",

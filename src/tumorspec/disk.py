@@ -18,9 +18,11 @@ residual and Krylov matvec reads.
 
 A perturbed domain is pulled back to this disk by one map per shape,
 :class:`MappedCoefficients`: it splits rho into its half-turn parts once and
-holds the transformed Laplacian's coefficients together with the boundary
-quantities (h, beta, phi_r(1), curvature) that the field solves and the
-boundary velocity read.
+holds the transformed Laplacian's coefficients and the scale R**2 phi**2
+together with the boundary quantities (h, beta, phi_r(1), curvature) that
+the field solves and the boundary velocity read. The mapped radius phi and
+the half-turn parts themselves are not kept; the tests derive them from h
+(``tests/oracles.py``).
 
 The Chebyshev toolkit at the top of this module (points, barycentric weights,
 interpolation and differentiation matrices, and the fold :class:`RadialFold`)
@@ -115,12 +117,6 @@ class RadialFold:
         op = (np.asarray(m)[..., None] * self.r)[..., None] * self.D[parity]
         op += self.r[:, None] ** 2 * self.D2[parity]
         return op
-
-    def interpolation(self, x):
-        """(even, odd) matrices from samples on r to values at the radii x."""
-        N = 2 * len(self.r) - 1
-        return _fold(barycentric_matrix(chebyshev_points(N),
-                                        barycentric_weights(N + 1), x))
 
 
 @functools.lru_cache(maxsize=8)
@@ -250,20 +246,18 @@ class MappedCoefficients:
         a_r  = -phi**2 J_r / J**3 + phi/J - g_theta + g g_r.
 
     It is invertible on the whole admissible set: J >= 1 - 3 sup|rho| > 0.
-    The boundary quantities (h, beta, J1, curvature) are the ones the
-    pressure and the boundary velocity read. The curvature is the exact
-    curvature of the node curve, not dealiased: the pressure truncates its
-    data itself, and its boundary solve needs the exact value on the
-    diagonal of its flux kernel.
+    Of the interior only these coefficients and R**2 phi**2 are kept: phi,
+    E and O are locals of :meth:`from_boundary`. The boundary quantities (h,
+    beta, J1, curvature) are the ones the pressure and the boundary velocity
+    read. The curvature is the exact curvature of the node curve, not
+    dealiased: the pressure truncates its data itself, and its boundary
+    solve needs the exact value on the diagonal of its flux kernel.
     """
-    phi: np.ndarray      # (n_r, n_theta) mapped radius / R
     a_rr: np.ndarray
     a_r: np.ndarray
     a_rt: np.ndarray
     scale: np.ndarray    # R**2 phi**2, multiplies the physical right-hand side
     h: np.ndarray        # 1 + rho on the boundary
-    E: np.ndarray        # half-turn even part of rho
-    O: np.ndarray        # half-turn odd part of rho
     beta: np.ndarray     # rho' / h
     J1: np.ndarray       # phi_r at r = 1, that is 1 + E + 2 O
     curvature: np.ndarray
@@ -301,8 +295,8 @@ class MappedCoefficients:
         rho_p, rho_pp = Ep + Op, Epp + Opp
         curvature = ((h**2 + 2.0 * rho_p**2 - h * rho_pp)
                      / (R * (h**2 + rho_p**2) ** 1.5))
-        return cls(phi=phi, a_rr=a_rr, a_r=a_r, a_rt=-2.0 * g, scale=(R * phi) ** 2,
-                   h=h, E=E, O=O, beta=rho_p / h, J1=1.0 + E + 2.0 * O,
+        return cls(a_rr=a_rr, a_r=a_r, a_rt=-2.0 * g, scale=(R * phi) ** 2,
+                   h=h, beta=rho_p / h, J1=1.0 + E + 2.0 * O,
                    curvature=curvature, R=float(R))
 
 
@@ -334,22 +328,12 @@ def mapped_laplacian_kernel(grid: DiskGrid, coefs: MappedCoefficients, X,
     return out
 
 
+# read only by tests and by the layer perfbench/spans.py wraps; it moves to
+# tests/oracles.py with the benchmark refresh of ROADMAP item 1
 def apply_mapped_laplacian(grid: DiskGrid, coefs: MappedCoefficients, V):
     """Scaled Laplacian R**2 phi**2 * Delta of mapped-grid samples, on the
     n_r - 1 interior rows."""
     return mapped_laplacian_kernel(grid, coefs, grid.to_modes(V))
-
-
-def mapped_radius(coefs: MappedCoefficients, s_over_R, theta_index):
-    """Invert the blended map: mapped r with R phi(r, theta) = s.
-
-    theta_index selects the angular column; s_over_R = s / R must lie in
-    [0, phi(1, theta)].
-    """
-    c1 = 1.0 + coefs.E[theta_index]
-    O = coefs.O[theta_index]
-    # the root of O r**2 + c1 r = s in the form without cancellation
-    return 2.0 * s_over_R / (c1 + np.sqrt(c1 * c1 + 4.0 * O * s_over_R))
 
 
 def boundary_radial_derivative(grid: DiskGrid, X):
@@ -401,18 +385,3 @@ class ModePreconditioner:
         for V, V_inv, inv_shift, cols in self._parities:
             np.matmul(V, inv_shift * (V_inv @ X[:, cols]), out=out[:, cols])
         return out
-
-
-def eval_field_columns(grid: DiskGrid, V, radii):
-    """Barycentric evaluation of each theta-column at a per-column radius.
-
-    Column j continues to negative radii as the column at theta_j + pi, so
-    its even and odd parts under that half-turn see the even and odd folds of
-    the interpolation matrix on the full Chebyshev point set. The result is
-    spectrally accurate for any radius in [0, 1].
-    """
-    radii = np.broadcast_to(np.asarray(radii, dtype=float), (grid.n_theta,))
-    even, odd = grid.fold.interpolation(radii)
-    turned = np.roll(V, -(grid.n_theta // 2), axis=1)   # V(r, theta + pi)
-    return (np.einsum("ji,ij->j", even, 0.5 * (V + turned))
-            + np.einsum("ji,ij->j", odd, 0.5 * (V - turned)))

@@ -7,9 +7,10 @@ fields and the mitosis drift:
     h = 1 + rho,  beta = rho'/h,
 
 with dv/dn and dq/dn the physical outward normal derivatives of the
-nutrient and the pressure at the boundary nodes (each field's ``flux``);
-the factor sqrt(1 + beta**2) / R turns the normal speed into the rate of
-rho. Each evaluation builds the map of the shape once
+nutrient and the pressure at the boundary nodes (the nutrient field's
+``flux`` and the array the pressure solve returns); the factor
+sqrt(1 + beta**2) / R turns the normal speed into the rate of rho. Each
+evaluation builds the map of the shape once
 (:class:`tumorspec.disk.MappedCoefficients`); both field solves and the
 boundary factors h and beta are read from it. Every nutrient solve is
 preconditioned with the exact radial inverse at the equilibrium of radius
@@ -77,7 +78,7 @@ def phi(shape: ShapeState, A, G, model: NutrientModel, grid: DiskGrid = None,
     coefs = MappedCoefficients.from_boundary(shape.to_grid(grid.n_theta), R, grid.r)
     nut = solve_nutrient(coefs, model, grid, start=nutrient_start)
     pres = solve_pressure(coefs, A, G)
-    values = np.hypot(1.0, coefs.beta) / R * (G * nut.flux - pres.flux) \
+    values = np.hypot(1.0, coefs.beta) / R * (G * nut.flux - pres) \
         - 0.5 * A * G * coefs.h
 
     # the dealiased values and their coefficients from one spectrum

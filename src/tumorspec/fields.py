@@ -8,18 +8,21 @@ quantities (h = 1 + rho, the curvature) that the pressure data read. The
 caller builds it once per shape on the nodes of a
 :class:`tumorspec.disk.DiskGrid`, the only resolution setting, and passes it
 to both solves; the nutrient solve also takes that grid. Each solve returns
-its field's physical outward normal derivative on the boundary nodes,
-``flux``, the one quantity the boundary velocity reads.
+its field's physical outward normal derivative on the boundary nodes, the
+one quantity the boundary velocity reads: the nutrient's as the ``flux`` of
+a :class:`DiskField`, which also holds the samples that start the next
+solve, the pressure's as the bare array.
 
 The pressure is harmonic, and the boundary velocity reads only its normal
 derivative, so it is solved on the n_theta boundary nodes alone
 (:func:`_harmonic_field`): a single-layer potential plus a constant, with
 Kress's quadrature of the log kernel, is one dense (n_theta + 1)**2 solve
 per shape, and the normal derivative is the adjoint double layer of its
-density. Its grid samples are computed only when they are read, by the
-compensated Cauchy formula, which stays accurate up to the boundary
-(:class:`HarmonicField`). The circulant log weights depend only on n_theta:
-:func:`_log_weights` keeps the last two.
+density. Nothing in the package reads the pressure inside the domain;
+the tests evaluate it on the grid from the Dirichlet data and this flux by
+the compensated Cauchy formula (``harmonic_values`` in ``tests/oracles.py``).
+The circulant log weights depend only on n_theta: :func:`_log_weights`
+keeps the last two.
 
 The nutrient lives in the mode layout of
 :meth:`tumorspec.disk.DiskGrid.to_modes` (even modes first, then odd). The first
@@ -72,8 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
-                   apply_mapped_laplacian, boundary_radial_derivative,
-                   eval_field_columns, mapped_laplacian_kernel,
+                   boundary_radial_derivative, mapped_laplacian_kernel,
                    truncated_spectrum)
 from .errors import SolverError
 from .models import NutrientModel
@@ -213,62 +215,11 @@ def _interior_solve(grid, coefs, potential, rhs, precond, tol):
 
 
 def solve_pressure(coefs: MappedCoefficients, A, G):
-    """Harmonic pressure with curvature + mitosis boundary data.
-
-    The field is solved from the dealiased data on the n_theta boundary
-    nodes of ``coefs`` (:func:`_harmonic_field`); its ``values``, on the
-    grid the map was built on, are computed on first read.
-    """
+    """Physical outward normal derivative on the n_theta boundary nodes of
+    ``coefs`` of the harmonic pressure with curvature + mitosis boundary
+    data, solved from the dealiased data (:func:`_harmonic_field`)."""
     return _harmonic_field(coefs, truncated_spectrum(
         coefs.curvature - 0.25 * A * G * coefs.R**2 * coefs.h**2))
-
-
-def _curve(coefs: MappedCoefficients):
-    """The boundary nodes y = R h e^{i theta} of the map and their
-    y' = dy/dtheta = R (h' + i h) e^{i theta} = y (beta + i)."""
-    n = len(coefs.h)
-    y = coefs.R * coefs.h * np.exp(2j * np.pi * np.arange(n) / n)
-    return y, y * (coefs.beta + 1j)
-
-
-@dataclass(frozen=True, eq=False)
-class HarmonicField:
-    """A harmonic field on the domain of ``coefs``, solved on its boundary.
-
-    ``boundary_trace`` is the Dirichlet data and ``flux`` the physical
-    outward normal derivative at the n_theta boundary nodes, as for
-    :class:`DiskField`.
-    """
-    boundary_trace: np.ndarray
-    flux: np.ndarray
-    coefs: MappedCoefficients
-
-    @functools.cached_property
-    def values(self):
-        """Samples on the grid of ``coefs`` (row 0 = boundary, radii
-        descending), computed on first read by the compensated Cauchy formula
-        (Helsing & Ojala, *J. Comput. Phys.* 227, 2008; Barnett, Wu &
-        Veerapaneni, *SIAM J. Sci. Comput.* 37, 2015): with f = q + i p
-        analytic in the domain, f(z) = sum_j f_j y'_j / (y_j - z) / sum_j
-        y'_j / (y_j - z), whose quadrature errors cancel between numerator
-        and denominator up to the boundary. The conjugate p has dp/ds = dq/dn
-        along the boundary (Cauchy-Riemann), so its trace is the spectral
-        theta-integral of the flux times |y'|. The grid point R phi e^{i
-        theta} is y phi / h. One grid row at a time, so memory stays
-        O(n_theta**2).
-        """
-        coefs = self.coefs
-        y, dy = _curve(coefs)
-        spec = np.fft.rfft(self.flux * np.abs(dy))
-        spec[1:-1] /= 1j * np.arange(1, len(spec) - 1)
-        spec[[0, -1]] = 0.0   # the constant is free; Nyquist has no antiderivative
-        f = self.boundary_trace + 1j * np.fft.irfft(spec, n=len(y))
-        values = np.empty(coefs.phi.shape)
-        values[0] = self.boundary_trace
-        for row, radius in zip(values[1:], coefs.phi[1:]):
-            kernel = dy / (y - (y * radius / coefs.h)[:, None])
-            row[:] = ((kernel @ f) / kernel.sum(axis=1)).real
-        return values
 
 
 @functools.lru_cache(maxsize=2)
@@ -292,8 +243,9 @@ def _log_weights(n):
 
 
 def _harmonic_field(coefs: MappedCoefficients, spec):
-    """The harmonic field whose Dirichlet data have the rfft spectrum
-    ``spec`` on the boundary nodes of ``coefs``.
+    """The physical outward normal derivative on the boundary nodes of
+    ``coefs`` of the harmonic field whose Dirichlet data there have the rfft
+    spectrum ``spec``.
 
     q = S sigma + c, with the single layer S sigma(x) = -1/(2 pi) int log|x -
     y| sigma(y) ds_y and int sigma ds = 0, is uniquely solvable on every
@@ -308,8 +260,10 @@ def _harmonic_field(coefs: MappedCoefficients, spec):
     exact curvature ``coefs.curvature`` of the nodes' curve.
     """
     n = len(coefs.h)
-    data = np.fft.irfft(spec, n=n)
-    y, dy = _curve(coefs)
+    # the boundary nodes y = R h e^{i theta} and their y' = dy/dtheta = R (h'
+    # + i h) e^{i theta} = y (beta + i)
+    y = coefs.R * coefs.h * np.exp(2j * np.pi * np.arange(n) / n)
+    dy = y * (coefs.beta + 1j)
     speed = np.abs(dy)
     points = np.stack([y.real, y.imag])
     diff = points[:, :, None] - points[:, None, :]   # x - y, componentwise
@@ -323,7 +277,7 @@ def _harmonic_field(coefs: MappedCoefficients, spec):
     block *= speed
     system[:n, n] = 1.0
     system[n, :n] = speed
-    system[:n, n + 1] = data
+    system[:n, n + 1] = np.fft.irfft(spec, n=n)   # the Dirichlet data
     # by QR, not LU: OpenBLAS's LU of more than 10000 entries rounds
     # differently with one and two threads, its Householder QR does not on
     # the default grid, and the artifacts must not depend on the BLAS thread
@@ -336,9 +290,8 @@ def _harmonic_field(coefs: MappedCoefficients, spec):
     diff /= dist2
     density = sigma * speed
     kx, ky = diff @ density
-    flux = 0.5 * sigma - ((dy.imag * kx - dy.real * ky) / speed
+    return 0.5 * sigma - ((dy.imag * kx - dy.real * ky) / speed
                           + 0.5 * coefs.curvature * density) / n
-    return HarmonicField(boundary_trace=data, flux=flux, coefs=coefs)
 
 
 @functools.lru_cache(maxsize=1)
@@ -412,18 +365,3 @@ def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGr
     v_r = boundary_radial_derivative(grid, X)
     return DiskField(values=v,
                      flux=np.hypot(1.0, coefs.beta) * v_r / (coefs.R * coefs.J1))
-
-
-def center_value(grid: DiskGrid, values):
-    """Field value at the origin: the mean of the column interpolants there."""
-    return float(eval_field_columns(grid, values, 0.0).mean())
-
-
-def harmonic_residual(grid: DiskGrid, coefs: MappedCoefficients, field):
-    """Max interior residual of the mapped Laplace operator on the field (a
-    :class:`DiskField` or :class:`HarmonicField`).
-
-    The pressure is harmonic to the accuracy of its boundary solve, so for
-    it this measures how well the grid resolves the exact field, not a
-    solver tolerance."""
-    return float(np.max(np.abs(apply_mapped_laplacian(grid, coefs, field.values))))

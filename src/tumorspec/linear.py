@@ -1,9 +1,10 @@
-"""Linearized shape evolution and mode field profiles.
+"""Linearized shape evolution and the fit of a growth rate.
 
 The linearization is diagonal in Fourier modes, so evolution is exact:
-each coefficient is scaled by exp(mu_k t). The module also builds the radial
-field perturbation excited by a single boundary mode, used to cross-check the
-nonlinear field solver.
+each coefficient is scaled by exp(mu_k t). The radial field perturbation
+excited by a single boundary mode, which cross-checks the nonlinear field
+solver, is a test oracle (``linearized_mode_profile`` in
+``tests/oracles.py``).
 """
 
 import math
@@ -12,7 +13,6 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import ValidationError
-from .radial import RadialProfile
 from .shapes import ShapeState
 from .spectrum import SpectrumTable
 
@@ -33,21 +33,6 @@ def evolve_linear(shape: ShapeState, t, table: SpectrumTable):
     # that overflows makes the shape non-finite, which ShapeState rejects
     return ShapeState(coeffs=np.where(shape.coeffs == 0, 0.0, coeffs),
                       radius_scale=shape.radius_scale)
-
-
-def linearized_mode_profile(k, rho_hat_k, v0: RadialProfile, u_k: RadialProfile):
-    """Radial nutrient perturbation profile excited by boundary mode k.
-
-    The profile is -v0'(1)/u_k(1) * rho_hat_k * r^|k| * u_k(r); its boundary
-    value is -v0'(1) * rho_hat_k.
-    """
-    k = abs(int(k))
-    c = -v0.deriv_at_1 / u_k.values[-1] * rho_hat_k
-    r = u_k.grid
-    values = c * r**k * u_k.values
-    derivs = c * (k * r**(max(k, 1) - 1) * u_k.values * (1 if k else 0)
-                  + r**k * u_k.deriv_values)
-    return RadialProfile(grid=r, values=values, deriv_values=derivs)
 
 
 def fit_growth_rate(series):

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disk import (barycentric_matrix, barycentric_weights, chebyshev_nodes,
-                   differentiation_matrix, radial_fold)
+                   radial_fold)
 from .errors import BracketError, SolverError, ValidationError
 from .models import NutrientModel
 
@@ -81,10 +81,6 @@ class RadialProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "_weights", barycentric_weights(len(self.grid)))
-
-    @property
-    def deriv_at_1(self):
-        return self.deriv_values[-1].item()
 
     def at(self, r):
         """Barycentric evaluation at scalar or array radii."""
@@ -349,22 +345,3 @@ def appendix_series(which, x, terms):
             coeff /= 2.0 * k * (2.0 * k + 2.0)
         total += coeff * x ** (2 * k)
     return total
-
-
-def ode_residual_on_midpoints(profile: RadialProfile, m, lam, rhs):
-    """Max residual of u'' + (m/r) u' = rhs(r, u) on the interpolated midpoint grid.
-
-    Differentiates the stored derivative samples on the profile's own [0, 1]
-    grid, so the check does not reuse the folded operator that produced the
-    profile.
-    """
-    nodes, w = profile.grid, barycentric_weights(len(profile.grid))
-    d = differentiation_matrix(nodes, w)
-    mids = 0.5 * (nodes[1:] + nodes[:-1])
-    mids = mids[mids > 1e-3]  # avoid the 1/r amplification near the center
-    interp = barycentric_matrix(nodes, w, mids)
-    upp = interp @ (d @ profile.deriv_values)
-    up = interp @ profile.deriv_values
-    u = interp @ profile.values
-    res = upp + m * up / mids - rhs(mids, u)
-    return float(np.max(np.abs(res)))

@@ -1,8 +1,9 @@
-"""Independent reference values used by the test suite.
+"""Independent reference values and the evaluators that the test suite
+checks the package against.
 
-Everything here is computed by direct series summation, without touching the
-package under test. For f(u) = u the radial problems have modified-Bessel
-closed forms, which is what makes these oracles possible:
+The reference values are computed by direct series summation, without
+touching the package under test. For f(u) = u the radial problems have
+modified-Bessel closed forms, which is what makes these oracles possible:
 
     U(r, lam)      = I0(sqrt(lam) r) / I0(sqrt(lam))
     u_n(r)         = 2^n n! I_n(r) / r^n          (unit radius, identity model)
@@ -11,6 +12,25 @@ closed forms, which is what makes these oracles possible:
 For the pressure solve, the real part of an entire function is harmonic on
 every domain, so its boundary samples and its derivatives are closed forms
 too (:func:`exact_harmonic` on the boundary of :func:`oracle_boundary`).
+
+The evaluators below read fields in ways no command does, so they live here
+and not in the package. Some build on its Chebyshev toolkit
+(:mod:`tumorspec.disk`, tested on its own) and import it where they run:
+the benchmark's tests import this module for its series references without
+the package on the path.
+
+- the blended map of a ``MappedCoefficients``, rederived from its boundary h
+  = 1 + rho: :func:`half_turn_parts`, :func:`mapped_phi` and its inverse
+  :func:`mapped_radius`;
+- the pressure inside the domain, which the package solves only on the
+  boundary: :func:`pressure_data` and the compensated Cauchy evaluator
+  :func:`harmonic_values`;
+- grid fields off the collocation nodes: :func:`fold_interpolation`,
+  :func:`eval_field_columns` and :func:`center_value`;
+- residuals of the solved equations: :func:`harmonic_residual` (the mapped
+  Laplacian) and :func:`ode_residual_on_midpoints` (the radial ODEs);
+- :func:`linearized_mode_profile`, the nutrient perturbation that one
+  boundary mode excites to first order.
 """
 
 import math
@@ -87,3 +107,149 @@ def exact_harmonic(z, R):
     of q along a unit complex direction d at z is Re(F'(z) d)."""
     w = np.asarray(z) / R
     return (np.exp(w) + w**5).real, (np.exp(w) + 5 * w**4) / R
+
+
+def half_turn_parts(rho):
+    """E and O, the even and odd parts of the samples rho under the half-turn
+    theta -> theta + pi, of which the blended map is built."""
+    turned = np.roll(rho, -(len(rho) // 2))   # rho(theta + pi)
+    return 0.5 * (rho + turned), 0.5 * (rho - turned)
+
+
+def mapped_phi(coefs, r):
+    """The mapped radius / R, phi = r (1 + E + r O), at the radii r (one row
+    each) of the map ``coefs``."""
+    E, O = half_turn_parts(coefs.h - 1.0)
+    r = np.asarray(r, dtype=float)[:, None]
+    return r * (1.0 + E + r * O)
+
+
+def mapped_radius(coefs, s_over_R, theta_index):
+    """Invert the blended map: mapped r with R phi(r, theta) = s.
+
+    theta_index selects the angular column; s_over_R = s / R must lie in
+    [0, phi(1, theta)].
+    """
+    E, O = half_turn_parts(coefs.h - 1.0)
+    c1 = 1.0 + E[theta_index]
+    O = O[theta_index]
+    # the root of O r**2 + c1 r = s in the form without cancellation
+    return 2.0 * s_over_R / (c1 + np.sqrt(c1 * c1 + 4.0 * O * s_over_R))
+
+
+def pressure_data(coefs, A, G):
+    """The pressure's Dirichlet data on the boundary nodes of ``coefs``: the
+    curvature + mitosis data, dealiased."""
+    from tumorspec.disk import dealias
+    return dealias(coefs.curvature - 0.25 * A * G * coefs.R**2 * coefs.h**2)
+
+
+def harmonic_values(grid, coefs, data, flux):
+    """Samples on ``grid`` (row 0 = boundary, radii descending) of the
+    harmonic field on the domain of ``coefs`` with the Dirichlet data
+    ``data`` and the physical outward normal derivative ``flux`` on its
+    boundary nodes.
+
+    By the compensated Cauchy formula (Helsing & Ojala, *J. Comput. Phys.*
+    227, 2008; Barnett, Wu & Veerapaneni, *SIAM J. Sci. Comput.* 37, 2015):
+    with f = q + i p analytic in the domain, f(z) = sum_j f_j y'_j / (y_j -
+    z) / sum_j y'_j / (y_j - z), whose quadrature errors cancel between
+    numerator and denominator up to the boundary. The conjugate p has dp/ds
+    = dq/dn along the boundary (Cauchy-Riemann), so its trace is the
+    spectral theta-integral of the flux times |y'|. The boundary nodes are y
+    = R h e^{i theta}, with y' = dy/dtheta = y (beta + i), and the grid point
+    R phi e^{i theta} is y phi / h. One grid row at a time, so memory stays
+    O(n_theta**2).
+    """
+    n = len(coefs.h)
+    y = coefs.R * coefs.h * np.exp(2j * np.pi * np.arange(n) / n)
+    dy = y * (coefs.beta + 1j)
+    spec = np.fft.rfft(flux * np.abs(dy))
+    spec[1:-1] /= 1j * np.arange(1, len(spec) - 1)
+    spec[[0, -1]] = 0.0   # the constant is free; Nyquist has no antiderivative
+    f = data + 1j * np.fft.irfft(spec, n=n)
+    phi = mapped_phi(coefs, grid.r)
+    values = np.empty(phi.shape)
+    values[0] = data
+    for row, radius in zip(values[1:], phi[1:]):
+        kernel = dy / (y - (y * radius / coefs.h)[:, None])
+        row[:] = ((kernel @ f) / kernel.sum(axis=1)).real
+    return values
+
+
+def fold_interpolation(fold, x):
+    """(even, odd) matrices from samples on the nodes of the RadialFold
+    ``fold`` to values at the radii x."""
+    from tumorspec.disk import (_fold, barycentric_matrix, barycentric_weights,
+                                chebyshev_points)
+    N = 2 * len(fold.r) - 1
+    return _fold(barycentric_matrix(chebyshev_points(N),
+                                    barycentric_weights(N + 1), x))
+
+
+def eval_field_columns(grid, V, radii):
+    """Barycentric evaluation of each theta-column at a per-column radius.
+
+    Column j continues to negative radii as the column at theta_j + pi, so
+    its even and odd parts under that half-turn see the even and odd folds of
+    the interpolation matrix on the full Chebyshev point set. The result is
+    spectrally accurate for any radius in [0, 1].
+    """
+    radii = np.broadcast_to(np.asarray(radii, dtype=float), (grid.n_theta,))
+    even, odd = fold_interpolation(grid.fold, radii)
+    turned = np.roll(V, -(grid.n_theta // 2), axis=1)   # V(r, theta + pi)
+    return (np.einsum("ji,ij->j", even, 0.5 * (V + turned))
+            + np.einsum("ji,ij->j", odd, 0.5 * (V - turned)))
+
+
+def center_value(grid, values):
+    """Field value at the origin: the mean of the column interpolants there."""
+    return float(eval_field_columns(grid, values, 0.0).mean())
+
+
+def harmonic_residual(grid, coefs, values):
+    """Max interior residual of the mapped Laplace operator on the grid
+    samples ``values`` of a field.
+
+    The pressure is harmonic to the accuracy of its boundary solve, so for
+    it this measures how well the grid resolves the exact field, not a
+    solver tolerance."""
+    from tumorspec.disk import apply_mapped_laplacian
+    return float(np.max(np.abs(apply_mapped_laplacian(grid, coefs, values))))
+
+
+def ode_residual_on_midpoints(profile, m, lam, rhs):
+    """Max residual of u'' + (m/r) u' = rhs(r, u) on the interpolated midpoint grid.
+
+    Differentiates the stored derivative samples on the profile's own [0, 1]
+    grid, so the check does not reuse the folded operator that produced the
+    profile.
+    """
+    from tumorspec.disk import (barycentric_matrix, barycentric_weights,
+                                differentiation_matrix)
+    nodes, w = profile.grid, barycentric_weights(len(profile.grid))
+    d = differentiation_matrix(nodes, w)
+    mids = 0.5 * (nodes[1:] + nodes[:-1])
+    mids = mids[mids > 1e-3]  # avoid the 1/r amplification near the center
+    interp = barycentric_matrix(nodes, w, mids)
+    upp = interp @ (d @ profile.deriv_values)
+    up = interp @ profile.deriv_values
+    u = interp @ profile.values
+    res = upp + m * up / mids - rhs(mids, u)
+    return float(np.max(np.abs(res)))
+
+
+def linearized_mode_profile(k, rho_hat_k, v0, u_k):
+    """Radial nutrient perturbation profile excited by boundary mode k.
+
+    The profile is -v0'(1)/u_k(1) * rho_hat_k * r^|k| * u_k(r); its boundary
+    value is -v0'(1) * rho_hat_k.
+    """
+    from tumorspec.radial import RadialProfile
+    k = abs(int(k))
+    c = -v0.deriv_values[-1] / u_k.values[-1] * rho_hat_k
+    r = u_k.grid
+    values = c * r**k * u_k.values
+    derivs = c * (k * r**(max(k, 1) - 1) * u_k.values * (1 if k else 0)
+                  + r**k * u_k.deriv_values)
+    return RadialProfile(grid=r, values=values, deriv_values=derivs)

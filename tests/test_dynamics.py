@@ -43,7 +43,7 @@ class TestVelocityAtEquilibrium:
         z = ShapeState.zero(4, R)
         res = phi(z, A, G, id_model, small_grid)
         v0 = solve_U(R * R, id_model)
-        expected = G * (v0.deriv_at_1 / R**2 - A / 2.0)
+        expected = G * (v0.deriv_values[-1] / R**2 - A / 2.0)
         assert np.allclose(res.values, expected, atol=1e-9)
         assert expected > 0.0  # smaller than steady: the radius grows
 

@@ -12,18 +12,18 @@ from tumorspec import dynamics, fields
 from tumorspec.disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
                             apply_mapped_laplacian, barycentric_matrix,
                             barycentric_weights, chebyshev_nodes,
-                            chebyshev_points, dealias, eval_field_columns,
-                            mapped_laplacian_kernel, mapped_radius,
+                            chebyshev_points, mapped_laplacian_kernel,
                             radial_fold)
 from tumorspec.dynamics import evolve_nonlinear, phi
 from tumorspec.errors import SolverError
-from tumorspec.fields import (center_value, gmres, harmonic_residual,
-                              solve_nutrient, solve_pressure)
-from tumorspec.linear import linearized_mode_profile
+from tumorspec.fields import gmres, solve_nutrient, solve_pressure
 from tumorspec.radial import solve_u_n, steady_radius
 from tumorspec.shapes import ShapeState
 
-from oracles import exact_harmonic, oracle_boundary
+from oracles import (center_value, eval_field_columns, exact_harmonic,
+                     fold_interpolation, harmonic_residual, harmonic_values,
+                     linearized_mode_profile, mapped_phi, mapped_radius,
+                     oracle_boundary, pressure_data)
 
 
 @pytest.fixture
@@ -50,6 +50,13 @@ def _map_coefs(shape, grid):
                                             shape.radius_scale, grid.r)
 
 
+def _pressure_values(grid, coefs, A, G):
+    """The pressure's samples on the grid, from its Dirichlet data and the
+    flux that solve_pressure returns."""
+    return harmonic_values(grid, coefs, pressure_data(coefs, A, G),
+                           solve_pressure(coefs, A, G))
+
+
 class TestNutrientAtEquilibrium:
     def test_matches_radial_profile(self, unit_steady, id_model, small_grid):
         grid = small_grid
@@ -64,7 +71,7 @@ class TestNutrientAtEquilibrium:
         z = ShapeState.zero(4, unit_steady.R_A)
         nut = solve_nutrient(_map_coefs(z, grid), id_model, grid)
         assert np.max(np.abs(unit_steady.R_A * nut.flux
-                             - unit_steady.v0.deriv_at_1)) < 1e-8
+                             - unit_steady.v0.deriv_values[-1])) < 1e-8
 
     def test_center_value(self, unit_steady, id_model, small_grid):
         grid = small_grid
@@ -89,41 +96,51 @@ class TestPressure:
         grid = small_grid
         z = ShapeState.zero(4, unit_steady.R_A)
         A, G = unit_steady.A, 2.0
-        pres = solve_pressure(_map_coefs(z, grid), A, G)
+        values = _pressure_values(grid, _map_coefs(z, grid), A, G)
         expected = 1.0 / unit_steady.R_A - 0.25 * A * G * unit_steady.R_A**2
-        assert np.max(np.abs(pres.values - expected)) < 1e-10
+        assert np.max(np.abs(values - expected)) < 1e-10
 
     def test_center_mean_value_property(self, unit_steady, small_grid):
         grid = small_grid
         s = ShapeState.from_modes([(2, 1e-2, 0.0), (5, 5e-3, 0.9)],
                                   unit_steady.R_A)
         coefs = _map_coefs(s, grid)
-        pres = solve_pressure(coefs, unit_steady.A, 2.0)
+        values = _pressure_values(grid, coefs, unit_steady.A, 2.0)
         # the mean over any interior physical circle equals the center value
         for frac in (0.3, 0.6):
             radii = np.array([mapped_radius(coefs, frac, j)
                               for j in range(grid.n_theta)])
-            ring = eval_field_columns(grid, pres.values, radii)
-            assert abs(center_value(grid, pres.values) - ring.mean()) < 1e-8
+            ring = eval_field_columns(grid, values, radii)
+            assert abs(center_value(grid, values) - ring.mean()) < 1e-8
 
-    def test_boundary_trace_is_the_dealiased_data(self, unit_steady, small_grid):
-        # the boundary trace is the irfft of the truncated data spectrum
+    def test_boundary_trace_is_the_dealiased_data(self, unit_steady, small_grid,
+                                                  monkeypatch):
+        # the Dirichlet data the boundary solve receives are the irfft of the
+        # truncated data spectrum
+        spectra = []
+        solve = fields._harmonic_field
+
+        def recorded(coefs, spec):
+            spectra.append(spec)
+            return solve(coefs, spec)
+
+        monkeypatch.setattr(fields, "_harmonic_field", recorded)
         grid = small_grid
         s = ShapeState.from_modes([(2, 5e-2, 0.3), (5, 2e-2, 0.9)],
                                   unit_steady.R_A)
         coefs = _map_coefs(s, grid)
         A, G = unit_steady.A, 2.0
-        pres = solve_pressure(coefs, A, G)
-        data = dealias(coefs.curvature - 0.25 * A * G * coefs.R**2 * coefs.h**2)
-        assert np.max(np.abs(pres.boundary_trace - data)) \
-            <= 1e-13 * np.max(np.abs(data))
+        solve_pressure(coefs, A, G)
+        trace = np.fft.irfft(spectra[0], n=grid.n_theta)
+        data = pressure_data(coefs, A, G)
+        assert np.max(np.abs(trace - data)) <= 1e-13 * np.max(np.abs(data))
 
     def test_harmonic_residual_small(self, unit_steady, small_grid):
         grid = small_grid
         s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
         coefs = _map_coefs(s, grid)
-        pres = solve_pressure(coefs, unit_steady.A, 2.0)
-        assert harmonic_residual(grid, coefs, pres) < 1e-7
+        values = _pressure_values(grid, coefs, unit_steady.A, 2.0)
+        assert harmonic_residual(grid, coefs, values) < 1e-7
 
     def test_normal_derivative_symbol(self, unit_steady, small_grid):
         # linearized boundary data curvature - A G R^2 h^2 / 4 excites mode k
@@ -134,9 +151,9 @@ class TestPressure:
         R = unit_steady.R_A
         A, G = unit_steady.A, 2.0
         s = ShapeState.from_modes([(k, eps, 0.0)], R)
-        pres = solve_pressure(_map_coefs(s, grid), A, G)
-        spec_b = np.fft.rfft(pres.boundary_trace) / grid.n_theta
-        spec_d = np.fft.rfft(R * pres.flux) / grid.n_theta
+        coefs = _map_coefs(s, grid)
+        spec_b = np.fft.rfft(pressure_data(coefs, A, G)) / grid.n_theta
+        spec_d = np.fft.rfft(R * solve_pressure(coefs, A, G)) / grid.n_theta
         assert spec_d[k] == pytest.approx(k * spec_b[k], rel=1e-4)
         expected = (k**2 - 1.0) / R - 0.5 * A * G * R**2
         assert 2.0 * spec_b[k].real / eps == pytest.approx(expected, rel=1e-3)
@@ -152,10 +169,10 @@ class TestPressure:
         coefs = MappedCoefficients.from_boundary(oracle_boundary(n, a), R, grid.r)
         y = R * coefs.h * np.exp(1j * grid.theta)
         q, dF = exact_harmonic(y, R)
-        field = fields._harmonic_field(coefs, np.fft.rfft(q))
+        got = fields._harmonic_field(coefs, np.fft.rfft(q))
         normal = -1j * y * (coefs.beta + 1j) / np.abs(y * (coefs.beta + 1j))
         flux = (dF * normal).real
-        assert np.max(np.abs(field.flux - flux)) <= bound * np.max(np.abs(flux))
+        assert np.max(np.abs(got - flux)) <= bound * np.max(np.abs(flux))
 
     @pytest.mark.parametrize("R", [1.0, 3.33])
     @pytest.mark.parametrize("a", [0.01, 0.03])
@@ -165,9 +182,12 @@ class TestPressure:
         coefs = MappedCoefficients.from_boundary(oracle_boundary(grid.n_theta, a),
                                                  R, grid.r)
         y = R * coefs.h * np.exp(1j * grid.theta)
-        field = fields._harmonic_field(coefs, np.fft.rfft(exact_harmonic(y, R)[0]))
-        exact = exact_harmonic(R * coefs.phi * np.exp(1j * grid.theta), R)[0]
-        assert np.max(np.abs(field.values - exact)) <= 1e-8 * np.max(np.abs(exact))
+        q = exact_harmonic(y, R)[0]
+        values = harmonic_values(grid, coefs, q,
+                                 fields._harmonic_field(coefs, np.fft.rfft(q)))
+        exact = exact_harmonic(R * mapped_phi(coefs, grid.r)
+                               * np.exp(1j * grid.theta), R)[0]
+        assert np.max(np.abs(values - exact)) <= 1e-8 * np.max(np.abs(exact))
 
     def test_memory_of_a_fine_boundary_solve(self):
         # n_theta = 1024: the system is 8.4 MB, and a Cauchy evaluation of
@@ -178,22 +198,19 @@ class TestPressure:
         fields._log_weights.cache_clear()
         tracemalloc.start()
         try:
-            pres = solve_pressure(coefs, 0.5, 2.0)
-            assert np.isfinite(pres.values).all()
+            assert np.isfinite(_pressure_values(grid, coefs, 0.5, 2.0)).all()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 128 * 2**20
 
-    def test_values_are_computed_on_first_read(self, unit_steady, small_grid,
-                                               monkeypatch):
-        # the velocity reads only the traces
+    def test_returns_only_the_flux(self, unit_steady, small_grid):
+        # the velocity reads only the flux on the boundary nodes, so no grid
+        # sample is computed
         grid = small_grid
         s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
-        pres = solve_pressure(_map_coefs(s, grid), unit_steady.A, 2.0)
-        assert "values" not in vars(pres)
-        first = pres.values
-        assert pres.values is first
+        flux = solve_pressure(_map_coefs(s, grid), unit_steady.A, 2.0)
+        assert type(flux) is np.ndarray and flux.shape == (grid.n_theta,)
 
 
 def _random_system(seed, n, preconditioner):
@@ -330,13 +347,13 @@ class TestPerturbedNutrient:
         grid = small_grid
         R, v0 = unit_steady.R_A, unit_steady.v0
         prof = linearized_mode_profile(k, 1.0, v0, solve_u_n(k, R, v0, id_model))
-        v0_rr = R**2 * id_model.f_of_one - v0.deriv_at_1
+        v0_rr = R**2 * id_model.f_of_one - v0.deriv_values[-1]
         errs = []
         for eps in (1e-2, 1e-3):
             s = ShapeState.from_modes([(k, eps, 0.0)], R)
             nut = solve_nutrient(_map_coefs(s, grid), id_model, grid)
-            pred = (v0.deriv_at_1 + eps * np.cos(k * grid.theta)
-                    * (v0_rr + prof.deriv_at_1)) / R
+            pred = (v0.deriv_values[-1] + eps * np.cos(k * grid.theta)
+                    * (v0_rr + prof.deriv_values[-1])) / R
             errs.append(np.max(np.abs(nut.flux - pred)))
         assert errs[1] <= errs[0] / 50.0   # quadratic, not linear, in eps
 
@@ -442,7 +459,7 @@ class TestMappedOperator:
         R = 2.0
         s = ShapeState.from_modes([(rho_mode, 1e-2, 0.3)], R)
         coefs = _map_coefs(s, grid)
-        z = coefs.phi * R * np.exp(1j * grid.theta[None, :])
+        z = mapped_phi(coefs, grid.r) * R * np.exp(1j * grid.theta[None, :])
         for m in (2, 3, 5):
             V = (z**m).real
             res = apply_mapped_laplacian(grid, coefs, V)   # the interior rows
@@ -671,14 +688,16 @@ class TestModePreconditioner:
         per_shape = ModePreconditioner(
             grid, (coefs.scale * poly_model.fprime_at(start)).mean(axis=1))
 
-        # an operator application is a residual or a GMRES matvec
+        # an operator application is a residual or a GMRES matvec, each one
+        # call of the kernel
         applies = []
-        for name in ("apply_mapped_laplacian", "mapped_laplacian_kernel"):
-            def counted(*args, apply=getattr(fields, name), **kwargs):
-                applies.append(None)
-                return apply(*args, **kwargs)
+        kernel = fields.mapped_laplacian_kernel
 
-            monkeypatch.setattr(fields, name, counted)
+        def counted(*args, **kwargs):
+            applies.append(None)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(fields, "mapped_laplacian_kernel", counted)
 
         def solve(precond):
             monkeypatch.setattr(fields, "_equilibrium",
@@ -760,7 +779,7 @@ class TestRadialFold:
         assert fold.weights @ r**2 == pytest.approx(0.25, abs=1e-15)
         u = rng.uniform(0.0, 1.0, 20)
         for x, (even, odd) in [(chebyshev_nodes(2 * n - 1), fold.to_unit),
-                               (u, fold.interpolation(u))]:
+                               (u, fold_interpolation(fold, u))]:
             assert np.max(np.abs(even @ r**2 - x**2)) <= 1e-14
             assert np.max(np.abs(odd @ r**3 - x**3)) <= 1e-14
 

@@ -1,6 +1,7 @@
 """Checks of the package source: no unused import (in the tests either), no
-name or method that nothing reads, no dangling export, no process machinery
-loaded by the command line, and a runtime without scipy."""
+name or method that nothing reads, none that only the tests read, no
+dangling export, no process machinery loaded by the command line, and a
+runtime without scipy."""
 
 import ast
 import json
@@ -12,9 +13,12 @@ import pytest
 
 import tumorspec
 
+from test_readme import README, python_blocks
+
 SOURCES = sorted(Path(tumorspec.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 BENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+SPANS = Path(__file__).parents[1] / "perfbench" / "spans.py"
 
 
 def unused_imports(tree):
@@ -104,6 +108,41 @@ def test_unread_definition_is_detected():
     reader = ast.parse("used(C().kept())\nx = STEP\nsetattr(m, 'LIMIT', 4)\n"
                        "dead = 0\n")
     assert unread_definitions([module], [module, reader]) == ["C.gone", "dead"]
+
+
+def without_exports(tree):
+    """The module without its export lists ``__all__`` and ``_MODULES``,
+    which name a definition without reading it."""
+    def is_export(node):
+        return isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("__all__", "_MODULES")
+            for t in node.targets)
+
+    return ast.Module(body=[node for node in tree.body if not is_export(node)],
+                      type_ignores=[])
+
+
+def test_every_definition_is_read_by_the_package():
+    # a command, the README quick start or a benchmark span reads each
+    # definition; one that only the tests read belongs in tests/oracles.py
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    readers = ([without_exports(tree) for tree in trees]
+               + [ast.parse(block) for block in python_blocks(README.read_text())]
+               + [ast.parse(SPANS.read_text())])
+    assert unread_definitions(trees, readers) == []
+
+
+def test_name_read_only_by_tests_is_detected():
+    module = ast.parse("__all__ = ['run', 'check']\n"
+                       "_MODULES = {'cli': ('run', 'check')}\n"
+                       "def run(): pass\ndef check(): pass\n"
+                       "def __getattr__(name): return _MODULES[name]\n")
+    command = ast.parse("run()\n")
+    test = ast.parse("check()\n")
+    assert unread_definitions([module], [module, command, test]) == []
+    assert unread_definitions([module], [module, command]) == []
+    assert unread_definitions([module], [without_exports(module), command]) \
+        == ["check"]
 
 
 def test_every_export_resolves():

@@ -11,11 +11,11 @@ import pytest
 from tumorspec import radial
 from tumorspec.errors import BracketError, SolverError, ValidationError
 from tumorspec.models import parse_model_spec
-from tumorspec.radial import (appendix_series, boundary_ratio,
-                              ode_residual_on_midpoints, solve_U, solve_u_n,
-                              steady_radius)
+from tumorspec.radial import (appendix_series, boundary_ratio, solve_U,
+                              solve_u_n, steady_radius)
 
-from oracles import bessel_i, identity_ratio, identity_steady_A
+from oracles import (bessel_i, identity_ratio, identity_steady_A,
+                     ode_residual_on_midpoints)
 from shooting_reference import SHOOTING_REFERENCE
 
 
@@ -31,7 +31,7 @@ class TestCenterShooting:
     def test_identity_boundary_derivative(self, id_model):
         prof = solve_U(1.0, id_model)
         expected = bessel_i(1, 1.0) / bessel_i(0, 1.0)
-        assert prof.deriv_at_1 == pytest.approx(expected, abs=1e-10)
+        assert prof.deriv_values[-1] == pytest.approx(expected, abs=1e-10)
 
     def test_identity_profile_matches_closed_form(self, id_model):
         lam = 2.25
@@ -44,7 +44,7 @@ class TestCenterShooting:
     def test_zero_lambda_gives_constant_one(self, id_model):
         prof = solve_U(0.0, id_model)
         assert np.allclose(prof.values, 1.0)
-        assert prof.deriv_at_1 == 0.0
+        assert prof.deriv_values[-1] == 0.0
 
     def test_maximum_principle(self, id_model, poly_model, rng):
         for model in (id_model, poly_model):
@@ -150,7 +150,7 @@ class TestCollocationAccuracy:
         monkeypatch.setattr(radial, "N_NODES", 129)
         prof = solve_U(100.0**2, id_model)
         expected = 100.0 * bessel_i(1, 100.0, 200) / bessel_i(0, 100.0, 200)
-        assert abs(prof.deriv_at_1 / expected - 1.0) <= 1e-10
+        assert abs(prof.deriv_values[-1] / expected - 1.0) <= 1e-10
 
 
 class TestSeries:
@@ -182,7 +182,7 @@ class TestSteadyRadius:
 
     def test_steady_condition_holds(self, id_model):
         st = steady_radius(0.5, id_model)
-        assert st.v0.deriv_at_1 == pytest.approx(0.5 * st.R_A**2 / 2.0, abs=1e-9)
+        assert st.v0.deriv_values[-1] == pytest.approx(0.5 * st.R_A**2 / 2.0, abs=1e-9)
 
     def test_alpha_echo(self, id_model):
         st = steady_radius(0.5, id_model)
@@ -207,7 +207,7 @@ class TestSteadyRadius:
 
     def test_polynomial_model_steady_condition(self, poly_model):
         st = steady_radius(0.7, poly_model)
-        assert st.v0.deriv_at_1 == pytest.approx(0.7 * st.R_A**2 / 2.0, abs=1e-9)
+        assert st.v0.deriv_values[-1] == pytest.approx(0.7 * st.R_A**2 / 2.0, abs=1e-9)
 
     def test_radius_above_R_MAX_names_the_smallest_reachable_A(self, id_model):
         # dU/dr(1, R**2) = R I1(R)/I0(R), so the steady radius is at most
@@ -250,7 +250,7 @@ class TestSteadyRadius:
         # the identity the first Newton step is exact, so a center solve is
         # one LU solve
         model = parse_model_spec(model)
-        A = 2.0 * solve_U(0.52**2, model).deriv_at_1 / 0.52**2
+        A = 2.0 * solve_U(0.52**2, model).deriv_values[-1] / 0.52**2
         calls, solves = [], []
         solve, lu_solve = radial._solve_center, np.linalg.solve
 
@@ -309,10 +309,10 @@ class TestDeterminism:
             "from tumorspec.models import identity_model\n"
             "from tumorspec.radial import solve_U\n"
             "p = solve_U(1.0, identity_model())\n"
-            "print(repr(float(p.values[0])), repr(p.deriv_at_1))\n"
+            "print(repr(float(p.values[0])), repr(float(p.deriv_values[-1])))\n"
         )
         out = subprocess.run([sys.executable, "-c", code], env=package_env,
                              capture_output=True, text=True, check=True)
         prof = solve_U(1.0, id_model)
         assert out.stdout.split() == [repr(float(prof.values[0])),
-                                      repr(prof.deriv_at_1)]
+                                      repr(float(prof.deriv_values[-1]))]
