@@ -112,10 +112,14 @@ class RadialFold:
     stacked: tuple         # rows below r = 1 of [D; D2], one matrix per parity
 
     def operator(self, m, parity=0):
-        """r**2 d2/dr2 + m r d/dr on functions of the given parity; for an
-        array of m, the stack of one operator per m."""
+        """The Dirichlet collocation matrix of r**2 d2/dr2 + m r d/dr on
+        functions of the given parity: row 0 is the value at r = 1, the
+        other rows apply the operator at their node. For an array of m, the
+        stack of one matrix per m."""
         op = (np.asarray(m)[..., None] * self.r)[..., None] * self.D[parity]
         op += self.r[:, None] ** 2 * self.D2[parity]
+        op[..., 0, :] = 0.0
+        op[..., 0, 0] = 1.0
         return op
 
 
@@ -348,25 +352,25 @@ class ModePreconditioner:
     """Fast diagonalisation of the radial collocation operators of every
     angular mode (Lynch, Rice & Thomas, *Numer. Math.* 6, 1964).
 
-    Mode q >= 0 sees L_p - q**2, where L_p is r**2 d2/dr2 + r d/dr minus the
-    diagonal ``potential`` (an (n_r,) array already carrying the r**2
-    scaling of the mapped operator) with the fold of parity p = q mod 2. Its
-    boundary row is the identity and the boundary data are zero, so the
-    interior values of the solution are the inverse of the interior block
-    applied to the interior residual. One real eigendecomposition of each
-    parity's interior block, L_p = V_p Lambda_p V_p^-1, inverts every mode of
-    that parity: (L_p - q**2)^-1 = V_p (Lambda_p - q**2)^-1 V_p^-1. Exact for
-    angularly constant coefficients; used as the preconditioner of the
-    Krylov solves of the mapped (variable-coefficient) problems.
+    Mode q >= 0 sees L_p - q**2, where L_p is the fold's Dirichlet matrix
+    :meth:`RadialFold.operator` of r**2 d2/dr2 + r d/dr, of parity
+    p = q mod 2, minus the diagonal ``potential`` (an (n_r,) array already
+    carrying the r**2 scaling of the mapped operator). Its row 0 is the
+    value at r = 1 and the boundary data are zero, so the interior values of
+    the solution are the inverse of the interior block (row and column 0
+    sliced off) applied to the interior residual. One real eigendecomposition
+    of each parity's interior block, L_p = V_p Lambda_p V_p^-1, inverts every
+    mode of that parity: (L_p - q**2)^-1 = V_p (Lambda_p - q**2)^-1 V_p^-1.
+    Exact for angularly constant coefficients; used as the preconditioner of
+    the Krylov solves of the mapped (variable-coefficient) problems.
     """
 
-    def __init__(self, grid: DiskGrid, potential=None):
+    def __init__(self, grid: DiskGrid, potential):
         split = grid.split
         self._parities = []
         for parity, cols in enumerate((slice(0, split), slice(split, None))):
             L = grid.fold.operator(1, parity)[1:, 1:]
-            if potential is not None:
-                L[np.diag_indices_from(L)] -= np.asarray(potential, dtype=float)[1:]
+            L[np.diag_indices_from(L)] -= np.asarray(potential, dtype=float)[1:]
             lam, V = np.linalg.eig(L)
             if np.iscomplexobj(lam):
                 raise SolverError(

@@ -234,10 +234,8 @@ def _log_weights(n):
     row = np.fft.irfft(np.concatenate([[0.0], -2.0 * np.pi / np.arange(1, n // 2 + 1)]),
                        n=n) / (-4.0 * np.pi)
     row[1:] += np.log(2.0 * np.sin(np.pi * np.arange(1, n) / n)) / n
-    # row i is row[|i - j|]: window n - 1 - i of [row[n-1], ..., row[1], row]
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([row[:0:-1], row]), n)
-    weights = windows[::-1].copy()
+    i = np.arange(n)
+    weights = row[np.abs(i[:, None] - i)]
     weights.flags.writeable = False
     return weights
 

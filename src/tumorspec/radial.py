@@ -20,14 +20,14 @@ of (N + 1)/2 nodes, N = ``N_NODES``, the fold the field grid uses too
 the N + 1 Chebyshev points of [-1, 1] symmetrically about the origin but
 never on it, and the even fold of the differentiation matrices acts on the
 positive ones. Every row is multiplied by r**2, so no 1/r is ever formed,
-and row 0 is replaced here by the boundary condition. Profiles are returned
-on the N Chebyshev-Lobatto points of [0, 1], which hold the even interpolant
-(of degree at most N - 1) exactly. Particular to the radial problems are the
-Newton loop for U, the trailing Chebyshev-coefficient check that rejects an
-unresolved U, and U'(1) taken by the fold's flux quadrature.
+and the fold's operator matrices carry the boundary condition in row 0.
+Profiles are returned on the N Chebyshev-Lobatto points of [0, 1], which
+hold the even interpolant (of degree at most N - 1) exactly. Particular to
+the radial problems are the Newton loop for U, the trailing
+Chebyshev-coefficient check that rejects an unresolved U, and U'(1) taken by
+the fold's flux quadrature.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,18 +50,6 @@ R_MAX = 16.0
 # R); the absolute floor only keeps the step positive at lam = 0
 ROOT_RTOL = 2e-14
 ROOT_XTOL = 1e-300
-
-
-@functools.lru_cache(maxsize=2)
-def _center_operator(n_nodes):
-    """The fold of n_nodes and its r**2 (d2/dr2 + (1/r) d/dr) with row 0 the
-    value at r = 1 (read-only), cached per node count."""
-    fold = radial_fold((n_nodes + 1) // 2)
-    op = fold.operator(1)
-    op[0, :] = 0.0
-    op[0, 0] = 1.0
-    op.flags.writeable = False
-    return fold, op
 
 
 @dataclass(frozen=True)
@@ -103,7 +91,8 @@ def _solve_center(lam, model, start=None):
     """
     if lam < 0:
         raise ValidationError("lam must be nonnegative")
-    fold, op = _center_operator(N_NODES)
+    fold = radial_fold((N_NODES + 1) // 2)
+    op = fold.operator(1)
     diagonal = np.arange(len(fold.r))
     scale = lam * fold.r**2
     scale[0] = 0.0
@@ -147,7 +136,7 @@ def _solve_center(lam, model, start=None):
 
 def _center_profile(lam, w, uptake):
     """The RadialProfile of the center solution W = U - 1 at lam."""
-    fold, _ = _center_operator(N_NODES)
+    fold = radial_fold((N_NODES + 1) // 2)
     u = 1.0 + w
     du = fold.D[0] @ u
     du[0] = lam * uptake
@@ -187,8 +176,6 @@ def _solve_mode(n, R_A, v0, model):
         raise ValidationError("v0 must be a profile returned by solve_U")
     fold = radial_fold((N_NODES + 1) // 2)
     op = fold.operator(2 * np.asarray(n) + 1)
-    op[..., 0, :] = 0.0
-    op[..., 0, 0] = 1.0
     q = R_A * R_A * fold.r**2 * model.fprime_at(v0.fold_values)
     q[0] = 0.0
     diagonal = np.arange(len(q))

@@ -479,6 +479,26 @@ class TestInvalidInput:
         assert f"at most {bound}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"A": 0.5', "config is not valid JSON"),
+        ("[0.5, 2.0]", "config must be a JSON object"),
+        ('{"seed_shape": 5}', "seed_shape must be a string or a list"),
+        ('{"seed_shape": [[1, 2]]}', "bad seed_shape entry [1, 2]"),
+        ('{"n_r": 3}', "n_r must be at least 4"),
+        ('{"n_theta": 63}', "n_theta must be positive and even"),
+    ], ids=["not_json", "json_array", "seed_shape_number", "seed_shape_pair",
+            "n_r_below_4", "odd_n_theta"])
+    def test_rejected_evolve_config_exits_2(self, tmp_path, capsys, text,
+                                            message):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(cfg_path), "--A", "0.5",
+                     "--G", "2", "--t-end", "0.01", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and message in err
+        assert not out.exists()
+
     def test_unknown_key_lists_known_keys(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"A": 0.5, "dt_min": 1e-9}))

@@ -158,6 +158,23 @@ class TestNonlinearEvolution:
         assert traj.status == "left_neighbourhood"
         assert traj.points[-1].t < 50.0
 
+    def test_accepted_state_on_the_bound_halts(self, id_model, monkeypatch):
+        # the run above ends when dt underflows with every stage beyond the
+        # bound; with the halt bound lowered to 0.2 (the velocity is still
+        # defined up to 1/4) an accepted state reaches it first, and it is
+        # the last point
+        monkeypatch.setattr(dynamics, "ADMISSIBLE_SUP_NORM", 0.2)
+        A = 0.8927799318
+        table = build_table(ModelParameters(A=A, G=1.0, model=id_model),
+                            k_max=32)
+        seed = ShapeState.from_modes([(2, 0.15, 0.0)], table.R)
+        traj = evolve_nonlinear(seed, 50.0, A, 3.0 * g_star(table)[0],
+                                id_model, DiskGrid(n_r=16, n_theta=32),
+                                err_target=1e-5)
+        assert traj.status == "left_neighbourhood"
+        assert traj.points[-2].sup_norm < 0.2 <= traj.points[-1].sup_norm
+        assert traj.points[-1].t < 50.0
+
     def test_fast_exit_is_resolved(self, poly_model):
         # mu_0 is about 31, so the shape leaves within the first capped step
         # (t_end / 4); a stage beyond the bound rejects that step instead of

@@ -37,7 +37,7 @@ def built(monkeypatch):
     built = []
     init = ModePreconditioner.__init__
 
-    def counted(self, grid, potential=None):
+    def counted(self, grid, potential):
         built.append((grid.n_r, grid.n_theta))
         init(self, grid, potential)
 
@@ -368,6 +368,17 @@ class TestPerturbedNutrient:
                            r"iterations\); relative residual"):
             solve_nutrient(_map_coefs(s, grid), id_model, grid)
 
+    def test_unconverged_newton_raises(self, unit_steady, poly_model,
+                                       monkeypatch):
+        # the first Krylov solve of a model with f'' != 0 stops at its 1e-4
+        # forcing, so one Newton step leaves the residual above NEWTON_TOL
+        monkeypatch.setattr(fields, "MAX_NEWTON_ITERS", 1)
+        grid = DiskGrid(n_r=16, n_theta=32)
+        s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
+        with pytest.raises(SolverError, match=r"nutrient Newton iteration did "
+                           r"not converge; residual history: \d\.\d{3}e-\d\d$"):
+            solve_nutrient(_map_coefs(s, grid), poly_model, grid)
+
     @pytest.mark.parametrize("n_r, n_theta, modes", [
         (32, 64, [(2, 1e-3, 0.0)]),
         (64, 128, [(3, 3e-2, 0.0), (2, 1.5e-2, 0.3)]),
@@ -400,8 +411,10 @@ class TestPerturbedNutrient:
         # max(1e3 NEWTON_TOL, eps |r**2 D2 + r D|_inf), the roundoff of
         # evaluating it (1e-7 at n_r <= 64, 5.0e-6 at n_r = 256)
         grid = DiskGrid(n_r=n_r, n_theta=n_theta)
+        fold = radial_fold(n_r)
+        r = fold.r[:, None]
         bound = max(1e3 * fields.NEWTON_TOL, np.finfo(float).eps
-                    * np.linalg.norm(radial_fold(n_r).operator(1), np.inf))
+                    * np.linalg.norm(r**2 * fold.D2[0] + r * fold.D[0], np.inf))
         s = ShapeState.from_modes([(2, 3e-2, 0.0), (3, 2e-2, 0.5)], 1.2)
         coefs = _map_coefs(s, grid)
         for model in (id_model, poly_model):
@@ -575,12 +588,12 @@ class TestModePreconditioner:
         # 1e-8 relative on 64 x 128 for either this or an LU solve.)
         grid = DiskGrid(n_r=n_r, n_theta=n_theta)
         coefs = MappedCoefficients.from_boundary(np.zeros(n_theta), 1.7, grid.r)
-        potential = 2.0 * grid.r**2 * (1.0 + grid.r**2) if with_potential else None
+        potential = 2.0 * grid.r**2 * (1.0 + grid.r**2) if with_potential \
+            else np.zeros(n_r)
         V = rng.standard_normal((n_r, n_theta))
         V[0, :] = 0.0
-        res = apply_mapped_laplacian(grid, coefs, V)   # the interior rows
-        if with_potential:
-            res -= potential[1:, None] * V[1:, :]
+        res = apply_mapped_laplacian(grid, coefs, V) \
+            - potential[1:, None] * V[1:, :]            # the interior rows
         back = ModePreconditioner(grid, potential).solve_interior(
             grid.to_modes(res))
         assert np.max(np.abs(grid.from_modes(back) - V[1:, :])) \
@@ -592,13 +605,13 @@ class TestModePreconditioner:
                                           rng):
         # V_p (Lambda_p - q**2)^-1 V_p^-1 is the inverse of each mode's block
         grid = DiskGrid(n_r=n_r, n_theta=n_theta)
-        potential = 2.0 * grid.r**2 * (1.0 + grid.r**2) if with_potential else None
+        potential = 2.0 * grid.r**2 * (1.0 + grid.r**2) if with_potential \
+            else np.zeros(n_r)
         X = rng.standard_normal((n_r - 1, 2 * len(grid.modes)))
         got = ModePreconditioner(grid, potential).solve_interior(X)
         for j, q in enumerate(np.repeat(grid.modes, 2)):
-            block = grid.fold.operator(1, q % 2)[1:, 1:] - q**2 * np.eye(n_r - 1)
-            if with_potential:
-                block -= np.diag(potential[1:])
+            block = grid.fold.operator(1, q % 2)[1:, 1:] \
+                - np.diag(q**2 + potential[1:])
             expected = np.linalg.inv(block) @ X[:, j]
             assert np.max(np.abs(got[:, j] - expected)) \
                 <= 1e-12 * np.max(np.abs(expected))
@@ -608,7 +621,7 @@ class TestModePreconditioner:
         monkeypatch.setattr(np.linalg, "eig",
                             lambda L: (eig(L)[0] + 1e-3j, eig(L)[1] + 0j))
         with pytest.raises(SolverError, match="complex eigenvalues"):
-            ModePreconditioner(DiskGrid(n_r=8, n_theta=8))
+            ModePreconditioner(DiskGrid(n_r=8, n_theta=8), np.zeros(8))
 
     def test_one_transform_pair_per_iteration(self, unit_steady, id_model,
                                               monkeypatch):
@@ -782,6 +795,20 @@ class TestRadialFold:
                                (u, fold_interpolation(fold, u))]:
             assert np.max(np.abs(even @ r**2 - x**2)) <= 1e-14
             assert np.max(np.abs(odd @ r**3 - x**3)) <= 1e-14
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_operator_is_the_dirichlet_matrix(self, parity):
+        # row 0 is the value at r = 1, rows 1 and up apply r**2 D2 + m r D;
+        # a stack over m holds the matrices built one m at a time
+        fold = radial_fold(16)
+        r, D, D2 = fold.r, fold.D[parity], fold.D2[parity]
+        ms = np.array([1, 3, 7])
+        stack = fold.operator(ms, parity)
+        for m, op in zip(ms, stack):
+            assert np.array_equal(op[0], np.eye(16)[0])
+            assert np.array_equal(op[1:], ((m * r)[:, None] * D
+                                           + r[:, None] ** 2 * D2)[1:])
+            assert np.array_equal(op, fold.operator(m, parity))
 
     def test_arrays_are_read_only(self):
         fold = radial_fold(16)
