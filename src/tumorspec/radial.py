@@ -9,9 +9,10 @@ This module handles the two ODE families posed on [0, 1]:
   mode families,
 
 together with the steady-radius equation ``dU/dr(1, R**2) = A R**2 / 2``,
-whose root is sought in lam = R**2 from the exact value of
-dU/dr(1, lam) / lam - A/2 at lam = 0, and the explicit power series for the
-first two mode profiles of the identity model.
+whose root in lam = R**2 is bracketed from the exact value of
+dU/dr(1, lam) / lam - A/2 at lam = 0 and then found with U by one Newton
+iteration on the collocation system bordered by that equation, and the
+explicit power series for the first two mode profiles of the identity model.
 
 Both families are singular at r = 0 and have even solutions. They are
 discretised by Chebyshev collocation on the :class:`tumorspec.disk.RadialFold`
@@ -23,9 +24,9 @@ positive ones. Every row is multiplied by r**2, so no 1/r is ever formed,
 and the fold's operator matrices carry the boundary condition in row 0.
 Profiles are returned on the N Chebyshev-Lobatto points of [0, 1], which
 hold the even interpolant (of degree at most N - 1) exactly. Particular to
-the radial problems are the Newton loop for U, the trailing
-Chebyshev-coefficient check that rejects an unresolved U, and U'(1) taken by
-the fold's flux quadrature.
+the radial problems are the Newton loops for U and for (U, lam), the
+trailing Chebyshev-coefficient check that rejects an unresolved U, and U'(1)
+taken by the fold's flux quadrature.
 """
 
 import math
@@ -46,10 +47,9 @@ N_NODES = 65              # odd collocation degree of the folded grid (>= 5)
 # N_NODES resolves U at lam = R**2 (for the identity model, 65 nodes resolve
 # it at R = 64 and not at R = 96)
 R_MAX = 16.0
-# Brent on lam = R**2 stops at ROOT_RTOL relative to lam (1e-14 relative to
-# R); the absolute floor only keeps the step positive at lam = 0
+# the Newton root on lam = R**2 stops at ROOT_RTOL relative to lam (1e-14
+# relative to R), above the roundoff floor of its step at small lam
 ROOT_RTOL = 2e-14
-ROOT_XTOL = 1e-300
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,18 @@ def _solve_center(lam, model, start=None):
                     np.max(np.abs(step)) <= REL_TOL * np.max(np.abs(1.0 + w)) + ABS_TOL:
                 converged = True
                 break
+    return w, _checked_uptake(lam, w, converged, history, model)
+
+
+def _checked_uptake(lam, w, converged, history, model):
+    """The uptake int_0^1 r f(U) dr of a center solution W = U - 1 at lam, by
+    the fold's flux quadrature, once the checks named in
+    :func:`_solve_center` pass."""
     if not converged:
         raise SolverError(
             f"Newton iteration for the center problem did not converge at lam={lam}; "
             "residual history: " + ", ".join(f"{r:.3e}" for r in history))
+    fold = radial_fold((N_NODES + 1) // 2)
     u = 1.0 + w
     tail = float(np.max(np.abs(fold.to_cheb[-2:] @ u)))
     if tail > 100.0 * REL_TOL:
@@ -131,7 +139,7 @@ def _solve_center(lam, model, start=None):
             f"resolved by the fixed N_NODES = {N_NODES} collocation nodes "
             f"(trailing Chebyshev coefficient {tail:.1e}); choose a "
             "smaller R (or a larger A)")
-    return w, fold.weights @ model.f_at(u)
+    return fold.weights @ model.f_at(u)
 
 
 def _center_profile(lam, w, uptake):
@@ -209,59 +217,59 @@ class SteadyState:
     A: float
 
 
-def _brentq(f, a, b, f_a, f_b, xtol, rtol, maxiter=100):
-    """Root of f in [a, b] by Brent's method, given f_a = f(a) and f_b = f(b).
+def _bordered_root(A, model, lo, hi):
+    """Newton's method for lam and W = U - 1 together: the collocation system
+    of :func:`_solve_center` bordered by h = 0 (Keller, *Numerical solution
+    of bifurcation and nonlinear eigenvalue problems*, 1977).
 
-    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4:
-    the iterate with the smaller |f| is kept as the current one; a step
-    interpolates (secant) or extrapolates (inverse quadratic) when it is
-    short enough and bisects otherwise; the iteration stops once half the
-    bracket is below delta = (xtol + rtol |x|) / 2. The steady radius
-    depends on the order of the floating-point operations here bit for bit.
-    Raises SolverError after ``maxiter`` steps.
+    ``lo`` and ``hi`` are (lam, h, W) at the ends of a bracket with
+    h(lo) > 0 > h(hi), and Newton starts from its secant point with W
+    interpolated. A step whose lam leaves the bracket or does not halve the
+    last lam update is replaced by a bisection: a center solve at the
+    midpoint, which shrinks the bracket by the sign of h. Newton stops once
+    its W update passes :func:`_solve_center`'s test and its estimate of the
+    error in lam is at most ``ROOT_RTOL * lam`` plus the lam error of
+    rounding h by 4 eps A. Returns lam, W and the checked uptake.
     """
-    if f_a == 0:
-        return a
-    if f_b == 0:
-        return b
-    if math.copysign(1.0, f_a) == math.copysign(1.0, f_b):
-        raise SolverError(f"no sign change on [{a}, {b}]: f = {f_a}, {f_b}")
-    xpre, xcur, fpre, fcur = a, b, f_a, f_b
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and \
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:    # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:               # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry     # good short step
+    (lam_lo, h_lo, w_lo), (lam_hi, h_hi, w_hi) = lo, hi
+    fold = radial_fold((N_NODES + 1) // 2)
+    op = fold.operator(1)
+    n = len(fold.r)
+    s = np.append(0.0, fold.r[1:] ** 2)
+    system = np.zeros((n + 1, n + 1))
+    t = h_lo / (h_lo - h_hi)
+    lam, w = lam_lo + t * (lam_hi - lam_lo), w_lo + t * (w_hi - w_lo)
+    lam_floor = 4.0 * np.finfo(float).eps * A * (lam_hi - lam_lo) / (h_lo - h_hi)
+    history, last, converged = [], math.inf, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MAX_NEWTON_ITERS):
+            f, fprime = model.f_at(1.0 + w), model.fprime_at(1.0 + w)
+            residual = np.append(op @ w - lam * s * f, fold.weights @ f - A / 2.0)
+            history.append(float(np.max(np.abs(residual))))
+            system[:n, :n] = op - np.diag(lam * s * fprime)
+            system[:n, n], system[n, :n] = -s * f, fold.weights * fprime
+            try:
+                step = np.linalg.solve(system, -residual)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"singular Newton matrix for U at lam={lam}") from exc
+            if not np.all(np.isfinite(step)):
+                break
+            theta = abs(step[n]) / last
+            if lam_lo <= lam + step[n] <= lam_hi and theta <= 0.5:
+                w, lam, last = w + step[:n], lam + step[n], abs(step[n])
+                # lam is within last * theta / (1 - theta) of the root after
+                # a step that contracts by theta (Deuflhard, *Newton Methods
+                # for Nonlinear Problems*, 2004); a first step is its own estimate
+                error = last * theta / (1.0 - theta) if theta else last
+                if np.max(np.abs(step[:n])) <= REL_TOL * np.max(np.abs(1.0 + w)) + ABS_TOL \
+                        and error <= ROOT_RTOL * lam + lam_floor:
+                    converged = True
+                    break
             else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise SolverError(f"Brent iteration did not converge in {maxiter} steps; "
-                      f"last iterate {xcur:.17g}, f = {fcur:.3e}")
+                lam, last = (lam_lo + lam_hi) / 2.0, math.inf
+                w, uptake = _solve_center(lam, model, w)
+                lam_lo, lam_hi = (lam, lam_hi) if uptake > A / 2.0 else (lam_lo, lam)
+    return lam, w, _checked_uptake(lam, w, converged, history, model)
 
 
 def steady_radius(A, model: NutrientModel):
@@ -272,47 +280,39 @@ def steady_radius(A, model: NutrientModel):
     nearly linear function of lam with the exact value h(0) = (f(1) - A) / 2
     > 0 (U = 1 at lam = 0). The bracket runs from lam = 0, which costs no
     solve, to the first of R = 1, 2, 4, ..., ``R_MAX`` where h <= 0, each
-    sampled by a center solve from U = 1. :func:`_brentq`, this module's
-    port of Brent's method, then locates the root to ``ROOT_RTOL`` relative
-    to lam (half of it relative to R) in at most 100 steps; each of its
-    center solves starts Newton from the previous solution. The profile is
-    that of the root's own solution.
+    sampled by a center solve from U = 1. :func:`_bordered_root` then solves
+    for lam and U together between the last two samples, to ``ROOT_RTOL``
+    relative to lam (half of it relative to R). The profile is that of the
+    root's own solution.
     """
     f1 = model.f_of_one
     if not 0.0 < A < f1:
         raise ValidationError(f"A must lie in (0, f(1)) = (0, {f1}); got {A}")
 
-    solutions = {}
-    w = None
-
-    def h(lam, warm=True):
-        nonlocal w
-        w, uptake = _solve_center(lam, model, w if warm else None)
-        solutions[lam] = (w, uptake)
-        return uptake - A / 2.0
-
-    hi = 1.0
-    samples = []
+    lo = (0.0, (f1 - A) / 2.0, np.zeros((N_NODES + 1) // 2))
+    R, samples = 1.0, []
     while True:
-        h_hi = h(hi * hi, warm=False)
-        samples.append((hi, hi * hi * h_hi))     # (R, g(R) = R**2 h(R**2))
-        if h_hi <= 0.0 or hi >= R_MAX:
+        w, uptake = _solve_center(R * R, model)
+        h = uptake - A / 2.0
+        samples.append((R, R * R * h))      # (R, g(R) = R**2 h(R**2))
+        if h <= 0.0 or R >= R_MAX:
             break
-        hi = min(2.0 * hi, R_MAX)
-    if h_hi > 0.0:
+        lo, R = (R * R, h, w), min(2.0 * R, R_MAX)
+    if h > 0.0:
         # the root lies above R_MAX, and only an A above A + 2 h(R_MAX**2)
-        # brings it in; an exact zero at hi is a root, which _brentq returns
+        # brings it in
         raise BracketError(
             "no sign change when bracketing the steady radius; the steady "
             f"radius lies above R_MAX = {R_MAX:g}; the smallest reachable A is "
-            f"{A + 2.0 * h_hi:.6g}, got {A:.6g}; sampled "
+            f"{A + 2.0 * h:.6g}, got {A:.6g}; sampled "
             + ", ".join(f"g({r:.4g})={v:.4g}" for r, v in samples),
             samples=samples)
 
-    lam_A = _brentq(h, 0.0, hi * hi, (f1 - A) / 2.0, h_hi,
-                    xtol=ROOT_XTOL, rtol=ROOT_RTOL)
+    # an exact zero at the bracket's end is the root
+    lam_A, w, uptake = (R * R, w, uptake) if h == 0.0 else \
+        _bordered_root(A, model, lo, (R * R, h, w))
     R_A = math.sqrt(lam_A)
-    v0 = _center_profile(lam_A, *solutions[lam_A])
+    v0 = _center_profile(lam_A, w, uptake)
     alpha_A = R_A * R_A * (f1 - A / 2.0)
     return SteadyState(R_A=float(R_A), alpha_A=float(alpha_A), v0=v0, A=float(A))
 

@@ -243,12 +243,12 @@ class TestSteadyRadius:
                                 A * (2.0 - lam) / 2.0))
         assert steady_radius(A, id_model).R_A == 1.0
 
-    @pytest.mark.parametrize("model", ["identity", "poly:1,0.3"])
-    def test_root_takes_few_center_solves(self, model, monkeypatch):
-        # h(lam) = int_0^1 r f(U) dr - A/2 is nearly linear in lam = R**2,
-        # and Brent starts each solve from the previous one's solution; for
-        # the identity the first Newton step is exact, so a center solve is
-        # one LU solve
+    @pytest.mark.parametrize("model, budget", [("identity", 6),
+                                               ("poly:1,0.3", 9)],
+                             ids=["identity", "poly:1,0.3"])
+    def test_root_takes_few_center_solves(self, model, budget, monkeypatch):
+        # the bracket's one center solve at R = 1, then bordered Newton
+        # steps on lam and U together, one LU solve each, and no bisection
         model = parse_model_spec(model)
         A = 2.0 * solve_U(0.52**2, model).deriv_values[-1] / 0.52**2
         calls, solves = [], []
@@ -265,43 +265,82 @@ class TestSteadyRadius:
         monkeypatch.setattr(radial, "_solve_center", counted)
         monkeypatch.setattr(np.linalg, "solve", counted_lu)
         assert steady_radius(A, model).R_A == pytest.approx(0.52, rel=1e-12)
-        assert len(calls) <= 10
-        assert len(solves) <= (1 if model.is_linear else 3) * len(calls)
+        assert calls == [1.0]
+        assert len(solves) <= budget
 
-
-class TestBrent:
-    @pytest.mark.parametrize("f, a, b, root", [
-        (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
-        (lambda x: x**3 - 2.0, 1.0, 2.0, 2.0 ** (1.0 / 3.0)),
-    ], ids=["dottie", "cube_root_2"])
-    def test_known_roots_in_few_calls(self, f, a, b, root):
+    @pytest.mark.parametrize("model", ["identity", "poly:1,0.3"])
+    def test_newton_leaving_the_bracket_bisects(self, model, monkeypatch):
+        # the top of the bracket lies 1e-9 above the root, and its h is
+        # given as -1e3, so Newton starts near lam = 0 and its first step
+        # overshoots the bracket; the bisections that replace such steps
+        # still end at the root
+        model = parse_model_spec(model)
+        R_A = steady_radius(0.5, model).R_A
+        top = R_A**2 * (1.0 + 1e-9)
+        lo = (0.0, (model.f_of_one - 0.5) / 2.0,
+              np.zeros((radial.N_NODES + 1) // 2))
+        hi = (top, -1e3, radial._solve_center(top, model)[0])
         calls = []
+        solve = radial._solve_center
 
-        def counted(x):
-            calls.append(x)
-            return f(x)
+        def counted(lam, model, start=None):
+            calls.append(lam)
+            return solve(lam, model, start)
 
-        x = radial._brentq(counted, a, b, f(a), f(b), xtol=1e-14, rtol=8.9e-16)
-        assert abs(x - root) <= 1e-14 + 8.9e-16 * root
-        assert len(calls) <= 15
+        monkeypatch.setattr(radial, "_solve_center", counted)
+        lam, w, uptake = radial._bordered_root(0.5, model, lo, hi)
+        assert calls and all(0.0 < c < top for c in calls)
+        assert abs(math.sqrt(lam) / R_A - 1.0) <= 1e-13
+        assert uptake == pytest.approx(0.25, abs=1e-14)
 
-    def test_root_at_an_endpoint_is_returned(self):
-        def never(x):
-            raise AssertionError("no evaluation needed")
+    def test_newton_cap_raises_with_history(self, id_model, monkeypatch):
+        # the center solves of the identity bracket take one step each; the
+        # bordered Newton needs more than two
+        monkeypatch.setattr(radial, "MAX_NEWTON_ITERS", 2)
+        with pytest.raises(SolverError, match=r"did not converge at lam=\S+; "
+                           r"residual history: \S+, \S+$"):
+            steady_radius(0.5, id_model)
 
-        assert radial._brentq(never, 1.0, 2.0, 0.0, 1.0, xtol=1e-14,
-                              rtol=8.9e-16) == 1.0
-        assert radial._brentq(never, 0.5, 2.0, -1.0, 0.0, xtol=1e-14,
-                              rtol=8.9e-16) == 2.0
+    def test_nonfinite_newton_step_raises(self, id_model, monkeypatch):
+        # a NaN from the bordered (n + 1) x (n + 1) solve stops Newton at once
+        lu_solve = np.linalg.solve
+        bordered = (radial.N_NODES + 1) // 2 + 1
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: (
+            np.full_like(b, np.nan) if len(b) == bordered else lu_solve(a, b)))
+        with pytest.raises(SolverError, match=r"residual history: [^,]+$"):
+            steady_radius(0.5, id_model)
 
-    def test_no_convergence_raises(self):
-        f = lambda x: math.cos(x) - x   # noqa: E731
-        with pytest.raises(SolverError, match="did not converge in 2 steps"):
-            radial._brentq(f, 0.0, 1.0, f(0.0), f(1.0), xtol=1e-14,
-                           rtol=8.9e-16, maxiter=2)
-        with pytest.raises(SolverError, match="no sign change"):
-            radial._brentq(f, 0.0, 0.5, f(0.0), f(0.5), xtol=1e-14,
-                           rtol=8.9e-16)
+    def test_unresolved_profile_raises(self, id_model, monkeypatch):
+        monkeypatch.setattr(radial, "N_NODES", 9)
+        with pytest.raises(SolverError, match="not resolved by the fixed "
+                           "N_NODES = 9 collocation nodes"):
+            steady_radius(0.5, id_model)
+
+    def test_identity_sweep_backward_error(self, id_model):
+        # R_A from 2e-6, where the lam update of Newton reaches its roundoff
+        # floor before ROOT_RTOL * lam, to 15.9, and on both sides of the
+        # bracket's samples at R = 1, 2, 4 and 8; the steady condition for
+        # the identity is 2 I1(R) / (R I0(R)) = A
+        radii = list(np.geomspace(2e-6, 15.9, 240)) + [
+            b * (1.0 + e) for b in (1.0, 2.0, 4.0, 8.0)
+            for e in (-1e-9, -1e-15, 1e-15, 1e-9)]
+
+        def bessel_A(R):
+            return 2.0 * bessel_i(1, R) / (R * bessel_i(0, R))
+
+        for R in radii:
+            A = bessel_A(R)
+            assert abs(bessel_A(steady_radius(A, id_model).R_A) - A) <= 1e-14
+
+    def test_polynomial_sweep(self, poly_model):
+        radii = []
+        for A in np.linspace(0.135, 1.2999, 100):
+            st = steady_radius(float(A), poly_model)
+            assert st.v0.deriv_values[-1] == pytest.approx(A * st.R_A**2 / 2.0,
+                                                           rel=1e-13)
+            radii.append(st.R_A)
+        assert np.all(np.diff(radii) < 0.0)
+
 
 class TestDeterminism:
     def test_fresh_process_gives_identical_profile(self, id_model, package_env):
