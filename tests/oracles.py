@@ -30,7 +30,10 @@ the package on the path.
 - residuals of the solved equations: :func:`harmonic_residual` (the mapped
   Laplacian) and :func:`ode_residual_on_midpoints` (the radial ODEs);
 - :func:`linearized_mode_profile`, the nutrient perturbation that one
-  boundary mode excites to first order.
+  boundary mode excites to first order;
+- :func:`brentq`, a port of scipy's Brent root finder, which finds the
+  steady radius by bracketing alone, independently of the package's
+  bordered Newton solve, where scipy is not installed.
 """
 
 import math
@@ -90,6 +93,62 @@ def identity_g_star(A, k_max=64):
             if best is None or g < best:
                 best, best_k = g, k
     return best, best_k
+
+
+def brentq(f, a, b, f_a, f_b, xtol, rtol, maxiter=100):
+    """Root of f in [a, b] by Brent's method, given f_a = f(a) and f_b = f(b).
+
+    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4:
+    the iterate with the smaller |f| is kept as the current one; a step
+    interpolates (secant) or extrapolates (inverse quadratic) when it is
+    short enough and bisects otherwise; the iteration stops once half the
+    bracket is below delta = (xtol + rtol |x|) / 2. The order of the floating-point operations follows scipy's ``brentq``
+    bit for bit. Raises SolverError after ``maxiter`` steps.
+    """
+    from tumorspec.errors import SolverError
+
+    if f_a == 0:
+        return a
+    if f_b == 0:
+        return b
+    if math.copysign(1.0, f_a) == math.copysign(1.0, f_b):
+        raise SolverError(f"no sign change on [{a}, {b}]: f = {f_a}, {f_b}")
+    xpre, xcur, fpre, fcur = a, b, f_a, f_b
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:               # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise SolverError(f"Brent iteration did not converge in {maxiter} steps; "
+                      f"last iterate {xcur:.17g}, f = {fcur:.3e}")
 
 
 def oracle_boundary(n, a):

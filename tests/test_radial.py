@@ -14,7 +14,7 @@ from tumorspec.models import parse_model_spec
 from tumorspec.radial import (appendix_series, boundary_ratio, solve_U,
                               solve_u_n, steady_radius)
 
-from oracles import (bessel_i, identity_ratio, identity_steady_A,
+from oracles import (bessel_i, brentq, identity_ratio, identity_steady_A,
                      ode_residual_on_midpoints)
 from shooting_reference import SHOOTING_REFERENCE
 
@@ -340,6 +340,55 @@ class TestSteadyRadius:
                                                            rel=1e-13)
             radii.append(st.R_A)
         assert np.all(np.diff(radii) < 0.0)
+
+    @pytest.mark.parametrize("model", ["identity", "poly:1,0.3"])
+    def test_matches_brent_on_h(self, model):
+        # Brent brackets the root of h(lam) = int_0^1 r f(U) dr - A/2 with
+        # each h from a center solve, with no Newton step on lam
+        model = parse_model_spec(model)
+        for A in (0.3, 0.7):
+            def h(lam):
+                return radial._solve_center(lam, model)[1] - A / 2.0
+
+            top = radial.R_MAX**2
+            lam = brentq(h, 0.0, top, h(0.0), h(top), xtol=1e-300, rtol=1e-15)
+            R_A = steady_radius(A, model).R_A
+            assert abs(R_A / math.sqrt(lam) - 1.0) <= 1e-13
+
+
+class TestBrent:
+    @pytest.mark.parametrize("f, a, b, root", [
+        (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+        (lambda x: x**3 - 2.0, 1.0, 2.0, 2.0 ** (1.0 / 3.0)),
+    ], ids=["dottie", "cube_root_2"])
+    def test_known_roots_in_few_calls(self, f, a, b, root):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        x = brentq(counted, a, b, f(a), f(b), xtol=1e-14, rtol=8.9e-16)
+        assert abs(x - root) <= 1e-14 + 8.9e-16 * root
+        assert len(calls) <= 15
+
+    def test_root_at_an_endpoint_is_returned(self):
+        def never(x):
+            raise AssertionError("no evaluation needed")
+
+        assert brentq(never, 1.0, 2.0, 0.0, 1.0, xtol=1e-14,
+                      rtol=8.9e-16) == 1.0
+        assert brentq(never, 0.5, 2.0, -1.0, 0.0, xtol=1e-14,
+                      rtol=8.9e-16) == 2.0
+
+    def test_no_convergence_raises(self):
+        f = lambda x: math.cos(x) - x   # noqa: E731
+        with pytest.raises(SolverError, match="did not converge in 2 steps"):
+            brentq(f, 0.0, 1.0, f(0.0), f(1.0), xtol=1e-14,
+                   rtol=8.9e-16, maxiter=2)
+        with pytest.raises(SolverError, match="no sign change"):
+            brentq(f, 0.0, 0.5, f(0.0), f(0.5), xtol=1e-14,
+                   rtol=8.9e-16)
 
 
 class TestDeterminism:
