@@ -50,8 +50,7 @@ def _fmt(x):
 
 def _write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path, rows):

@@ -16,8 +16,8 @@ solve, the pressure's as the bare array.
 The pressure is harmonic, and the boundary velocity reads only its normal
 derivative, so it is solved on the n_theta boundary nodes alone
 (:func:`_harmonic_field`): a single-layer potential plus a constant, with
-Kress's quadrature of the log kernel, is one dense (n_theta + 1)**2 solve
-per shape, and the normal derivative is the adjoint double layer of its
+Kress's quadrature of the log kernel, is one LU of a dense (n_theta + 1)**2
+system per shape, and the normal derivative is the adjoint double layer of its
 density. Nothing in the package reads the pressure inside the domain;
 the tests evaluate it on the grid from the Dirichlet data and this flux by
 the compensated Cauchy formula (``harmonic_values`` in ``tests/oracles.py``).
@@ -251,11 +251,11 @@ def _harmonic_field(coefs: MappedCoefficients, spec):
     log kernel is integrated by Kress's split trapezoid rule
     (:func:`_log_weights`) and its smooth remainder log(|y_i - y_j| / |2
     sin((t_i - t_j)/2)|), which is log|y'_i| on the diagonal, by the
-    trapezoid rule, so the collocation system is one dense (n + 1)**2 solve.
-    The outward normal derivative is the interior trace of the adjoint double
-    layer, dq/dn = sigma/2 + K' sigma, whose smooth kernel -(1/2 pi) (x -
-    y).nu_x / |x - y|**2 is -kappa/(4 pi) on the diagonal, with kappa the
-    exact curvature ``coefs.curvature`` of the nodes' curve.
+    trapezoid rule, so the collocation system is one LU of a dense (n + 1)**2
+    matrix. The outward normal derivative is the interior trace of the
+    adjoint double layer, dq/dn = sigma/2 + K' sigma, whose smooth kernel
+    -(1/2 pi) (x - y).nu_x / |x - y|**2 is -kappa/(4 pi) on the diagonal,
+    with kappa the exact curvature ``coefs.curvature`` of the nodes' curve.
     """
     n = len(coefs.h)
     # the boundary nodes y = R h e^{i theta} and their y' = dy/dtheta = R (h'
@@ -267,21 +267,20 @@ def _harmonic_field(coefs: MappedCoefficients, spec):
     diff = points[:, :, None] - points[:, None, :]   # x - y, componentwise
     dist2 = np.einsum("kij,kij->ij", diff, diff)
     np.fill_diagonal(dist2, speed * speed)
-    system = np.zeros((n + 1, n + 2))   # [matrix | right-hand side]
-    block = system[:n, :n]
+    matrix = np.zeros((n + 1, n + 1))
+    block = matrix[:n, :n]
     np.log(dist2, out=block)
     block *= -0.5 / n
     block += _log_weights(n)
     block *= speed
-    system[:n, n] = 1.0
-    system[n, :n] = speed
-    system[:n, n + 1] = np.fft.irfft(spec, n=n)   # the Dirichlet data
-    # by QR, not LU: OpenBLAS's LU of more than 10000 entries rounds
-    # differently with one and two threads, its Householder QR does not on
-    # the default grid, and the artifacts must not depend on the BLAS thread
-    # count; the last column of R is Q^T b
-    R = np.linalg.qr(system, mode="r")
-    sigma = np.linalg.solve(R[:, :-1], R[:, -1])[:n]
+    matrix[:n, n] = 1.0
+    matrix[n, :n] = speed
+    rhs = np.append(np.fft.irfft(spec, n=n), 0.0)   # the Dirichlet data
+    # one LU with partial pivoting (backward stable: Higham, *Accuracy and
+    # Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 9); cli.main pins
+    # one BLAS thread, so CLI artifacts do not depend on the thread count, but
+    # a library caller on more may see last-digit changes from n_theta = 128 up
+    sigma = np.linalg.solve(matrix, rhs)[:n]
 
     # (x - y) / |x - y|**2, 0 on the diagonal, where x - y = 0, applied to
     # sigma ds and dotted with nu_x = -i y' / |y'| = (Im y', -Re y') / |y'|

@@ -11,7 +11,10 @@ modified-Bessel closed forms, which is what makes these oracles possible:
 
 For the pressure solve, the real part of an entire function is harmonic on
 every domain, so its boundary samples and its derivatives are closed forms
-too (:func:`exact_harmonic` on the boundary of :func:`oracle_boundary`).
+too (:func:`exact_harmonic` on the boundary of :func:`oracle_boundary`). On
+a disk translated off the origin the pressure data are affine, so the
+pressure is that affine function at finite amplitude
+(:func:`translated_disk`).
 
 The evaluators below read fields in ways no command does, so they live here
 and not in the package. Some build on its Chebyshev toolkit
@@ -166,6 +169,22 @@ def exact_harmonic(z, R):
     of q along a unit complex direction d at z is Re(F'(z) d)."""
     w = np.asarray(z) / R
     return (np.exp(w) + w**5).real, (np.exp(w) + 5 * w**4) / R
+
+
+def translated_disk(n, d, R, A, G):
+    """The disk of radius R centred at c = (d R, 0), d < 1, on n equispaced
+    angles: rho with r(theta)/R = 1 + rho = d cos theta + sqrt(1 - d**2
+    sin**2 theta), and the physical outward normal derivative there of the
+    pressure of the model's data, curvature - (A G / 4) |x|**2.
+
+    On that circle |x|**2 = R**2 - |c|**2 + 2 c.x, so the data are affine and
+    the pressure is the same affine function; its flux is -(A G / 2) c.nu,
+    with nu = (x - c) / R.
+    """
+    theta = 2 * np.pi * np.arange(n) / n
+    h = d * np.cos(theta) + np.sqrt(1.0 - (d * np.sin(theta))**2)
+    x = R * h * np.cos(theta)
+    return h - 1.0, -0.5 * A * G * d * (x - d * R)
 
 
 def half_turn_parts(rho):

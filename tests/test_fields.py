@@ -17,13 +17,14 @@ from tumorspec.disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
 from tumorspec.dynamics import evolve_nonlinear, phi
 from tumorspec.errors import SolverError
 from tumorspec.fields import gmres, solve_nutrient, solve_pressure
+from tumorspec.models import parse_model_spec
 from tumorspec.radial import solve_u_n, steady_radius
 from tumorspec.shapes import ShapeState
 
 from oracles import (center_value, eval_field_columns, exact_harmonic,
                      fold_interpolation, harmonic_residual, harmonic_values,
                      linearized_mode_profile, mapped_phi, mapped_radius,
-                     oracle_boundary, pressure_data)
+                     oracle_boundary, pressure_data, translated_disk)
 
 
 @pytest.fixture
@@ -161,7 +162,9 @@ class TestPressure:
     @pytest.mark.parametrize("R", [1.0, 3.33])
     @pytest.mark.parametrize("n, a, bound", [(64, 0.01, 1e-8), (64, 0.03, 1e-8),
                                              (128, 0.08, 1e-11),
-                                             (128, 0.15, 1e-11)])
+                                             (128, 0.15, 1e-11),
+                                             (256, 0.15, 1e-11),
+                                             (1024, 0.15, 1e-11)])
     def test_normal_derivative_of_an_exact_harmonic(self, n, a, bound, R):
         # the physical normal derivative of a field that is harmonic
         # everywhere, from its samples on the boundary nodes
@@ -173,6 +176,42 @@ class TestPressure:
         normal = -1j * y * (coefs.beta + 1j) / np.abs(y * (coefs.beta + 1j))
         flux = (dF * normal).real
         assert np.max(np.abs(got - flux)) <= bound * np.max(np.abs(flux))
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_one_lu_and_no_qr(self, n, monkeypatch):
+        # the bordered single-layer system is solved by one LU; no QR
+        # factorization precedes it
+        calls = []
+        solve, qr = np.linalg.solve, np.linalg.qr
+
+        def counted(name, call):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return call(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", solve))
+        monkeypatch.setattr(np.linalg, "qr", counted("qr", qr))
+        grid = DiskGrid(n_r=8, n_theta=n)
+        coefs = MappedCoefficients.from_boundary(oracle_boundary(n, 0.03), 1.0,
+                                                 grid.r)
+        y = coefs.h * np.exp(1j * grid.theta)
+        fields._harmonic_field(coefs, np.fft.rfft(exact_harmonic(y, 1.0)[0]))
+        assert calls == ["solve"]
+
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("d", [0.1, 0.2])
+    @pytest.mark.parametrize("model, A, G", [("identity", 0.5, 2.0),
+                                             ("poly:1,0.3", 0.7, 1.0)])
+    def test_pressure_of_a_translated_disk(self, model, A, G, d, n):
+        # at the steady radius, sup|rho| = d: the pressure is affine, and its
+        # flux is -(A G / 2) c.nu at every node
+        R = steady_radius(A, parse_model_spec(model)).R_A
+        rho, exact = translated_disk(n, d, R, A, G)
+        grid = DiskGrid(n_r=8, n_theta=n)
+        coefs = MappedCoefficients.from_boundary(rho, R, grid.r)
+        got = solve_pressure(coefs, A, G)
+        assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("R", [1.0, 3.33])
     @pytest.mark.parametrize("a", [0.01, 0.03])
