@@ -5,8 +5,8 @@ a single JSON document; the FLAGS, before or after the command, override its
 fields, and load_config checks the merged keys once against SCHEMA. Every
 artifact is written by _write_json or _write_csv, every CSV number by _fmt
 with 17 significant digits under a header row, and identical configurations
-produce byte-identical files: :func:`main` runs numpy's OpenBLAS on one
-thread, whose products round the same whatever OPENBLAS_NUM_THREADS says.
+produce byte-identical files with the OpenBLAS that numpy >= 2 bundles,
+which :func:`main` runs on one thread (it says what other BLAS builds do).
 
 Exit codes: 0 success, 2 validation error (an unknown key is one), 3 solver
 failure, 4 halt because the evolving shape left the admissible
@@ -440,11 +440,13 @@ def _openblas_threads():
 def main(argv=None):
     """Run one command and return its exit code.
 
-    The command runs on one thread of numpy's OpenBLAS, whose threaded and
-    single-threaded products round differently, and the previous count is
-    restored on return. Where numpy's BLAS does not export
-    ``scipy_openblas_set_num_threads64_``, the count is left as it is. A
-    library caller of :func:`tumorspec.dynamics.phi` runs with the count its
+    The command runs on one thread of the OpenBLAS that numpy >= 2 bundles,
+    whose threaded and single-threaded products round differently, and the
+    previous count is restored on return. Where numpy's BLAS does not export
+    ``scipy_openblas_set_num_threads64_`` (a numpy built against another
+    BLAS), the count is left as it is, and the pressure's LU may then round
+    differently between thread counts from n_theta = 128 up. A library
+    caller of :func:`tumorspec.dynamics.phi` runs with the count its
     environment sets.
     """
     args = build_parser().parse_args(argv)

@@ -278,8 +278,8 @@ def _harmonic_field(coefs: MappedCoefficients, spec):
     rhs = np.append(np.fft.irfft(spec, n=n), 0.0)   # the Dirichlet data
     # one LU with partial pivoting (backward stable: Higham, *Accuracy and
     # Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 9); cli.main pins
-    # one BLAS thread, so CLI artifacts do not depend on the thread count, but
-    # a library caller on more may see last-digit changes from n_theta = 128 up
+    # numpy's bundled OpenBLAS to one thread, so CLI artifacts do not depend on
+    # the count, but other callers may see last-digit changes from n_theta 128
     sigma = np.linalg.solve(matrix, rhs)[:n]
 
     # (x - y) / |x - y|**2, 0 on the diagonal, where x - y = 0, applied to
