@@ -165,7 +165,6 @@ class DiskGrid:
     r: np.ndarray = field(init=False, repr=False, compare=False)
     theta: np.ndarray = field(init=False, repr=False, compare=False)
     modes: np.ndarray = field(init=False, repr=False, compare=False)
-    mode_scale: np.ndarray = field(init=False, repr=False, compare=False)
     _natural: np.ndarray = field(init=False, repr=False, compare=False)
     _symbols: tuple = field(init=False, repr=False, compare=False)
 
@@ -180,15 +179,10 @@ class DiskGrid:
         object.__setattr__(self, "theta", 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta)
         q = np.arange(self.n_theta // 2 + 1)
         modes = np.concatenate([q[0::2], q[1::2]])
-        # sqrt(w_q / n_theta), w_q = 2 except at q = 0 and Nyquist: the
-        # Euclidean norm of the scaled mode layout is that of the samples
-        weight = np.where((modes == 0) | (2 * modes == self.n_theta), 1.0, 2.0)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "_natural", np.argsort(modes))
         # symbols of d/dtheta and d2/dtheta2 in the mode layout
         object.__setattr__(self, "_symbols", (1j * modes, -modes**2.0))
-        object.__setattr__(self, "mode_scale",
-                           np.repeat(np.sqrt(weight / self.n_theta), 2))
 
     @property
     def split(self):
@@ -215,18 +209,12 @@ class DiskGrid:
         np.matmul(self.fold.stacked[1], X[:, split:], out=out[:, split:])
 
 
-def truncated_spectrum(values):
-    """The rfft along the last (angular) axis with the modes above n // 3
-    set to zero (the 2/3 rule)."""
-    values = np.asarray(values, dtype=float)
-    spec = np.fft.rfft(values, axis=-1)
-    spec[..., values.shape[-1] // 3 + 1:] = 0.0
-    return spec
-
-
 def dealias(values):
-    """2/3-rule truncation along the last (angular) axis."""
-    return np.fft.irfft(truncated_spectrum(values), n=np.shape(values)[-1], axis=-1)
+    """2/3-rule truncation along the last (angular) axis: the samples whose
+    rfft is that of ``values`` with the modes above n // 3 set to zero."""
+    spec = np.fft.rfft(values, axis=-1)
+    spec[..., np.shape(values)[-1] // 3 + 1:] = 0.0
+    return np.fft.irfft(spec, n=np.shape(values)[-1], axis=-1)
 
 
 @dataclass
@@ -254,7 +242,7 @@ class MappedCoefficients:
     E and O are locals of :meth:`from_boundary`. The boundary quantities (h,
     beta, J1, curvature) are the ones the pressure and the boundary velocity
     read. The curvature is the exact curvature of the node curve, not
-    dealiased: the pressure truncates its data itself, and its boundary
+    dealiased: the pressure dealiases its data itself, and its boundary
     solve needs the exact value on the diagonal of its flux kernel.
     """
     a_rr: np.ndarray

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DomainValidityError, SolverError, ValidationError
 from .fields import solve_nutrient, solve_pressure
-from .disk import DiskGrid, MappedCoefficients, truncated_spectrum
+from .disk import DiskGrid, MappedCoefficients
 from .models import NutrientModel
 from .shapes import ADMISSIBLE_SUP_NORM, ShapeState
 from .spectrum import ModelParameters, build_table
@@ -56,8 +56,7 @@ TAYLOR_RADIUS = 1.0   # |z| below which phi_1..phi_3 are Taylor sums
 
 @dataclass(frozen=True)
 class PhiResult:
-    values: np.ndarray        # boundary velocity on the angular grid
-    coeffs: np.ndarray        # its Fourier coefficients, k = 0..n_theta // 3
+    coeffs: np.ndarray        # the velocity's coefficients, k = 0..n_theta // 3
     nutrient: object
 
 
@@ -81,12 +80,9 @@ def phi(shape: ShapeState, A, G, model: NutrientModel, grid: DiskGrid = None,
     values = np.hypot(1.0, coefs.beta) / R * (G * nut.flux - pres) \
         - 0.5 * A * G * coefs.h
 
-    # the dealiased values and their coefficients from one spectrum
-    spec = truncated_spectrum(values)
-    values = np.fft.irfft(spec, n=grid.n_theta)
-    coeffs = spec[:grid.n_theta // 3 + 1] / grid.n_theta
-    coeffs[0] = coeffs[0].real
-    return PhiResult(values=values, coeffs=coeffs, nutrient=nut)
+    # the coefficients the stepper evolves, those below the 2/3-rule cutoff
+    coeffs = np.fft.rfft(values)[:grid.n_theta // 3 + 1] / grid.n_theta
+    return PhiResult(coeffs=coeffs, nutrient=nut)
 
 
 @dataclass(frozen=True)

@@ -25,30 +25,29 @@ The circulant log weights depend only on n_theta: :func:`_log_weights`
 keeps the last two.
 
 The nutrient lives in the mode layout of
-:meth:`tumorspec.disk.DiskGrid.to_modes` (even modes first, then odd). The first
-residual and every Krylov matvec is one call of
+:meth:`tumorspec.disk.DiskGrid.to_modes` (even modes first, then odd). The
+first residual and every Krylov matvec is one call of
 :func:`tumorspec.disk.mapped_laplacian_kernel`, which reads all n_r rows of a
 spectrum and returns the n_r - 1 interior rows, and each Newton step solves
-for the correction, with zero boundary data, of the residual of the
-semilinear equation. The collocation systems are solved by :func:`gmres`,
-restarted GMRES with right preconditioning (Saad & Schultz, *SIAM J. Sci.
-Stat. Comput.* 7, 1986): its residual estimates are those of the
-unpreconditioned system, so it stops on the residual that the tolerance
-bounds. Its unknowns are the interior rows' spectra scaled by
-sqrt(w_q / n_theta), with w_q = 1 at q = 0 and at Nyquist and 2 elsewhere,
-so that their Euclidean norm is that of the samples and the relative
-tolerance means what it means in physical space. An iteration costs one GEMM
-per parity, one irfft and one rfft in the kernel, and no transform in the
-preconditioner: :class:`tumorspec.disk.ModePreconditioner` inverts every
-angular mode's radial operator by one eigendecomposition per parity (fast
-diagonalisation). The preconditioner is the exact inverse at the radial
-equilibrium of radius R, which depends only on the grid size, R and the
-model: :func:`_equilibrium` builds it with that equilibrium and keeps the
-last one, so every nutrient solve of an evolution, which keeps R and moves
-the boundary only near the equilibrium, shares one. It serves every Newton
-step of a solve (for the identity model f' is constant, so it is the one
-every step would build). The cache is keyed on (n_r, n_theta, R, model), so
-it keeps no caller's grid alive and equal grids share its entry.
+for the correction, with zero boundary data, of the residual of the semilinear
+equation. The collocation systems are solved by :func:`gmres`, restarted GMRES
+with right preconditioning (Saad & Schultz, *SIAM J. Sci. Stat. Comput.* 7,
+1986): its residual estimates are those of the unpreconditioned system, so it
+stops on the residual that the tolerance bounds. Its residuals and Arnoldi
+basis are the interior samples the kernel writes, so the relative tolerance is
+one on the physical residual, and its unknowns the interior spectra the
+preconditioner returns. An iteration costs one rfft of the preconditioner's
+argument, and one GEMM per parity and one irfft in the kernel:
+:class:`tumorspec.disk.ModePreconditioner` inverts every angular mode's radial
+operator by one eigendecomposition per parity (fast diagonalisation), without
+a transform. The preconditioner is the exact inverse at the radial equilibrium
+of radius R, which depends only on the grid size, R and the model:
+:func:`_equilibrium` builds it with that equilibrium and keeps the last one,
+so every nutrient solve of an evolution, which keeps R and moves the boundary
+only near the equilibrium, shares one. It serves every Newton step of a solve
+(for the identity model f' is constant, so it is the one every step would
+build). The cache is keyed on (n_r, n_theta, R, model), so it keeps no
+caller's grid alive and equal grids share its entry.
 
 The nutrient Newton loop evaluates the residual F = L v - scale f(v) once,
 at the start. After a correction delta, GMRES leaves the linear residual
@@ -75,8 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
-                   boundary_radial_derivative, mapped_laplacian_kernel,
-                   truncated_spectrum)
+                   boundary_radial_derivative, dealias, mapped_laplacian_kernel)
 from .errors import SolverError
 from .models import NutrientModel
 from .radial import solve_U
@@ -94,33 +92,33 @@ class DiskField:
 def gmres(matvec, psolve, b, rtol, restart, maxiter):
     """Restarted GMRES with right preconditioning, from x = 0.
 
-    Solves A x = b, where ``matvec`` applies A and ``psolve`` the
-    preconditioner M, an approximate inverse of A, to a flat array (Saad &
-    Schultz 1986). Each cycle builds an Arnoldi basis V of A M from the
-    residual r by classical Gram-Schmidt with one reorthogonalisation (two
-    products with the basis per iteration, orthogonal to working precision;
-    Giraud, Langou & Rozloznik, *Comput. Math. Appl.* 50, 2005) and reduces
-    its Hessenberg matrix by Givens rotations, so the residual estimate after
-    each inner iteration is |b - A x| of the iterate it stands for, up to
-    roundoff. A cycle ends once that estimate falls to rtol |b|, at
-    breakdown, or after ``restart`` inner iterations; it then updates x by
-    M (V y), one preconditioner application, and computes the true
-    residual. Only a cycle that ran all ``restart`` iterations is followed
-    by another, from that residual.
+    Solves A x = b (Saad & Schultz 1986), where ``psolve`` applies the
+    preconditioner M, an approximate inverse of A, to a flat array of b's size
+    and ``matvec`` applies A to one of M's range, whose size may differ. Each
+    cycle builds an Arnoldi basis V of A M from the residual r by classical
+    Gram-Schmidt with one reorthogonalisation (two products with the basis per
+    iteration, orthogonal to working precision; Giraud, Langou & Rozloznik,
+    *Comput. Math. Appl.* 50, 2005) and reduces its Hessenberg matrix by
+    Givens rotations, so the residual estimate after each inner iteration is
+    |b - A x| of the iterate it stands for, up to roundoff. A cycle ends once
+    that estimate falls to rtol |b|, at breakdown, or after ``restart`` inner
+    iterations; it then updates x by M (V y), one preconditioner application,
+    and computes the true residual. Only a cycle that ran all ``restart``
+    iterations is followed by another, from that residual.
 
     Returns (x, info, history, r): info is 0 when |b - A x| <= rtol |b|
     and ``maxiter`` otherwise; history lists, per cycle run, the residual
     estimate after each of its inner iterations; r is the true residual
     b - A x of the returned x, computed at the end of the last cycle (b
-    itself when b = 0).
+    itself when b = 0, where x = M b = 0).
     """
     n = len(b)
-    x = np.zeros(n)
     history = []
     r = b
     rnorm = float(np.linalg.norm(b))
     if rnorm == 0.0:
-        return x, 0, history, b
+        return psolve(b), 0, history, b
+    x = 0.0   # an array of psolve's range after the first cycle
     atol = rtol * rnorm
     eps = np.finfo(float).eps
     restart = min(restart, n)
@@ -162,7 +160,7 @@ def gmres(matvec, psolve, b, rtol, restart, maxiter):
                 break
         m = len(estimates)
         y = np.linalg.solve(h[:m, :m].T, g[:m])
-        x += psolve(y @ v[:m])
+        x = x + psolve(y @ v[:m])
         r = b - matvec(x)
         rnorm = float(np.linalg.norm(r))
         if rnorm <= atol or m < restart:
@@ -176,25 +174,23 @@ def _interior_solve(grid, coefs, potential, rhs, precond, tol):
     interior rows, from GMRES's last product.
 
     Solves (mapped Laplacian - potential) W = rhs on the interior rows, with
-    W = 0 on the boundary row; potential, like rhs, holds the n_r - 1
-    interior rows. GMRES iterates on the interior rows of W's
-    spectrum, scaled by ``grid.mode_scale`` (see the module docstring); each
-    matvec writes them below the zero boundary row of one buffer, which the
-    kernel reads whole.
+    W = 0 on the boundary row; potential, like rhs, holds the samples of the
+    n_r - 1 interior rows. GMRES iterates on those samples; its unknowns are
+    the interior rows of W's spectrum, which the preconditioner returns and
+    each matvec writes below the zero boundary row of the buffer the kernel
+    reads.
     """
     W = np.zeros((grid.n_r, 2 * len(grid.modes)))
     interior = W[1:]   # the boundary row of W stays zero
-    scale = grid.mode_scale
 
     def matvec(x):
-        np.divide(x.reshape(interior.shape), scale, out=interior)
-        out = mapped_laplacian_kernel(grid, coefs, W, potential)
-        return (grid.to_modes(out) * scale).ravel()
+        np.copyto(interior, x.reshape(interior.shape))
+        return mapped_laplacian_kernel(grid, coefs, W, potential).ravel()
 
     def psolve(x):
-        return precond.solve_interior(x.reshape(interior.shape)).ravel()
+        return precond.solve_interior(grid.to_modes(x.reshape(rhs.shape))).ravel()
 
-    b = (grid.to_modes(rhs) * scale).ravel()
+    b = rhs.ravel()
     x, info, history, r = gmres(matvec, psolve, b, rtol=tol, restart=60,
                                 maxiter=10)
     if info != 0:
@@ -207,18 +203,18 @@ def _interior_solve(grid, coefs, potential, rhs, precond, tol):
             raise SolverError(
                 f"GMRES did not converge (info={info}) after {len(history)} "
                 f"cycles ({sum(map(len, history))} iterations); relative "
-                f"residual {achieved:.3e} on {b.size} unknowns; last "
+                f"residual {achieved:.3e} on {b.size} equations; last "
                 "residual estimates "
                 + ", ".join(f"{e:.3e}" for e in last))
-    np.divide(x.reshape(interior.shape), scale, out=interior)
-    return W, grid.from_modes(r.reshape(interior.shape) / scale)
+    np.copyto(interior, x.reshape(interior.shape))
+    return W, r.reshape(rhs.shape)
 
 
 def solve_pressure(coefs: MappedCoefficients, A, G):
     """Physical outward normal derivative on the n_theta boundary nodes of
     ``coefs`` of the harmonic pressure with curvature + mitosis boundary
     data, solved from the dealiased data (:func:`_harmonic_field`)."""
-    return _harmonic_field(coefs, truncated_spectrum(
+    return _harmonic_field(coefs, dealias(
         coefs.curvature - 0.25 * A * G * coefs.R**2 * coefs.h**2))
 
 
@@ -240,10 +236,10 @@ def _log_weights(n):
     return weights
 
 
-def _harmonic_field(coefs: MappedCoefficients, spec):
+def _harmonic_field(coefs: MappedCoefficients, data):
     """The physical outward normal derivative on the boundary nodes of
-    ``coefs`` of the harmonic field whose Dirichlet data there have the rfft
-    spectrum ``spec``.
+    ``coefs`` of the harmonic field whose Dirichlet data there are the
+    samples ``data``.
 
     q = S sigma + c, with the single layer S sigma(x) = -1/(2 pi) int log|x -
     y| sigma(y) ds_y and int sigma ds = 0, is uniquely solvable on every
@@ -275,7 +271,7 @@ def _harmonic_field(coefs: MappedCoefficients, spec):
     block *= speed
     matrix[:n, n] = 1.0
     matrix[n, :n] = speed
-    rhs = np.append(np.fft.irfft(spec, n=n), 0.0)   # the Dirichlet data
+    rhs = np.append(data, 0.0)
     # one LU with partial pivoting (backward stable: Higham, *Accuracy and
     # Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 9); cli.main pins
     # numpy's bundled OpenBLAS to one thread, so CLI artifacts do not depend on

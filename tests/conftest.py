@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tumorspec
+from tumorspec import fields
 from tumorspec.disk import DiskGrid
 from tumorspec.models import identity_model, polynomial_model
 from tumorspec.radial import steady_radius
@@ -45,6 +46,43 @@ def unit_table(id_model, unit_radius_A):
 @pytest.fixture(scope="session")
 def small_grid():
     return DiskGrid(n_r=32, n_theta=64)
+
+
+@pytest.fixture
+def count_transforms(monkeypatch):
+    """Call it to count np.fft.rfft and irfft from then on: it returns the
+    list to which each call appends its name."""
+    def start():
+        calls = []
+        for name in ("rfft", "irfft"):
+            transform = getattr(np.fft, name)
+
+            def counted(*args, name=name, transform=transform, **kwargs):
+                calls.append(name)
+                return transform(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        return calls
+    return start
+
+
+@pytest.fixture
+def krylov_iterations(monkeypatch):
+    """Call it to record the GMRES iterations of each nutrient Krylov solve
+    from then on: it returns the list to which each solve appends its
+    count."""
+    def start():
+        iterations = []
+        solve = fields.gmres
+
+        def recorded(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            iterations.append(sum(map(len, out[2])))
+            return out
+
+        monkeypatch.setattr(fields, "gmres", recorded)
+        return iterations
+    return start
 
 
 @pytest.fixture

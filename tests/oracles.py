@@ -11,10 +11,11 @@ modified-Bessel closed forms, which is what makes these oracles possible:
 
 For the pressure solve, the real part of an entire function is harmonic on
 every domain, so its boundary samples and its derivatives are closed forms
-too (:func:`exact_harmonic` on the boundary of :func:`oracle_boundary`). On
-a disk translated off the origin the pressure data are affine, so the
-pressure is that affine function at finite amplitude
-(:func:`translated_disk`).
+too (:func:`exact_harmonic` on the boundary of :func:`oracle_boundary`). A
+disk of the steady radius translated off the origin is a steady state at
+finite amplitude for every model: its pressure data are affine, so the
+pressure is that affine function (:func:`translated_disk`), and its nutrient
+is the radial profile about the disk's centre (:func:`translated_nutrient`).
 
 The evaluators below read fields in ways no command does, so they live here
 and not in the package. Some build on its Chebyshev toolkit
@@ -185,6 +186,27 @@ def translated_disk(n, d, R, A, G):
     h = d * np.cos(theta) + np.sqrt(1.0 - (d * np.sin(theta))**2)
     x = R * h * np.cos(theta)
     return h - 1.0, -0.5 * A * G * d * (x - d * R)
+
+
+def translated_nutrient(x, d, R, model):
+    """The nutrient of the disk of :func:`translated_disk` at its physical
+    points x (complex), v(x) = U(|x - c| / R) with U the model's radial
+    profile at lam = R**2, and its physical outward normal derivative U'(1) /
+    R, the same at every boundary node."""
+    from tumorspec.radial import solve_U
+    U = solve_U(R * R, model)
+    return U.at(np.abs(x - d * R) / R), U.deriv_values[-1] / R
+
+
+def translated_shape(d, R, n_modes):
+    """The disk of :func:`translated_disk` as a ``ShapeState`` of the modes
+    0..n_modes. Its coefficients fall like (d/2)**k, so those above n_modes
+    and the aliases of 512 samples are far below roundoff for d <= 0.2 and
+    n_modes >= 20."""
+    from tumorspec.shapes import ShapeState
+    rho = translated_disk(512, d, R, 0.0, 0.0)[0]
+    return ShapeState(coeffs=np.fft.rfft(rho)[:n_modes + 1] / 512,
+                      radius_scale=R)
 
 
 def half_turn_parts(rho):

@@ -12,11 +12,18 @@ from tumorspec.errors import ValidationError
 from tumorspec.disk import DiskGrid, MappedCoefficients
 from tumorspec.fields import solve_pressure
 from tumorspec.linear import fit_growth_rate
+from tumorspec.models import parse_model_spec
+from tumorspec.radial import steady_radius
 from tumorspec.shapes import ShapeState
 from tumorspec.spectrum import (ModelParameters, build_table, g_star,
                                 l_G_index)
 
-from oracles import identity_steady_A
+from oracles import identity_steady_A, translated_shape
+
+
+def _samples(res, n):
+    """The dealiased velocity on n angles, from the coefficients of phi."""
+    return np.fft.irfft(n * res.coeffs, n=n)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +39,7 @@ class TestVelocityAtEquilibrium:
         A, G, table = setup
         z = ShapeState.zero(4, table.R)
         res = phi(z, A, G, id_model, small_grid)
-        assert np.max(np.abs(res.values)) < 1e-8
+        assert np.max(np.abs(_samples(res, small_grid.n_theta))) < 1e-8
 
     def test_radial_velocity_off_equilibrium(self, setup, id_model, small_grid):
         # for a circle of the wrong radius the velocity is uniform and
@@ -44,13 +51,14 @@ class TestVelocityAtEquilibrium:
         res = phi(z, A, G, id_model, small_grid)
         v0 = solve_U(R * R, id_model)
         expected = G * (v0.deriv_values[-1] / R**2 - A / 2.0)
-        assert np.allclose(res.values, expected, atol=1e-9)
+        assert np.allclose(_samples(res, small_grid.n_theta), expected,
+                           atol=1e-9)
         assert expected > 0.0  # smaller than steady: the radius grows
 
-    def test_assembly_takes_two_transforms(self, setup, id_model, small_grid,
-                                           monkeypatch):
-        # past the map and the field solves: one rfft and one irfft for the
-        # dealiased values and their coefficients
+    def test_assembly_takes_one_transform(self, setup, id_model, small_grid,
+                                          monkeypatch, count_transforms):
+        # past the map and the field solves: one rfft for the coefficients,
+        # which the 2/3 rule keeps up to n // 3
         A, G, table = setup
         n = small_grid.n_theta
         s = ShapeState.from_modes([(3, 2e-2, 0.0), (2, 1e-2, 0.3)], table.R)
@@ -63,25 +71,74 @@ class TestVelocityAtEquilibrium:
         monkeypatch.setattr(dynamics, "solve_nutrient",
                             lambda *args, **kwargs: ref.nutrient)
         monkeypatch.setattr(dynamics, "solve_pressure", lambda *args: pres)
-        calls = []
-        for name in ("rfft", "irfft"):
-            transform = getattr(np.fft, name)
-
-            def counted(*args, name=name, transform=transform, **kwargs):
-                calls.append(name)
-                return transform(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
+        calls = count_transforms()
         s.require_admissible()      # the transforms phi makes of the shape
         s.to_grid(n)
         shape_calls = len(calls)
         calls.clear()
         got = phi(s, A, G, id_model, small_grid)
-        assert len(calls) == shape_calls + 2
-        assert np.array_equal(got.values, ref.values)
-        expected = np.fft.rfft(ref.values)[:n // 3 + 1] / n
+        assert len(calls) == shape_calls + 1
+        assert np.array_equal(got.coeffs, ref.coeffs)
+        values = np.hypot(1.0, coefs.beta) / table.R \
+            * (G * ref.nutrient.flux - pres) - 0.5 * A * G * coefs.h
+        expected = np.fft.rfft(values)[:n // 3 + 1] / n
         assert np.max(np.abs(got.coeffs - expected)) <= \
             1e-14 * np.max(np.abs(expected))
+
+    def test_velocity_of_criterion_7a_takes_25_transforms(
+            self, supercritical, id_model, small_grid, krylov_iterations,
+            count_transforms):
+        # the seed's admissibility and samples (2), the map (8), a nutrient
+        # solve of k = 3 GMRES iterations (2k + 6), the dealiased pressure
+        # data (2) and the coefficients (1); the cached preconditioner and
+        # log weights, which an evolve builds once, are built first
+        A, G, table = supercritical
+        s = ShapeState.from_modes([(2, 1e-3, 0.0)], table.R)
+        fields._equilibrium(small_grid.n_r, small_grid.n_theta, table.R,
+                            id_model)
+        fields._log_weights(small_grid.n_theta)
+        iterations = krylov_iterations()
+        calls = count_transforms()
+        phi(s, A, G, id_model, small_grid)
+        assert iterations == [3]
+        assert len(calls) == 25
+
+
+class TestTranslatedDisk:
+    # a disk of the steady radius whose centre is shifted by d R is a steady
+    # state for every model, A and G; sup|rho| = d
+    @pytest.mark.parametrize("n_r, n_theta", [(64, 128), (32, 256), (64, 256)])
+    @pytest.mark.parametrize("d", [0.1, 0.2])
+    @pytest.mark.parametrize("model, A, G", [("identity", 0.5, 2.0),
+                                             ("poly:1,0.3", 0.7, 1.0)])
+    def test_velocity_vanishes(self, model, A, G, d, n_r, n_theta):
+        # measured at most 1.1e-12
+        model = parse_model_spec(model)
+        R = steady_radius(A, model).R_A
+        res = phi(translated_shape(d, R, n_theta // 3), A, G, model,
+                  DiskGrid(n_r=n_r, n_theta=n_theta))
+        assert np.max(np.abs(res.coeffs)) <= 1e-11
+
+    @pytest.mark.parametrize("d", [0.1, 0.2])
+    @pytest.mark.parametrize("model, A, G", [("identity", None, 2.0),
+                                             ("identity", 0.5, 1.0),
+                                             ("poly:1,0.3", 0.7, 1.0)],
+                             ids=["identity-R1", "identity", "poly"])
+    def test_evolve_stays_put(self, model, A, G, d, small_grid):
+        # below G* the translated disk is a stable steady state; every mode
+        # the 32x64 grid evolves (21) stays within 1e-11 of its start to
+        # t = 0.5 (measured at most 1.7e-13). A = None is the identity's
+        # A at R = 1, where G* = 174.8
+        model = parse_model_spec(model)
+        A = identity_steady_A() if A is None else A
+        R = steady_radius(A, model).R_A
+        assert G < g_star(build_table(ModelParameters(A, 1.0, model, R),
+                                      k_max=21))[0]
+        s = translated_shape(d, R, small_grid.n_theta // 3)
+        traj = evolve_nonlinear(s, 0.5, A, G, model, small_grid)
+        assert traj.status == "completed"
+        assert max(np.max(np.abs(p.shape.coeffs - s.coeffs))
+                   for p in traj.points) <= 1e-11
 
 
 class TestSymbolCrossValidation:
@@ -344,6 +401,18 @@ class TestExponentialStepper:
         traj = evolve_nonlinear(seed, 0.5, A, G, id_model, small_grid)
         assert traj.status == "completed"
         assert len(calls) <= 128
+
+    def test_krylov_iterations_per_solve_on_criterion_7a(
+            self, krylov_iterations, supercritical, id_model, small_grid):
+        # each nutrient solve takes at most the GMRES iterations it took when
+        # GMRES iterated on mode coefficients scaled to the samples' norm
+        iterations = krylov_iterations()
+        A, G, table = supercritical
+        seed = ShapeState.from_modes([(2, 1e-3, 0.0)], table.R)
+        evolve_nonlinear(seed, 0.5, A, G, id_model, small_grid)
+        before = [3, 3, 3, 2, 3, 3, 3, 3, 3, 3, 4, 4]
+        assert len(iterations) == len(before)
+        assert all(now <= then for now, then in zip(iterations, before))
 
     def test_short_run_keeps_five_points_and_a_rate(
             self, supercritical, id_model, small_grid):

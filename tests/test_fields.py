@@ -24,7 +24,8 @@ from tumorspec.shapes import ShapeState
 from oracles import (center_value, eval_field_columns, exact_harmonic,
                      fold_interpolation, harmonic_residual, harmonic_values,
                      linearized_mode_profile, mapped_phi, mapped_radius,
-                     oracle_boundary, pressure_data, translated_disk)
+                     oracle_boundary, pressure_data, translated_disk,
+                     translated_nutrient)
 
 
 @pytest.fixture
@@ -49,6 +50,17 @@ def built(monkeypatch):
 def _map_coefs(shape, grid):
     return MappedCoefficients.from_boundary(shape.to_grid(grid.n_theta),
                                             shape.radius_scale, grid.r)
+
+
+def _translated_nutrient_solve(model, A, d, n_r, n_theta):
+    """The grid, the map, the nutrient solve and the model of the translated
+    disk of sup|rho| = d at the model's steady radius."""
+    model = parse_model_spec(model)
+    R = steady_radius(A, model).R_A
+    grid = DiskGrid(n_r=n_r, n_theta=n_theta)
+    coefs = MappedCoefficients.from_boundary(
+        translated_disk(n_theta, d, R, A, 1.0)[0], R, grid.r)
+    return grid, coefs, solve_nutrient(coefs, model, grid), model
 
 
 def _pressure_values(grid, coefs, A, G):
@@ -116,14 +128,14 @@ class TestPressure:
 
     def test_boundary_trace_is_the_dealiased_data(self, unit_steady, small_grid,
                                                   monkeypatch):
-        # the Dirichlet data the boundary solve receives are the irfft of the
-        # truncated data spectrum
-        spectra = []
+        # the Dirichlet data the boundary solve receives are the samples of
+        # the truncated data spectrum
+        received = []
         solve = fields._harmonic_field
 
-        def recorded(coefs, spec):
-            spectra.append(spec)
-            return solve(coefs, spec)
+        def recorded(coefs, data):
+            received.append(data)
+            return solve(coefs, data)
 
         monkeypatch.setattr(fields, "_harmonic_field", recorded)
         grid = small_grid
@@ -132,9 +144,9 @@ class TestPressure:
         coefs = _map_coefs(s, grid)
         A, G = unit_steady.A, 2.0
         solve_pressure(coefs, A, G)
-        trace = np.fft.irfft(spectra[0], n=grid.n_theta)
         data = pressure_data(coefs, A, G)
-        assert np.max(np.abs(trace - data)) <= 1e-13 * np.max(np.abs(data))
+        assert np.max(np.abs(received[0] - data)) \
+            <= 1e-13 * np.max(np.abs(data))
 
     def test_harmonic_residual_small(self, unit_steady, small_grid):
         grid = small_grid
@@ -172,7 +184,7 @@ class TestPressure:
         coefs = MappedCoefficients.from_boundary(oracle_boundary(n, a), R, grid.r)
         y = R * coefs.h * np.exp(1j * grid.theta)
         q, dF = exact_harmonic(y, R)
-        got = fields._harmonic_field(coefs, np.fft.rfft(q))
+        got = fields._harmonic_field(coefs, q)
         normal = -1j * y * (coefs.beta + 1j) / np.abs(y * (coefs.beta + 1j))
         flux = (dF * normal).real
         assert np.max(np.abs(got - flux)) <= bound * np.max(np.abs(flux))
@@ -196,7 +208,7 @@ class TestPressure:
         coefs = MappedCoefficients.from_boundary(oracle_boundary(n, 0.03), 1.0,
                                                  grid.r)
         y = coefs.h * np.exp(1j * grid.theta)
-        fields._harmonic_field(coefs, np.fft.rfft(exact_harmonic(y, 1.0)[0]))
+        fields._harmonic_field(coefs, exact_harmonic(y, 1.0)[0])
         assert calls == ["solve"]
 
     @pytest.mark.parametrize("n", [128, 256])
@@ -223,7 +235,7 @@ class TestPressure:
         y = R * coefs.h * np.exp(1j * grid.theta)
         q = exact_harmonic(y, R)[0]
         values = harmonic_values(grid, coefs, q,
-                                 fields._harmonic_field(coefs, np.fft.rfft(q)))
+                                 fields._harmonic_field(coefs, q))
         exact = exact_harmonic(R * mapped_phi(coefs, grid.r)
                                * np.exp(1j * grid.theta), R)[0]
         assert np.max(np.abs(values - exact)) <= 1e-8 * np.max(np.abs(exact))
@@ -311,7 +323,7 @@ class TestGmres:
         monkeypatch.setattr(fields, "gmres", recorded)
         s = ShapeState.from_modes([(12, 0.2, 0.0)], 1.0)
         res = phi(s, 0.5, 2.0, id_model, small_grid)
-        assert np.all(np.isfinite(res.values))
+        assert np.all(np.isfinite(res.coeffs))
         assert max(cycles) > 1
 
     @pytest.fixture
@@ -404,8 +416,62 @@ class TestPerturbedNutrient:
         grid = DiskGrid(n_r=16, n_theta=32)
         s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
         with pytest.raises(SolverError, match=r"after 10 cycles \(600 "
-                           r"iterations\); relative residual"):
+                           r"iterations\); relative residual \S+ on 480 "
+                           r"equations;"):
             solve_nutrient(_map_coefs(s, grid), id_model, grid)
+
+    def test_interior_solve_returns_the_residual_samples(self, poly_model):
+        # the residual is the samples of rhs - (operator - potential) W of
+        # the returned W, here at a 1e-4 tolerance, so it is not negligible;
+        # recomputed afresh it agrees to roundoff, 1e-14 of max|rhs|
+        grid = DiskGrid(n_r=16, n_theta=32)
+        s = ShapeState.from_modes([(2, 3e-2, 0.0), (3, 2e-2, 0.5)], 1.2)
+        coefs = _map_coefs(s, grid)
+        v0, precond = fields._equilibrium(grid.n_r, grid.n_theta, 1.2,
+                                          poly_model)
+        v = np.broadcast_to(v0, (grid.n_r, grid.n_theta)).copy()
+        v[0, :] = 1.0
+        scale = coefs.scale[1:]
+        rhs = scale * poly_model.f_at(v[1:]) \
+            - mapped_laplacian_kernel(grid, coefs, grid.to_modes(v))
+        potential = scale * poly_model.fprime_at(v[1:])
+        W, r = fields._interior_solve(grid, coefs, potential, rhs, precond,
+                                      1e-4)
+        assert r.shape == rhs.shape and not W[0].any()
+        expected = rhs - mapped_laplacian_kernel(grid, coefs, W, potential)
+        assert np.max(np.abs(expected)) >= 1e-7 * np.max(np.abs(rhs))
+        assert np.max(np.abs(r - expected)) <= 1e-14 * np.max(np.abs(rhs))
+
+    @pytest.mark.parametrize("n_r, n_theta", [(32, 128), (64, 128), (32, 256)])
+    @pytest.mark.parametrize("d", [0.1, 0.2])
+    @pytest.mark.parametrize("model, A", [("identity", 0.5),
+                                          ("poly:1,0.3", 0.7)])
+    def test_flux_of_a_translated_disk(self, model, A, d, n_r, n_theta):
+        # at the steady radius, sup|rho| = d: the nutrient is the radial
+        # profile about the disk's centre, so its flux is U'(1) / R at every
+        # node (measured at most 3.9e-12 relative)
+        grid, coefs, nut, model = _translated_nutrient_solve(model, A, d, n_r,
+                                                             n_theta)
+        _, flux = translated_nutrient(0.0, d, coefs.R, model)
+        assert np.max(np.abs(nut.flux - flux)) <= 1e-11 * abs(flux)
+
+    @pytest.mark.parametrize("n_r, n_theta", [(32, 128), (64, 128), (32, 256)])
+    @pytest.mark.parametrize("d", [0.1, 0.2])
+    @pytest.mark.parametrize("model, A", [("identity", 0.5),
+                                          ("poly:1,0.3", 0.7)])
+    def test_values_of_a_translated_disk(self, model, A, d, n_r, n_theta):
+        # the grid field, interpolated on each ray at 0.3, 0.6 and 0.9 of the
+        # way to the boundary, is U(|x - c| / R) there (measured at most
+        # 1.2e-13; U <= 1)
+        grid, coefs, nut, model = _translated_nutrient_solve(model, A, d, n_r,
+                                                             n_theta)
+        for frac in (0.3, 0.6, 0.9):
+            radii = [mapped_radius(coefs, frac * coefs.h[j], j)
+                     for j in range(n_theta)]
+            x = frac * coefs.R * coefs.h * np.exp(1j * grid.theta)
+            exact, _ = translated_nutrient(x, d, coefs.R, model)
+            got = eval_field_columns(grid, nut.values, radii)
+            assert np.max(np.abs(got - exact)) <= 1e-11, frac
 
     def test_unconverged_newton_raises(self, unit_steady, poly_model,
                                        monkeypatch):
@@ -663,9 +729,10 @@ class TestModePreconditioner:
             ModePreconditioner(DiskGrid(n_r=8, n_theta=8), np.zeros(8))
 
     def test_one_transform_pair_per_iteration(self, unit_steady, id_model,
-                                              monkeypatch):
-        # a GMRES iteration (one operator and one preconditioner application)
-        # costs one rfft and one irfft; the preconditioner needs none
+                                              monkeypatch, count_transforms):
+        # a GMRES iteration (one preconditioner and one operator application)
+        # costs one rfft, of the preconditioner's samples, and one irfft, in
+        # the operator
         grid = DiskGrid(n_r=16, n_theta=32)
         s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
         solved = []
@@ -677,18 +744,31 @@ class TestModePreconditioner:
 
         monkeypatch.setattr(fields, "gmres", recorded)
         solve_nutrient(_map_coefs(s, grid), id_model, grid)
-        calls = []
-        for name in ("rfft", "irfft"):
-            transform = getattr(np.fft, name)
-
-            def counted(*args, name=name, transform=transform, **kwargs):
-                calls.append(name)
-                return transform(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
+        calls = count_transforms()
         matvec, psolve, b = solved[0]
-        psolve(matvec(b))
+        matvec(psolve(b))
         assert sorted(calls) == ["irfft", "rfft"]
+
+    @pytest.mark.parametrize("n_r, n_theta, amplitude, k", [
+        (16, 32, 2e-2, 6), (32, 64, 3e-3, 4)], ids=["16x32", "32x64"])
+    def test_transforms_per_nutrient_solve(self, n_r, n_theta, amplitude, k,
+                                           unit_steady, id_model,
+                                           krylov_iterations,
+                                           count_transforms):
+        # from the equilibrium, one Newton step of k GMRES iterations: k + 2
+        # rfft (the start, one per iteration and the update) and k + 4 irfft
+        # (the first residual, one per iteration, the true residual, the
+        # correction's samples and the flux)
+        iterations = krylov_iterations()
+        grid = DiskGrid(n_r=n_r, n_theta=n_theta)
+        s = ShapeState.from_modes([(3, amplitude, 0.0)], unit_steady.R_A)
+        coefs = _map_coefs(s, grid)
+        fields._equilibrium(n_r, n_theta, unit_steady.R_A, id_model)
+        calls = count_transforms()
+        solve_nutrient(coefs, id_model, grid)
+        assert iterations == [k]
+        assert calls.count("rfft") == k + 2
+        assert calls.count("irfft") == k + 4
 
     def test_equal_grid_reuses_both_preconditioners(self, unit_steady,
                                                     id_model, built):
@@ -788,7 +868,7 @@ class TestModePreconditioner:
         monkeypatch.setattr(dynamics, "phi", recorded)
         fields._equilibrium.cache_clear()
         evolve_nonlinear(s, 1e-3, 0.5, 2.0, poly_model, grid)
-        assert np.array_equal(first[0].values, alone.values)
+        assert np.array_equal(first[0].coeffs, alone.coeffs)
         assert np.array_equal(first[0].nutrient.values, alone.nutrient.values)
 
 
