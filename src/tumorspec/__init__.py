@@ -14,12 +14,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ADMISSIBLE_SUP_NORM", "BracketError", "DEFAULT_K_MAX", "DiskField",
-    "DiskGrid", "DomainValidityError", "GrowthFit", "ModelParameters",
-    "NutrientModel", "PhiResult", "RadialProfile", "ShapeState", "SolverError",
-    "SpectrumTable", "SteadyState", "Trajectory", "TrajectoryPoint",
-    "TumorSpecError", "ValidationError", "appendix_series", "boundary_ratio",
-    "build_table", "evolve_linear", "evolve_nonlinear", "fit_growth_rate",
-    "g_star", "identity_model", "l_G_index", "parse_model_spec", "phi",
+    "DiskGrid", "DomainValidityError", "GrowthFit", "NutrientModel",
+    "PhiResult", "RadialProfile", "ShapeState", "SolverError", "SpectrumTable",
+    "SteadyState", "Trajectory", "TrajectoryPoint", "TumorSpecError",
+    "ValidationError", "appendix_series", "boundary_ratio", "build_table",
+    "evolve_linear", "evolve_nonlinear", "fit_growth_rate", "g_star",
+    "identity_model", "l_G_index", "parse_model_spec", "phi",
     "polynomial_model", "solve_U", "solve_nutrient", "solve_pressure",
     "solve_u_n", "steady_radius",
 ]
@@ -37,8 +37,8 @@ _MODULES = {
     "radial": ("RadialProfile", "SteadyState", "appendix_series",
                "boundary_ratio", "solve_U", "solve_u_n", "steady_radius"),
     "shapes": ("ADMISSIBLE_SUP_NORM", "ShapeState"),
-    "spectrum": ("DEFAULT_K_MAX", "ModelParameters", "SpectrumTable",
-                 "build_table", "g_star", "l_G_index"),
+    "spectrum": ("DEFAULT_K_MAX", "SpectrumTable", "build_table", "g_star",
+                 "l_G_index"),
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items()
               for name in names}

@@ -28,7 +28,7 @@ from .errors import SolverError, ValidationError
 from .models import identity_model, parse_model_spec
 from .radial import (appendix_series, boundary_ratio, solve_U, solve_u_n,
                      steady_radius)
-from .spectrum import DEFAULT_K_MAX, ModelParameters, build_table, report_dict
+from .spectrum import DEFAULT_K_MAX, build_table, report_dict
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -239,10 +239,9 @@ def cmd_steady(cfg):
 
 
 def cmd_spectrum(cfg):
-    params = ModelParameters(A=_required(cfg, "A"), G=_required(cfg, "G"),
-                             model=parse_model_spec(cfg["model"]), R=cfg["R"])
     k_max = cfg["kmax"]
-    table = build_table(params, k_max=k_max)
+    table = build_table(_required(cfg, "A"), _required(cfg, "G"),
+                        parse_model_spec(cfg["model"]), cfg["R"], k_max)
     rows = [["k", "lambda_k", "ratio_k", "mu_k", "g_threshold_k"]] + [
         [k, _fmt(table.lam[k]), _fmt(table.ratio[k]), _fmt(table.mu[k]),
          "" if np.isnan(table.g_threshold[k]) else _fmt(table.g_threshold[k])]
@@ -278,8 +277,6 @@ def cmd_evolve(cfg):
     mode, t_end, R = cfg["mode"], cfg["t_end"], cfg["R"]
     if R is None:
         R = steady_radius(A, model).R_A
-    # checks A (and R) for both modes
-    params = ModelParameters(A=A, G=G, model=model, R=R)
 
     if cfg["seed_shape"] is None:
         shape0 = ShapeState.zero(8, R)
@@ -291,7 +288,7 @@ def cmd_evolve(cfg):
 
     if mode == "linear":
         k_max = max(cfg["kmax"], k_top, 2)
-        table = build_table(params, k_max=k_max)
+        table = build_table(A, G, model, R, k_max)
         shapes = [(float(t), evolve_linear(shape0, float(t), table))
                   for t in np.linspace(0.0, t_end, cfg["n_samples"] + 1)]
     else:

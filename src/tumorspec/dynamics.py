@@ -46,7 +46,7 @@ from .fields import solve_nutrient, solve_pressure
 from .disk import DiskGrid, MappedCoefficients
 from .models import NutrientModel
 from .shapes import ADMISSIBLE_SUP_NORM, ShapeState
-from .spectrum import ModelParameters, build_table
+from .spectrum import build_table
 
 ERR_TARGET = 1e-6     # default bound on the embedded error estimate
 DT_MIN = 1e-10        # a step size below this is a SolverError
@@ -177,7 +177,6 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
     nutrient solve starts from the field of the previous evaluation, the
     first from the radial equilibrium.
     """
-    shape0.require_admissible()
     if t_end < 0:
         raise ValidationError("t_end must be nonnegative")
     grid = grid or DiskGrid()
@@ -189,15 +188,16 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
             f"seed mode {k} lies above n_theta // 3 = {n_modes}, the highest "
             f"mode the grid evolves; use n_theta >= {3 * k + k % 2}")
     R = shape0.radius_scale
-    mu = build_table(ModelParameters(A, G, model, R),
-                     k_max=max(n_modes, 2)).mu[:n_modes + 1]
+
+    def make_shape(coeffs):
+        return ShapeState(coeffs=coeffs, radius_scale=R)
 
     c = np.zeros(n_modes + 1, dtype=complex)
     m = min(n_modes, shape0.n_modes)
     c[:m + 1] = shape0.coeffs[:m + 1]
-
-    def make_shape(coeffs):
-        return ShapeState(coeffs=coeffs, radius_scale=R)
+    state = make_shape(c)
+    state.require_admissible()
+    mu = build_table(A, G, model, R, max(n_modes, 2)).mu[:n_modes + 1]
 
     warm, calls = None, 0
 
@@ -207,9 +207,7 @@ def evolve_nonlinear(shape0: ShapeState, t_end, A, G, model: NutrientModel,
         warm, calls = result.nutrient.values, calls + 1
         return result.coeffs - mu * coeffs
 
-    t, accepted, rejected, err = 0.0, 0, 0, np.nan
-    state, n_c = make_shape(c), None
-    state.require_admissible()   # the padded seed is sampled more finely
+    t, accepted, rejected, err, n_c = 0.0, 0, 0, np.nan, None
     points = [TrajectoryPoint(t=0.0, shape=state, sup_norm=state.sup_norm())]
     status = "completed"
     dt_max = min(DT_MAX, max(0.25 * t_end, DT_MIN))

@@ -25,13 +25,15 @@ class ShapeState:
     def __post_init__(self):
         if self.radius_scale <= 0:
             raise ValidationError("radius_scale must be positive")
-        c = np.asarray(self.coeffs, dtype=complex)
+        # a read-only copy, so the checks below keep holding
+        c = np.array(self.coeffs, dtype=complex)
         if c.ndim != 1 or len(c) == 0:
             raise ValidationError("coeffs must be a nonempty 1-D array")
         if not np.all(np.isfinite(c)):
             raise ValidationError("shape coefficients must be finite")
         if abs(c[0].imag) > 1e-14 * max(1.0, abs(c[0])):
             raise ValidationError("mode zero must be real")
+        c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
     @property

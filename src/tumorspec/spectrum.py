@@ -26,21 +26,6 @@ DEFAULT_K_MAX = 64
 
 
 @dataclass(frozen=True)
-class ModelParameters:
-    A: float
-    G: float
-    model: NutrientModel
-    R: float = None  # steady radius is computed when omitted
-
-    def __post_init__(self):
-        f1 = self.model.f_of_one
-        if not 0.0 < self.A < f1:
-            raise ValidationError(f"A must lie in (0, f(1)) = (0, {f1}); got {self.A}")
-        if self.R is not None and self.R <= 0:
-            raise ValidationError("R must be positive")
-
-
-@dataclass(frozen=True)
 class SpectrumTable:
     k_max: int
     R: float
@@ -60,32 +45,36 @@ class SpectrumTable:
         return float(self.mu[k])
 
 
-def build_table(params: ModelParameters, k_max=DEFAULT_K_MAX):
-    """Compute ratios and the full symbol for modes 0..k_max."""
+def build_table(A, G, model: NutrientModel, R=None, k_max=DEFAULT_K_MAX):
+    """Compute ratios and the full symbol for modes 0..k_max about the
+    circle of radius R, the steady radius of A when R is None."""
+    f1 = model.f_of_one
+    if not 0.0 < A < f1:
+        raise ValidationError(f"A must lie in (0, f(1)) = (0, {f1}); got {A}")
+    if R is not None and R <= 0:
+        raise ValidationError("R must be positive")
     if k_max < 2:
         raise ValidationError("k_max must be at least 2")
-    if params.R is None:
-        steady = steady_radius(params.A, params.model)
+    if R is None:
+        steady = steady_radius(A, model)
         R = steady.R_A
         v0 = steady.v0
     else:
-        R = params.R
-        v0 = solve_U(R * R, params.model)
+        v0 = solve_U(R * R, model)
 
-    f1 = params.model.f_of_one
     ks = np.arange(k_max + 1)
-    ratio = boundary_ratio(ks, R, v0, params.model)
-    denom = 0.5 * params.A * ratio + params.A - f1
+    ratio = boundary_ratio(ks, R, v0, model)
+    denom = 0.5 * A * ratio + A - f1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lam = -ks.astype(float) ** 3 / R**3 + 0.0   # + 0.0 makes lambda_0 0, not -0
         principal = (-ks.astype(float) ** 3 + ks) / R**3
-        mu = principal - params.G * denom
+        mu = principal - G * denom
         g_thr = np.where(np.abs(denom) > DENOM_TOL, principal / denom, np.nan)
     if not np.all(np.isfinite(lam) & np.isfinite(mu)) or np.any(np.isinf(g_thr)):
         raise ValidationError(
-            f"the spectrum at R = {R}, G = {params.G} overflows double precision")
+            f"the spectrum at R = {R}, G = {G} overflows double precision")
 
-    return SpectrumTable(k_max=k_max, R=float(R), A=params.A, G=params.G,
+    return SpectrumTable(k_max=k_max, R=float(R), A=A, G=G,
                          f_of_one=f1, ratio=ratio, lam=lam, mu=mu,
                          denom=denom, g_threshold=g_thr)
 

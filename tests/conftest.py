@@ -9,7 +9,7 @@ from tumorspec import fields
 from tumorspec.disk import DiskGrid
 from tumorspec.models import identity_model, polynomial_model
 from tumorspec.radial import steady_radius
-from tumorspec.spectrum import ModelParameters, build_table
+from tumorspec.spectrum import build_table
 
 from oracles import identity_steady_A
 
@@ -39,8 +39,7 @@ def unit_steady(id_model, unit_radius_A):
 @pytest.fixture(scope="session")
 def unit_table(id_model, unit_radius_A):
     """Identity-model spectrum table at R = R_A = 1, G = 1, modes 0..32."""
-    return build_table(ModelParameters(A=unit_radius_A, G=1.0, model=id_model),
-                       k_max=32)
+    return build_table(A=unit_radius_A, G=1.0, model=id_model, k_max=32)
 
 
 @pytest.fixture(scope="session")
@@ -77,7 +76,7 @@ def krylov_iterations(monkeypatch):
 
         def recorded(*args, **kwargs):
             out = solve(*args, **kwargs)
-            iterations.append(sum(map(len, out[2])))
+            iterations.append(sum(map(len, out[1])))
             return out
 
         monkeypatch.setattr(fields, "gmres", recorded)

@@ -18,7 +18,7 @@ from tumorspec.linear import evolve_linear, fit_growth_rate
 from tumorspec.models import identity_model
 from tumorspec.radial import appendix_series, boundary_ratio, solve_U, solve_u_n
 from tumorspec.shapes import ShapeState
-from tumorspec.spectrum import ModelParameters, build_table, g_star, l_G_index
+from tumorspec.spectrum import build_table, g_star, l_G_index
 from tumorspec.dynamics import evolve_nonlinear, phi
 
 from oracles import (center_value, eval_field_columns, harmonic_values,
@@ -56,8 +56,7 @@ def test_criterion_2_neutral_mode(capsys, id_model, poly_model):
     for model in (id_model, poly_model):
         f1 = model.f_of_one
         for frac in (0.2, 0.4, 0.6, 0.8):
-            table = build_table(
-                ModelParameters(A=frac * f1, G=1.0, model=model), k_max=2)
+            table = build_table(A=frac * f1, G=1.0, model=model, k_max=2)
             worst = max(worst, abs(table.mu_at(1)))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-8 and dt < 10.0
@@ -93,18 +92,17 @@ def test_criterion_4_ratio_decay(capsys, id_model, unit_steady):
 def test_criterion_5_thresholds(capsys, id_model):
     t0 = time.perf_counter()
     A = identity_steady_A()
-    base = build_table(ModelParameters(A=A, G=1.0, model=id_model), k_max=32)
+    base = build_table(A=A, G=1.0, model=id_model, k_max=32)
     worst_mu = 0.0
     flips = True
     for k in range(2, 9):
         gk = float(base.g_threshold[k])
-        at = build_table(ModelParameters(A=A, G=gk, model=id_model, R=base.R),
-                         k_max=k)
+        at = build_table(A=A, G=gk, model=id_model, R=base.R, k_max=k)
         worst_mu = max(worst_mu, abs(at.mu_at(k)))
-        below = build_table(ModelParameters(A=A, G=0.99 * gk, model=id_model,
-                                            R=base.R), k_max=k)
-        above = build_table(ModelParameters(A=A, G=1.01 * gk, model=id_model,
-                                            R=base.R), k_max=k)
+        below = build_table(A=A, G=0.99 * gk, model=id_model,
+                            R=base.R, k_max=k)
+        above = build_table(A=A, G=1.01 * gk, model=id_model,
+                            R=base.R, k_max=k)
         flips = flips and below.mu_at(k) < 0.0 < above.mu_at(k)
     gs, k0 = g_star(base)
     gs_ref, k0_ref = identity_g_star(A)
@@ -121,7 +119,7 @@ def test_criterion_5_thresholds(capsys, id_model):
 def test_criterion_6_symbol_cross_validation(capsys, id_model, small_grid):
     t0 = time.perf_counter()
     A, G = 0.5, 2.0
-    table = build_table(ModelParameters(A=A, G=G, model=id_model), k_max=8)
+    table = build_table(A=A, G=G, model=id_model, k_max=8)
     details = []
     ok = True
     for k in (0, 2, 3, 4, 5):
@@ -144,11 +142,10 @@ def test_criterion_6_symbol_cross_validation(capsys, id_model, small_grid):
 def test_criterion_7a_supercritical_growth(capsys, id_model, small_grid):
     t0 = time.perf_counter()
     A = identity_steady_A()
-    base = build_table(ModelParameters(A=A, G=1.0, model=id_model), k_max=32)
+    base = build_table(A=A, G=1.0, model=id_model, k_max=32)
     gs, _ = g_star(base)
     G = 1.5 * gs
-    table = build_table(ModelParameters(A=A, G=G, model=id_model, R=base.R),
-                        k_max=8)
+    table = build_table(A=A, G=G, model=id_model, R=base.R, k_max=8)
     mu2 = table.mu_at(2)
     seed = ShapeState.from_modes([(2, 1e-3, 0.0)], base.R)
     traj = evolve_nonlinear(seed, 0.5, A, G, id_model, small_grid)
@@ -166,7 +163,7 @@ def test_criterion_7a_supercritical_growth(capsys, id_model, small_grid):
 def test_criterion_7b_lattice_decay(capsys, id_model, small_grid):
     t0 = time.perf_counter()
     A, G = identity_steady_A(), 1.0
-    table = build_table(ModelParameters(A=A, G=G, model=id_model), k_max=32)
+    table = build_table(A=A, G=G, model=id_model, k_max=32)
     l = max(2, l_G_index(table))
     mu_l = table.mu_at(l)
     seed = ShapeState.from_modes([(l, 1e-3, 0.0)], table.R)

@@ -15,8 +15,7 @@ from tumorspec.linear import fit_growth_rate
 from tumorspec.models import parse_model_spec
 from tumorspec.radial import steady_radius
 from tumorspec.shapes import ShapeState
-from tumorspec.spectrum import (ModelParameters, build_table, g_star,
-                                l_G_index)
+from tumorspec.spectrum import build_table, g_star, l_G_index
 
 from oracles import identity_steady_A, translated_shape
 
@@ -30,7 +29,7 @@ def _samples(res, n):
 def setup(id_model):
     """Identity model at a moderate steady radius, G = 2."""
     A, G = 0.5, 2.0
-    table = build_table(ModelParameters(A=A, G=G, model=id_model), k_max=16)
+    table = build_table(A=A, G=G, model=id_model, k_max=16)
     return A, G, table
 
 
@@ -132,8 +131,7 @@ class TestTranslatedDisk:
         model = parse_model_spec(model)
         A = identity_steady_A() if A is None else A
         R = steady_radius(A, model).R_A
-        assert G < g_star(build_table(ModelParameters(A, 1.0, model, R),
-                                      k_max=21))[0]
+        assert G < g_star(build_table(A, 1.0, model, R, k_max=21))[0]
         s = translated_shape(d, R, small_grid.n_theta // 3)
         traj = evolve_nonlinear(s, 0.5, A, G, model, small_grid)
         assert traj.status == "completed"
@@ -156,6 +154,27 @@ class TestSymbolCrossValidation:
             errs[eps] = abs(est - mu)
         assert errs[1e-3] <= 0.02 * (1.0 + abs(mu))
         assert errs[5e-4] <= 0.55 * errs[1e-3] + 1e-9
+
+    @pytest.mark.parametrize("model, A, G", [("identity", 0.5, 2.0),
+                                             ("identity", 0.15, 0.5),
+                                             ("poly:1,0.3", 0.7, 1.0),
+                                             ("poly:1,0.3", 0.3, 5.0)])
+    def test_central_difference_in_every_mode(self, model, A, G, small_grid):
+        # (phi(+eps e_k) - phi(-eps e_k)) / 2 eps against mu_k for every
+        # mode the grid resolves; measured at most 2.7e-8 of max(1, |mu_k|)
+        model = parse_model_spec(model)
+        n_modes = small_grid.n_theta // 3
+        table = build_table(A, G, model, k_max=n_modes)
+        errs = []
+        for k in range(n_modes + 1):
+            rates = []
+            for eps in (1e-5, -1e-5):
+                s = ShapeState.from_modes([(k, eps, 0.0)], table.R)
+                res = phi(s, A, G, model, small_grid)
+                rates.append(res.coeffs[k].real / s.coeff(k).real)
+            mu = table.mu_at(k)
+            errs.append(abs(0.5 * sum(rates) - mu) / max(1.0, abs(mu)))
+        assert max(errs) <= 1e-7, errs
 
     def test_independent_of_seed_phase(self, setup, id_model, small_grid):
         A, G, table = setup
@@ -205,8 +224,7 @@ class TestNonlinearEvolution:
         # strong growth above threshold drives the shape out of the
         # admissible neighbourhood
         A = 0.8927799318
-        table = build_table(ModelParameters(A=A, G=1.0, model=id_model),
-                            k_max=32)
+        table = build_table(A=A, G=1.0, model=id_model, k_max=32)
         gs_val, _ = g_star(table)
         G = 3.0 * gs_val
         seed = ShapeState.from_modes([(2, 0.15, 0.0)], table.R)
@@ -222,8 +240,7 @@ class TestNonlinearEvolution:
         # the last point
         monkeypatch.setattr(dynamics, "ADMISSIBLE_SUP_NORM", 0.2)
         A = 0.8927799318
-        table = build_table(ModelParameters(A=A, G=1.0, model=id_model),
-                            k_max=32)
+        table = build_table(A=A, G=1.0, model=id_model, k_max=32)
         seed = ShapeState.from_modes([(2, 0.15, 0.0)], table.R)
         traj = evolve_nonlinear(seed, 50.0, A, 3.0 * g_star(table)[0],
                                 id_model, DiskGrid(n_r=16, n_theta=32),
@@ -279,12 +296,11 @@ class TestNonlinearEvolution:
 class TestInstabilityAboveThreshold:
     def test_growth_rate_matches_symbol(self, id_model, small_grid):
         A = 0.8927799318  # steady radius 1
-        base = build_table(ModelParameters(A=A, G=1.0, model=id_model), k_max=32)
+        base = build_table(A=A, G=1.0, model=id_model, k_max=32)
         gs_val, k0 = g_star(base)
         assert k0 == 2
         G = 1.5 * gs_val
-        table = build_table(ModelParameters(A=A, G=G, model=id_model,
-                                            R=base.R), k_max=8)
+        table = build_table(A=A, G=G, model=id_model, R=base.R, k_max=8)
         mu2 = table.mu_at(2)
         assert mu2 > 0.0
         seed = ShapeState.from_modes([(2, 1e-3, 0.0)], base.R)
@@ -299,7 +315,7 @@ class TestStabilityOnPeriodicLattice:
     def test_decay_rate_and_leakage(self, id_model, small_grid):
         A = 0.8927799318
         G = 1.0
-        table = build_table(ModelParameters(A=A, G=G, model=id_model), k_max=32)
+        table = build_table(A=A, G=G, model=id_model, k_max=32)
         l = max(2, l_G_index(table))
         mu_l = table.mu_at(l)
         assert mu_l < 0.0
@@ -317,10 +333,9 @@ class TestStabilityOnPeriodicLattice:
 def supercritical(id_model):
     """Criterion 7a: steady radius 1, G = 1.5 G*, so mode 2 grows."""
     A = identity_steady_A()
-    base = build_table(ModelParameters(A=A, G=1.0, model=id_model), k_max=32)
+    base = build_table(A=A, G=1.0, model=id_model, k_max=32)
     G = 1.5 * g_star(base)[0]
-    table = build_table(ModelParameters(A=A, G=G, model=id_model, R=base.R),
-                        k_max=8)
+    table = build_table(A=A, G=G, model=id_model, R=base.R, k_max=8)
     return A, G, table
 
 
@@ -348,8 +363,8 @@ class TestExponentialStepper:
         seed = ShapeState.from_modes([(2, 2e-2, 0.0), (3, 1e-2, 0.7)], table.R)
         true = evolve_nonlinear(seed, 0.1, A, G, id_model, grid)
 
-        def build_wrong_table(params, k_max):
-            t = build_table(params, k_max=k_max)
+        def build_wrong_table(*args):
+            t = build_table(*args)
             return dataclasses.replace(t, mu=wrong_mu(t))
 
         monkeypatch.setattr(dynamics, "build_table", build_wrong_table)
@@ -381,6 +396,24 @@ class TestExponentialStepper:
         fit = fit_growth_rate([(p.t, p.shape.amplitude(2)) for p in traj.points])
         mu2 = table.mu_at(2)
         assert fit.rate == pytest.approx(mu2, rel=1e-4)
+
+    def test_sup_norm_calls_on_criterion_7a(self, monkeypatch, supercritical,
+                                            id_model, small_grid):
+        # one per velocity evaluation (12), one per trajectory point (5) and
+        # one check of the padded seed
+        A, G, table = supercritical
+        seed = ShapeState.from_modes([(2, 1e-3, 0.0)], table.R)
+        calls = []
+        sup_norm = ShapeState.sup_norm
+
+        def counted(shape):
+            calls.append(1)
+            return sup_norm(shape)
+
+        monkeypatch.setattr(ShapeState, "sup_norm", counted)
+        traj = evolve_nonlinear(seed, 0.5, A, G, id_model, small_grid)
+        assert len(traj.points) == 5
+        assert len(calls) == 18
 
     def test_few_matvecs_on_criterion_7a(self, monkeypatch, supercritical,
                                          id_model, small_grid):
@@ -431,7 +464,7 @@ class TestExponentialStepper:
         # third-order step against 16 steps of dt / 16
         A, G, table = supercritical
         grid = DiskGrid(n_r=16, n_theta=32)
-        mu = build_table(ModelParameters(A=A, G=G, model=id_model, R=table.R),
+        mu = build_table(A=A, G=G, model=id_model, R=table.R,
                          k_max=grid.n_theta // 3).mu
 
         def remainder(c):

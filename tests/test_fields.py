@@ -290,12 +290,10 @@ class TestGmres:
     def test_agrees_with_the_dense_oracle(self, seed, n, preconditioner, rtol,
                                           restart, maxiter):
         A, psolve, b = _random_system(seed, n, preconditioner)
-        x, info, history, r = gmres(lambda v: A @ v, psolve, b, rtol=rtol,
-                                    restart=restart, maxiter=maxiter)
+        x, history, r = gmres(lambda v: A @ v, psolve, b, rtol=rtol,
+                              restart=restart, maxiter=maxiter)
         assert np.array_equal(r, b - A @ x)
         rnorm = np.linalg.norm(r)
-        assert (info == 0) == (rnorm <= rtol * np.linalg.norm(b))
-        assert info in (0, maxiter)
         # the roundoff of evaluating b - A x; the measured gaps below stay
         # under it by a factor of 100 or more
         roundoff = n * np.finfo(float).eps * (
@@ -317,7 +315,7 @@ class TestGmres:
 
         def recorded(*args, **kwargs):
             out = solve(*args, **kwargs)
-            cycles.append(len(out[2]))
+            cycles.append(len(out[1]))
             return out
 
         monkeypatch.setattr(fields, "gmres", recorded)
@@ -337,10 +335,9 @@ class TestGmres:
     def test_matches_dense_solve(self, system, restart):
         A, b = system
         jacobi = np.diag(A).copy()
-        x, info, history, r = gmres(lambda v: A @ v, lambda v: v / jacobi,
-                                    b, rtol=1e-13, restart=restart,
-                                    maxiter=20)
-        assert info == 0
+        x, history, r = gmres(lambda v: A @ v, lambda v: v / jacobi, b,
+                              rtol=1e-13, restart=restart, maxiter=20)
+        assert np.linalg.norm(r) <= 1e-13 * np.linalg.norm(b)
         assert np.array_equal(r, b - A @ x)
         exact = np.linalg.solve(A, b)
         assert np.max(np.abs(x - exact)) <= 1e-10 * np.max(np.abs(exact))
@@ -350,17 +347,16 @@ class TestGmres:
 
     def test_zero_rhs_gives_zero(self, system):
         A, _ = system
-        x, info, history, r = gmres(lambda v: A @ v, lambda v: v,
-                                    np.zeros(40), rtol=1e-12, restart=60,
-                                    maxiter=10)
-        assert info == 0 and history == [] and not r.any()
+        x, history, r = gmres(lambda v: A @ v, lambda v: v, np.zeros(40),
+                              rtol=1e-12, restart=60, maxiter=10)
+        assert history == [] and not r.any()
         assert not x.any()
 
     def test_unconverged_reports_maxiter(self, system):
         A, b = system
-        x, info, history, r = gmres(lambda v: A @ v, lambda v: v, b,
-                                    rtol=1e-14, restart=3, maxiter=1)
-        assert info == 1
+        x, history, r = gmres(lambda v: A @ v, lambda v: v, b,
+                              rtol=1e-14, restart=3, maxiter=1)
+        assert np.linalg.norm(r) > 1e-14 * np.linalg.norm(b)
         assert [len(cycle) for cycle in history] == [3]
         assert np.array_equal(r, b - A @ x)
         assert np.linalg.norm(r) > 1e-14 * np.linalg.norm(b)

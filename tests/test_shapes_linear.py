@@ -61,6 +61,15 @@ class TestShapeState:
             with pytest.raises(ValidationError, match="nonempty 1-D"):
                 ShapeState(coeffs=bad, radius_scale=1.0)
 
+    def test_owns_its_coefficients(self):
+        # a shape checked finite and admissible cannot change afterwards
+        c = np.array([0.0, 0.0, 0.01], dtype=complex)
+        s = ShapeState(coeffs=c, radius_scale=1.0)
+        c[2] = 0.2
+        assert s.sup_norm() == pytest.approx(0.02, rel=1e-12)
+        with pytest.raises(ValueError, match="read-only"):
+            s.coeffs[2] = 0.3
+
     def test_amplitude_reading(self):
         s = ShapeState.from_modes([(4, 3e-3, 0.7)], 1.0)
         assert s.amplitude(4) == pytest.approx(3e-3, rel=1e-12)

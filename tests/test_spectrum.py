@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from tumorspec.errors import ValidationError
-from tumorspec.spectrum import (ModelParameters, build_table, g_star,
-                                l_G_index, report_dict)
+from tumorspec.spectrum import build_table, g_star, l_G_index, report_dict
 
 from oracles import identity_g_star, identity_g_threshold, identity_mu
 
@@ -16,19 +15,18 @@ class TestNeutralMode:
     @pytest.mark.parametrize("frac", [0.2, 0.4, 0.6, 0.8])
     def test_identity_mode_one_is_neutral(self, id_model, frac):
         A = frac * id_model.f_of_one
-        table = build_table(ModelParameters(A=A, G=3.0, model=id_model), k_max=4)
+        table = build_table(A=A, G=3.0, model=id_model, k_max=4)
         assert abs(table.mu_at(1)) <= 1e-8
 
     @pytest.mark.parametrize("frac", [0.2, 0.4, 0.6, 0.8])
     def test_polynomial_mode_one_is_neutral(self, poly_model, frac):
         A = frac * poly_model.f_of_one
-        table = build_table(ModelParameters(A=A, G=3.0, model=poly_model), k_max=4)
+        table = build_table(A=A, G=3.0, model=poly_model, k_max=4)
         assert abs(table.mu_at(1)) <= 1e-8
 
     def test_mode_one_not_neutral_off_equilibrium(self, id_model, unit_radius_A):
-        table = build_table(
-            ModelParameters(A=unit_radius_A, G=3.0, model=id_model, R=1.4),
-            k_max=4)
+        table = build_table(A=unit_radius_A, G=3.0, model=id_model, R=1.4,
+                            k_max=4)
         assert abs(table.mu_at(1)) > 1e-4
 
 
@@ -43,32 +41,28 @@ class TestSymbol:
             assert unit_table.mu_at(-k) == unit_table.mu_at(k)
 
     def test_principal_part_at_zero_mitosis(self, id_model, unit_radius_A):
-        table = build_table(
-            ModelParameters(A=unit_radius_A, G=0.0, model=id_model), k_max=8)
+        table = build_table(A=unit_radius_A, G=0.0, model=id_model, k_max=8)
         for k in range(9):
             assert table.mu_at(k) == pytest.approx(
                 float(-k**3 + k) / table.R**3, abs=1e-12)
 
     def test_principal_symbol(self, id_model, unit_radius_A):
-        table = build_table(
-            ModelParameters(A=unit_radius_A, G=1.0, model=id_model, R=2.0),
-            k_max=4)
+        table = build_table(A=unit_radius_A, G=1.0, model=id_model, R=2.0,
+                            k_max=4)
         assert table.lam[3] == pytest.approx(-27.0 / 8.0)
         assert table.lam[0] == 0.0
 
 
 class TestThresholds:
     def test_sign_flip_across_threshold(self, id_model, unit_radius_A):
-        base = build_table(
-            ModelParameters(A=unit_radius_A, G=1.0, model=id_model), k_max=10)
+        base = build_table(A=unit_radius_A, G=1.0, model=id_model, k_max=10)
         for k in range(2, 9):
             if base.denom[k] >= 0:
                 continue
             gk = base.g_threshold[k]
             for g, sign in ((gk, 0), (0.9 * gk, -1), (1.1 * gk, 1)):
                 t = build_table(
-                    ModelParameters(A=unit_radius_A, G=g, model=id_model,
-                                    R=base.R), k_max=10)
+                    A=unit_radius_A, G=g, model=id_model, R=base.R, k_max=10)
                 if sign == 0:
                     assert abs(t.mu_at(k)) <= 1e-8
                 else:
@@ -94,25 +88,22 @@ class TestThresholds:
 
 class TestClassification:
     def test_hele_shaw_limit_is_stable(self, id_model, unit_radius_A):
-        table = build_table(
-            ModelParameters(A=unit_radius_A, G=0.0, model=id_model), k_max=8)
+        table = build_table(A=unit_radius_A, G=0.0, model=id_model, k_max=8)
         report = report_dict(table)
         assert report["regime"] == "hele_shaw_stable"
         assert report["unstable_modes"] == []
 
     def test_negative_mitosis_is_unstable(self, id_model, unit_radius_A):
-        table = build_table(
-            ModelParameters(A=unit_radius_A, G=-2.0, model=id_model), k_max=16)
+        table = build_table(A=unit_radius_A, G=-2.0, model=id_model, k_max=16)
         report = report_dict(table)
         assert report["regime"] == "high_vascularisation_unstable"
         assert report["spectral_bound"] > 0.0
 
     def test_above_threshold_flags_unstable_modes(self, id_model, unit_radius_A):
         gs, k0 = g_star(build_table(
-            ModelParameters(A=unit_radius_A, G=1.0, model=id_model), k_max=32))
-        table = build_table(
-            ModelParameters(A=unit_radius_A, G=1.5 * gs, model=id_model),
-            k_max=32)
+            A=unit_radius_A, G=1.0, model=id_model, k_max=32))
+        table = build_table(A=unit_radius_A, G=1.5 * gs, model=id_model,
+                            k_max=32)
         report = report_dict(table)
         assert report["regime"] == "above_threshold_unstable"
         assert k0 in report["unstable_modes"]
@@ -129,23 +120,21 @@ class TestPeriodicityIndex:
 
     def test_grows_with_mitosis(self, id_model, unit_radius_A):
         l_small = l_G_index(build_table(
-            ModelParameters(A=unit_radius_A, G=1.0, model=id_model), k_max=64))
+            A=unit_radius_A, G=1.0, model=id_model, k_max=64))
         l_large = l_G_index(build_table(
-            ModelParameters(A=unit_radius_A, G=500.0, model=id_model), k_max=64))
+            A=unit_radius_A, G=500.0, model=id_model, k_max=64))
         assert l_large > l_small
 
     def test_all_modes_beyond_index_decay_faster_than_zero(self, id_model,
                                                            unit_radius_A):
-        table = build_table(
-            ModelParameters(A=unit_radius_A, G=300.0, model=id_model), k_max=64)
+        table = build_table(A=unit_radius_A, G=300.0, model=id_model, k_max=64)
         l = l_G_index(table)
         mu0 = table.mu_at(0)
         assert all(table.mu_at(k) <= mu0 for k in range(l, 65))
         assert table.mu_at(l - 1) > mu0 or l == 2
 
     def test_requires_positive_mitosis(self, id_model, unit_radius_A):
-        table = build_table(
-            ModelParameters(A=unit_radius_A, G=0.0, model=id_model), k_max=8)
+        table = build_table(A=unit_radius_A, G=0.0, model=id_model, k_max=8)
         with pytest.raises(ValidationError):
             l_G_index(table)
 
@@ -163,15 +152,13 @@ class TestCubicDecayBound:
 class TestValidation:
     def test_A_outside_range_rejected(self, id_model):
         with pytest.raises(ValidationError):
-            ModelParameters(A=1.5, G=1.0, model=id_model)
+            build_table(A=1.5, G=1.0, model=id_model)
 
     def test_small_k_max_rejected(self, id_model, unit_radius_A):
         with pytest.raises(ValidationError):
-            build_table(ModelParameters(A=unit_radius_A, G=1.0, model=id_model),
-                        k_max=1)
+            build_table(A=unit_radius_A, G=1.0, model=id_model, k_max=1)
 
     def test_table_uses_steady_radius_by_default(self, id_model, unit_radius_A,
                                                  unit_steady):
-        table = build_table(
-            ModelParameters(A=unit_radius_A, G=1.0, model=id_model), k_max=2)
+        table = build_table(A=unit_radius_A, G=1.0, model=id_model, k_max=2)
         assert table.R == pytest.approx(unit_steady.R_A, abs=1e-12)
