@@ -287,8 +287,7 @@ def cmd_evolve(cfg):
     status = "completed"
 
     if mode == "linear":
-        k_max = max(cfg["kmax"], k_top, 2)
-        table = build_table(A, G, model, R, k_max)
+        table = build_table(A, G, model, R, k_top)   # all the modes evolve_linear reads
         shapes = [(float(t), evolve_linear(shape0, float(t), table))
                   for t in np.linspace(0.0, t_end, cfg["n_samples"] + 1)]
     else:

@@ -18,9 +18,9 @@ residual and Krylov matvec reads.
 
 A perturbed domain is pulled back to this disk by one map per shape,
 :class:`MappedCoefficients`: it splits rho into its half-turn parts once and
-holds the transformed Laplacian's coefficients and the scale R**2 phi**2
-together with the boundary quantities (h, beta, phi_r(1), curvature) that
-the field solves and the boundary velocity read. The mapped radius phi and
+holds its :class:`DiskGrid`, the transformed Laplacian's coefficients, the
+scale R**2 phi**2 and the boundary quantities (h, beta, phi_r(1), curvature)
+that the field solves and the boundary velocity read. The mapped radius phi and
 the half-turn parts themselves are not kept; the tests derive them from h
 (``tests/oracles.py``).
 
@@ -217,10 +217,10 @@ def dealias(values):
     return np.fft.irfft(spec, n=np.shape(values)[-1], axis=-1)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)   # compared and hashed by identity
 class MappedCoefficients:
-    """The map of one shape: the blended radial map, its boundary quantities
-    and the coefficients of the Laplacian it transforms to.
+    """The map of one shape on the grid it holds: the blended radial map, its
+    boundary quantities and the coefficients of the Laplacian it transforms to.
 
     The physical radius is s = R phi(r, theta) with
 
@@ -245,6 +245,7 @@ class MappedCoefficients:
     dealiased: the pressure dealiases its data itself, and its boundary
     solve needs the exact value on the diagonal of its flux kernel.
     """
+    grid: DiskGrid       # the grid every array samples, read by the solves
     a_rr: np.ndarray
     a_r: np.ndarray
     a_rt: np.ndarray
@@ -256,13 +257,15 @@ class MappedCoefficients:
     R: float
 
     @classmethod
-    def from_boundary(cls, rho, R, r_nodes):
-        """The map of the shape rho (samples on the angular grid) at r_nodes.
+    def from_boundary(cls, rho, R, grid: DiskGrid):
+        """The map of the shape rho (samples on the angles of ``grid``) on its nodes.
 
         E and O are the even- and odd-mode parts of rho's spectrum, so one
         rfft and one stacked irfft give them with their theta-derivatives.
         """
         n = len(rho)
+        if n != grid.n_theta:
+            raise ValidationError(f"rho has {n} samples, the grid {grid.n_theta} angles")
         spec = np.fft.rfft(rho)
         q = np.arange(len(spec))
         parts = spec * np.array([q % 2 == 0, q % 2 == 1])   # even and odd modes
@@ -270,7 +273,7 @@ class MappedCoefficients:
         E, O, Ep, Op, Epp, Opp = np.fft.irfft(
             np.concatenate([parts, dq * parts, -q**2 * parts]), n=n)
 
-        r = np.asarray(r_nodes, dtype=float)[:, None]
+        r = grid.r[:, None]
         phi = r * (1.0 + E + r * O)
         J = 1.0 + E + 2.0 * r * O
         phi_t = r * Ep + r**2 * Op
@@ -287,16 +290,15 @@ class MappedCoefficients:
         rho_p, rho_pp = Ep + Op, Epp + Opp
         curvature = ((h**2 + 2.0 * rho_p**2 - h * rho_pp)
                      / (R * (h**2 + rho_p**2) ** 1.5))
-        return cls(a_rr=a_rr, a_r=a_r, a_rt=-2.0 * g, scale=(R * phi) ** 2,
-                   h=h, beta=rho_p / h, J1=1.0 + E + 2.0 * O,
-                   curvature=curvature, R=float(R))
+        return cls(grid=grid, a_rr=a_rr, a_r=a_r, a_rt=-2.0 * g,
+                   scale=(R * phi) ** 2, h=h, beta=rho_p / h,
+                   J1=1.0 + E + 2.0 * O, curvature=curvature, R=float(R))
 
 
-def mapped_laplacian_kernel(grid: DiskGrid, coefs: MappedCoefficients, X,
-                            potential=None):
-    """Scaled Laplacian R**2 phi**2 Delta, minus ``potential`` times the
-    field, on the n_r - 1 interior rows, in samples, from the field's
-    theta-spectrum X (mode layout, all n_r rows).
+def mapped_laplacian_kernel(coefs: MappedCoefficients, X, potential=None):
+    """Scaled Laplacian R**2 phi**2 Delta of the map ``coefs``, minus
+    ``potential`` times the field, on the n_r - 1 interior rows of its grid,
+    in samples, from the field's theta-spectrum X (mode layout, all n_r rows).
 
     ``potential`` is None or holds the interior rows. One GEMM per parity
     gives V_r and V_rr (:meth:`DiskGrid.fold_derivative`), the angular
@@ -304,6 +306,7 @@ def mapped_laplacian_kernel(grid: DiskGrid, coefs: MappedCoefficients, X,
     [V_r, V_rr, V_rt, V_tt (, V)] brings them to the samples, where the
     coefficients of the map combine them.
     """
+    grid = coefs.grid
     n = len(X) - 1
     spectra = np.empty((4 if potential is None else 5, n, X.shape[1] // 2), complex)
     grid.fold_derivative(X, spectra[:2].view(float).reshape(2 * n, X.shape[1]))
@@ -322,10 +325,10 @@ def mapped_laplacian_kernel(grid: DiskGrid, coefs: MappedCoefficients, X,
 
 # read only by tests and by the layer perfbench/spans.py wraps; it moves to
 # tests/oracles.py with the benchmark refresh of ROADMAP item 1
-def apply_mapped_laplacian(grid: DiskGrid, coefs: MappedCoefficients, V):
-    """Scaled Laplacian R**2 phi**2 * Delta of mapped-grid samples, on the
-    n_r - 1 interior rows."""
-    return mapped_laplacian_kernel(grid, coefs, grid.to_modes(V))
+def apply_mapped_laplacian(coefs: MappedCoefficients, V):
+    """Scaled Laplacian R**2 phi**2 * Delta of samples on the map's grid, on
+    the n_r - 1 interior rows."""
+    return mapped_laplacian_kernel(coefs, coefs.grid.to_modes(V))
 
 
 def boundary_radial_derivative(grid: DiskGrid, X):

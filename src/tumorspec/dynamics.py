@@ -74,8 +74,8 @@ def phi(shape: ShapeState, A, G, model: NutrientModel, grid: DiskGrid = None,
     grid = grid or DiskGrid()
     R = shape.radius_scale
 
-    coefs = MappedCoefficients.from_boundary(shape.to_grid(grid.n_theta), R, grid.r)
-    nut = solve_nutrient(coefs, model, grid, start=nutrient_start)
+    coefs = MappedCoefficients.from_boundary(shape.to_grid(grid.n_theta), R, grid)
+    nut = solve_nutrient(coefs, model, start=nutrient_start)
     pres = solve_pressure(coefs, A, G)
     values = np.hypot(1.0, coefs.beta) / R * (G * nut.flux - pres) \
         - 0.5 * A * G * coefs.h

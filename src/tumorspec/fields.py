@@ -5,13 +5,13 @@ r = R (1 + rho(theta)) and pulled back to the unit disk with the blended
 radial map s = R phi(r, theta). One :class:`tumorspec.disk.MappedCoefficients`
 holds that map for a shape: the operator coefficients, and the boundary
 quantities (h = 1 + rho, the curvature) that the pressure data read. The
-caller builds it once per shape on the nodes of a
-:class:`tumorspec.disk.DiskGrid`, the only resolution setting, and passes it
-to both solves; the nutrient solve also takes that grid. Each solve returns
-its field's physical outward normal derivative on the boundary nodes, the
-one quantity the boundary velocity reads: the nutrient's as the ``flux`` of
-a :class:`DiskField`, which also holds the samples that start the next
-solve, the pressure's as the bare array.
+caller builds it once per shape on a :class:`tumorspec.disk.DiskGrid`, the
+only resolution setting, which the map keeps, and passes the map alone to
+both solves. Each solve returns its field's physical outward normal
+derivative on the boundary nodes, the one quantity the boundary velocity
+reads: the nutrient's as the ``flux`` of a :class:`DiskField`, which also
+holds the samples that start the next solve, the pressure's as the bare
+array.
 
 The pressure is harmonic, and the boundary velocity reads only its normal
 derivative, so it is solved on the n_theta boundary nodes alone
@@ -168,7 +168,7 @@ def gmres(matvec, psolve, b, rtol, restart, maxiter):
     return x, history, r
 
 
-def _interior_solve(grid, coefs, potential, rhs, precond, tol):
+def _interior_solve(coefs, potential, rhs, precond, tol):
     """The theta-spectrum (mode layout, all n_r rows) of the correction with
     zero boundary data, and the samples of its linear residual on the
     interior rows, from GMRES's last product.
@@ -180,15 +180,15 @@ def _interior_solve(grid, coefs, potential, rhs, precond, tol):
     each matvec writes below the zero boundary row of the buffer the kernel
     reads.
     """
-    W = np.zeros((grid.n_r, 2 * len(grid.modes)))
+    W = np.zeros((coefs.grid.n_r, 2 * len(coefs.grid.modes)))
     interior = W[1:]   # the boundary row of W stays zero
 
     def matvec(x):
         np.copyto(interior, x.reshape(interior.shape))
-        return mapped_laplacian_kernel(grid, coefs, W, potential).ravel()
+        return mapped_laplacian_kernel(coefs, W, potential).ravel()
 
     def psolve(x):
-        return precond.solve_interior(grid.to_modes(x.reshape(rhs.shape))).ravel()
+        return precond.solve_interior(coefs.grid.to_modes(x.reshape(rhs.shape))).ravel()
 
     b = rhs.ravel()
     x, history, r = gmres(matvec, psolve, b, rtol=tol, restart=60, maxiter=10)
@@ -299,11 +299,10 @@ def _equilibrium(n_r, n_theta, R, model: NutrientModel):
     return v0[:, None], precond
 
 
-def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGrid,
-                   start=None):
+def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, start=None):
     """Semilinear nutrient problem, Newton iteration on the mapped disk.
 
-    ``coefs`` is the map of the domain on the nodes of ``grid``. ``start`` is
+    ``coefs`` is the map of the domain and holds its grid. ``start`` is
     the initial iterate, any array that broadcasts to the grid (such as the
     field of a previous time step); None starts from the radial equilibrium
     profile of radius ``coefs.R``. The boundary row is set to 1 either way.
@@ -313,7 +312,7 @@ def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGr
     correction's Krylov solve and the nonlinear remainder of f, and the loop
     stops once its max is at most ``NEWTON_TOL`` (see the module docstring).
     """
-    scale = coefs.scale[1:]
+    grid, scale = coefs.grid, coefs.scale[1:]
     v0, precond = _equilibrium(grid.n_r, grid.n_theta, coefs.R, model)
     v = np.broadcast_to(v0 if start is None else start,
                         (grid.n_r, grid.n_theta)).copy()
@@ -321,7 +320,7 @@ def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGr
     interior = v[1:]   # the rows the Newton corrections update
     X = grid.to_modes(v)
     sf = scale * model.f_at(interior)
-    F = mapped_laplacian_kernel(grid, coefs, X) - sf
+    F = mapped_laplacian_kernel(coefs, X) - sf
     # a Newton step of a model with f'' = 0 is exact: its Krylov solve goes
     # straight to the target
     forcing = 0.0 if model.is_linear else 1e-4
@@ -336,7 +335,7 @@ def solve_nutrient(coefs: MappedCoefficients, model: NutrientModel, grid: DiskGr
         # one Newton correction: J delta = -F with zero boundary data, to a
         # linear residual r with |r|_2 <= NEWTON_TOL / 2, which bounds max|r|
         delta, r = _interior_solve(
-            grid, coefs, potential, -F, precond,
+            coefs, potential, -F, precond,
             max(0.5 * NEWTON_TOL / np.linalg.norm(F), forcing * res))
         X += delta
         step = grid.from_modes(delta[1:])

@@ -89,8 +89,8 @@ def _solve_center(lam, model, start=None):
     trailing Chebyshev coefficients of U show that ``N_NODES`` does not
     resolve it.
     """
-    if lam < 0:
-        raise ValidationError("lam must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValidationError("lam must be nonnegative and finite")
     fold = radial_fold((N_NODES + 1) // 2)
     op = fold.operator(1)
     diagonal = np.arange(len(fold.r))
@@ -178,8 +178,8 @@ def _solve_mode(n, R_A, v0, model):
     """
     if np.any(np.asarray(n) < 0):
         raise ValidationError("n must be nonnegative")
-    if R_A <= 0:
-        raise ValidationError("R_A must be positive")
+    if not 0 < R_A < math.inf:
+        raise ValidationError("R_A must be positive and finite")
     if v0.fold_values is None:
         raise ValidationError("v0 must be a profile returned by solve_U")
     fold = radial_fold((N_NODES + 1) // 2)

@@ -23,8 +23,8 @@ class ShapeState:
     radius_scale: float
 
     def __post_init__(self):
-        if self.radius_scale <= 0:
-            raise ValidationError("radius_scale must be positive")
+        if not 0 < self.radius_scale < np.inf:
+            raise ValidationError("radius_scale must be positive and finite")
         # a read-only copy, so the checks below keep holding
         c = np.array(self.coeffs, dtype=complex)
         if c.ndim != 1 or len(c) == 0:

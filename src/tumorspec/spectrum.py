@@ -51,14 +51,15 @@ def build_table(A, G, model: NutrientModel, R=None, k_max=DEFAULT_K_MAX):
     f1 = model.f_of_one
     if not 0.0 < A < f1:
         raise ValidationError(f"A must lie in (0, f(1)) = (0, {f1}); got {A}")
-    if R is not None and R <= 0:
-        raise ValidationError("R must be positive")
+    if R is not None and not 0 < R < math.inf:
+        raise ValidationError("R must be positive and finite")
+    if not math.isfinite(G):
+        raise ValidationError("G must be finite")
     if k_max < 2:
         raise ValidationError("k_max must be at least 2")
     if R is None:
         steady = steady_radius(A, model)
-        R = steady.R_A
-        v0 = steady.v0
+        R, v0 = steady.R_A, steady.v0
     else:
         v0 = solve_U(R * R, model)
 

@@ -307,15 +307,15 @@ def center_value(grid, values):
     return float(eval_field_columns(grid, values, 0.0).mean())
 
 
-def harmonic_residual(grid, coefs, values):
-    """Max interior residual of the mapped Laplace operator on the grid
-    samples ``values`` of a field.
+def harmonic_residual(coefs, values):
+    """Max interior residual of the mapped Laplace operator of ``coefs`` on its
+    grid's samples ``values`` of a field.
 
     The pressure is harmonic to the accuracy of its boundary solve, so for
     it this measures how well the grid resolves the exact field, not a
     solver tolerance."""
     from tumorspec.disk import apply_mapped_laplacian
-    return float(np.max(np.abs(apply_mapped_laplacian(grid, coefs, values))))
+    return float(np.max(np.abs(apply_mapped_laplacian(coefs, values))))
 
 
 def ode_residual_on_midpoints(profile, m, lam, rhs):

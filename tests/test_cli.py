@@ -262,6 +262,23 @@ class TestEvolveCommand:
         assert snap["status"] == "left_neighbourhood"
         assert_finite_artifacts(tmp_path)
 
+    def test_linear_table_ends_at_the_top_mode(self, tmp_path, monkeypatch):
+        # the linear flow reads mu[k] for k <= max(8, the top seeded mode)
+        # alone, so the table ends there whatever kmax says
+        k_maxes = []
+
+        def recorded(*args):
+            k_maxes.append(args[-1])
+            return build(*args)
+
+        build = cli.build_table
+        monkeypatch.setattr(cli, "build_table", recorded)
+        for seed in ("2:1e-3", "12:1e-3"):
+            assert main(["evolve", "--A", "0.5", "--G", "2.0", "--mode", "linear",
+                         "--t-end", "0.1", "--kmax", "64", "--seed-shape", seed,
+                         "--out", str(tmp_path)]) == 0
+        assert k_maxes == [8, 12]
+
     def test_linear_equilibrium_stays_zero(self, tmp_path):
         # above threshold exp(mu_2 t) overflows; an absent mode must stay 0
         assert main(["evolve", "--A", "0.5", "--G", "2.0", "--mode", "linear",

@@ -62,8 +62,7 @@ class TestVelocityAtEquilibrium:
         n = small_grid.n_theta
         s = ShapeState.from_modes([(3, 2e-2, 0.0), (2, 1e-2, 0.3)], table.R)
         ref = phi(s, A, G, id_model, small_grid)
-        coefs = MappedCoefficients.from_boundary(s.to_grid(n), table.R,
-                                                 small_grid.r)
+        coefs = MappedCoefficients.from_boundary(s.to_grid(n), table.R, small_grid)
         pres = solve_pressure(coefs, A, G)
         monkeypatch.setattr(dynamics.MappedCoefficients, "from_boundary",
                             lambda *args: coefs)

@@ -1,5 +1,6 @@
 """Field solves on the perturbed domain against radial and harmonic oracles."""
 
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -15,7 +16,7 @@ from tumorspec.disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
                             chebyshev_points, mapped_laplacian_kernel,
                             radial_fold)
 from tumorspec.dynamics import evolve_nonlinear, phi
-from tumorspec.errors import SolverError
+from tumorspec.errors import SolverError, ValidationError
 from tumorspec.fields import gmres, solve_nutrient, solve_pressure
 from tumorspec.models import parse_model_spec
 from tumorspec.radial import solve_u_n, steady_radius
@@ -49,7 +50,7 @@ def built(monkeypatch):
 
 def _map_coefs(shape, grid):
     return MappedCoefficients.from_boundary(shape.to_grid(grid.n_theta),
-                                            shape.radius_scale, grid.r)
+                                            shape.radius_scale, grid)
 
 
 def _translated_nutrient_solve(model, A, d, n_r, n_theta):
@@ -59,8 +60,8 @@ def _translated_nutrient_solve(model, A, d, n_r, n_theta):
     R = steady_radius(A, model).R_A
     grid = DiskGrid(n_r=n_r, n_theta=n_theta)
     coefs = MappedCoefficients.from_boundary(
-        translated_disk(n_theta, d, R, A, 1.0)[0], R, grid.r)
-    return grid, coefs, solve_nutrient(coefs, model, grid), model
+        translated_disk(n_theta, d, R, A, 1.0)[0], R, grid)
+    return grid, coefs, solve_nutrient(coefs, model), model
 
 
 def _pressure_values(grid, coefs, A, G):
@@ -74,7 +75,7 @@ class TestNutrientAtEquilibrium:
     def test_matches_radial_profile(self, unit_steady, id_model, small_grid):
         grid = small_grid
         z = ShapeState.zero(4, unit_steady.R_A)
-        nut = solve_nutrient(_map_coefs(z, grid), id_model, grid)
+        nut = solve_nutrient(_map_coefs(z, grid), id_model)
         expected = unit_steady.v0.at(grid.r)[:, None]
         assert np.max(np.abs(nut.values - expected)) < 1e-8
 
@@ -82,14 +83,14 @@ class TestNutrientAtEquilibrium:
                                                   small_grid):
         grid = small_grid
         z = ShapeState.zero(4, unit_steady.R_A)
-        nut = solve_nutrient(_map_coefs(z, grid), id_model, grid)
+        nut = solve_nutrient(_map_coefs(z, grid), id_model)
         assert np.max(np.abs(unit_steady.R_A * nut.flux
                              - unit_steady.v0.deriv_values[-1])) < 1e-8
 
     def test_center_value(self, unit_steady, id_model, small_grid):
         grid = small_grid
         z = ShapeState.zero(4, unit_steady.R_A)
-        nut = solve_nutrient(_map_coefs(z, grid), id_model, grid)
+        nut = solve_nutrient(_map_coefs(z, grid), id_model)
         assert center_value(grid, nut.values) == pytest.approx(
             unit_steady.v0.values[0], abs=1e-10)
 
@@ -97,7 +98,7 @@ class TestNutrientAtEquilibrium:
                                                    small_grid):
         grid = small_grid
         s = ShapeState.from_modes([(3, 5e-2, 0.4)], unit_steady.R_A)
-        nut = solve_nutrient(_map_coefs(s, grid), id_model, grid)
+        nut = solve_nutrient(_map_coefs(s, grid), id_model)
         assert np.all(nut.values > 0.0)
         assert np.all(nut.values <= 1.0 + 1e-10)
 
@@ -153,7 +154,7 @@ class TestPressure:
         s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
         coefs = _map_coefs(s, grid)
         values = _pressure_values(grid, coefs, unit_steady.A, 2.0)
-        assert harmonic_residual(grid, coefs, values) < 1e-7
+        assert harmonic_residual(coefs, values) < 1e-7
 
     def test_normal_derivative_symbol(self, unit_steady, small_grid):
         # linearized boundary data curvature - A G R^2 h^2 / 4 excites mode k
@@ -181,7 +182,7 @@ class TestPressure:
         # the physical normal derivative of a field that is harmonic
         # everywhere, from its samples on the boundary nodes
         grid = DiskGrid(n_r=8, n_theta=n)
-        coefs = MappedCoefficients.from_boundary(oracle_boundary(n, a), R, grid.r)
+        coefs = MappedCoefficients.from_boundary(oracle_boundary(n, a), R, grid)
         y = R * coefs.h * np.exp(1j * grid.theta)
         q, dF = exact_harmonic(y, R)
         got = fields._harmonic_field(coefs, q)
@@ -205,8 +206,7 @@ class TestPressure:
         monkeypatch.setattr(np.linalg, "solve", counted("solve", solve))
         monkeypatch.setattr(np.linalg, "qr", counted("qr", qr))
         grid = DiskGrid(n_r=8, n_theta=n)
-        coefs = MappedCoefficients.from_boundary(oracle_boundary(n, 0.03), 1.0,
-                                                 grid.r)
+        coefs = MappedCoefficients.from_boundary(oracle_boundary(n, 0.03), 1.0, grid)
         y = coefs.h * np.exp(1j * grid.theta)
         fields._harmonic_field(coefs, exact_harmonic(y, 1.0)[0])
         assert calls == ["solve"]
@@ -221,7 +221,7 @@ class TestPressure:
         R = steady_radius(A, parse_model_spec(model)).R_A
         rho, exact = translated_disk(n, d, R, A, G)
         grid = DiskGrid(n_r=8, n_theta=n)
-        coefs = MappedCoefficients.from_boundary(rho, R, grid.r)
+        coefs = MappedCoefficients.from_boundary(rho, R, grid)
         got = solve_pressure(coefs, A, G)
         assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(exact))
 
@@ -231,7 +231,7 @@ class TestPressure:
         # every grid row, the one next to the boundary (r = 0.9988) included
         grid = small_grid
         coefs = MappedCoefficients.from_boundary(oracle_boundary(grid.n_theta, a),
-                                                 R, grid.r)
+                                                 R, grid)
         y = R * coefs.h * np.exp(1j * grid.theta)
         q = exact_harmonic(y, R)[0]
         values = harmonic_values(grid, coefs, q,
@@ -373,7 +373,7 @@ class TestPerturbedNutrient:
         for eps in (1e-2, 1e-3):
             s = ShapeState.from_modes([(k, eps, 0.0)], R)
             coefs = _map_coefs(s, grid)
-            nut = solve_nutrient(coefs, id_model, grid)
+            nut = solve_nutrient(coefs, id_model)
             prof = linearized_mode_profile(k, 1.0, v0, uk)
             frac = 0.6
             radii = np.array([mapped_radius(coefs, frac, j)
@@ -398,7 +398,7 @@ class TestPerturbedNutrient:
         errs = []
         for eps in (1e-2, 1e-3):
             s = ShapeState.from_modes([(k, eps, 0.0)], R)
-            nut = solve_nutrient(_map_coefs(s, grid), id_model, grid)
+            nut = solve_nutrient(_map_coefs(s, grid), id_model)
             pred = (v0.deriv_values[-1] + eps * np.cos(k * grid.theta)
                     * (v0_rr + prof.deriv_values[-1])) / R
             errs.append(np.max(np.abs(nut.flux - pred)))
@@ -414,7 +414,7 @@ class TestPerturbedNutrient:
         with pytest.raises(SolverError, match=r"after 10 cycles \(600 "
                            r"iterations\); relative residual \S+ on 480 "
                            r"equations;"):
-            solve_nutrient(_map_coefs(s, grid), id_model, grid)
+            solve_nutrient(_map_coefs(s, grid), id_model)
 
     def test_interior_solve_returns_the_residual_samples(self, poly_model):
         # the residual is the samples of rhs - (operator - potential) W of
@@ -429,12 +429,11 @@ class TestPerturbedNutrient:
         v[0, :] = 1.0
         scale = coefs.scale[1:]
         rhs = scale * poly_model.f_at(v[1:]) \
-            - mapped_laplacian_kernel(grid, coefs, grid.to_modes(v))
+            - mapped_laplacian_kernel(coefs, grid.to_modes(v))
         potential = scale * poly_model.fprime_at(v[1:])
-        W, r = fields._interior_solve(grid, coefs, potential, rhs, precond,
-                                      1e-4)
+        W, r = fields._interior_solve(coefs, potential, rhs, precond, 1e-4)
         assert r.shape == rhs.shape and not W[0].any()
-        expected = rhs - mapped_laplacian_kernel(grid, coefs, W, potential)
+        expected = rhs - mapped_laplacian_kernel(coefs, W, potential)
         assert np.max(np.abs(expected)) >= 1e-7 * np.max(np.abs(rhs))
         assert np.max(np.abs(r - expected)) <= 1e-14 * np.max(np.abs(rhs))
 
@@ -478,7 +477,7 @@ class TestPerturbedNutrient:
         s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
         with pytest.raises(SolverError, match=r"nutrient Newton iteration did "
                            r"not converge; residual history: \d\.\d{3}e-\d\d$"):
-            solve_nutrient(_map_coefs(s, grid), poly_model, grid)
+            solve_nutrient(_map_coefs(s, grid), poly_model)
 
     @pytest.mark.parametrize("n_r, n_theta, modes", [
         (32, 64, [(2, 1e-3, 0.0)]),
@@ -500,7 +499,7 @@ class TestPerturbedNutrient:
         monkeypatch.setattr(fields, "gmres", counted)
         grid = DiskGrid(n_r=n_r, n_theta=n_theta)
         s = ShapeState.from_modes(modes, unit_steady.R_A)
-        solve_nutrient(_map_coefs(s, grid), id_model, grid)
+        solve_nutrient(_map_coefs(s, grid), id_model)
         assert len(solves) == 1
 
     @pytest.mark.parametrize("n_r, n_theta", [(32, 64), (64, 128), (256, 32)],
@@ -519,8 +518,8 @@ class TestPerturbedNutrient:
         s = ShapeState.from_modes([(2, 3e-2, 0.0), (3, 2e-2, 0.5)], 1.2)
         coefs = _map_coefs(s, grid)
         for model in (id_model, poly_model):
-            v = solve_nutrient(coefs, model, grid).values
-            F = apply_mapped_laplacian(grid, coefs, v) \
+            v = solve_nutrient(coefs, model).values
+            F = apply_mapped_laplacian(coefs, v) \
                 - coefs.scale[1:] * model.f_at(v[1:])
             assert np.max(np.abs(F)) <= bound
 
@@ -544,12 +543,12 @@ class TestPerturbedNutrient:
         s = ShapeState.from_modes([(3, 0.15, 0.0), (7, 0.05, 0.4)], 3.0)
         assert s.sup_norm() == pytest.approx(0.196, abs=5e-4)
         coefs = _map_coefs(s, grid)
-        v = solve_nutrient(coefs, poly_model, grid).values
+        v = solve_nutrient(coefs, poly_model).values
         scale = coefs.scale[1:, :]
-        F = apply_mapped_laplacian(grid, coefs, v) - scale * poly_model.f_at(v[1:, :])
+        F = apply_mapped_laplacian(coefs, v) - scale * poly_model.f_at(v[1:, :])
         _, precond = fields._equilibrium(grid.n_r, grid.n_theta, 3.0, poly_model)
         delta, _ = fields._interior_solve(
-            grid, coefs, scale * poly_model.fprime_at(v[1:, :]), -F,
+            coefs, scale * poly_model.fprime_at(v[1:, :]), -F,
             precond, 1e-11)
         assert np.max(np.abs(grid.from_modes(delta))) <= 1e-12
 
@@ -560,12 +559,29 @@ class TestPerturbedNutrient:
         low = []
         for n_r in (64, 256):
             grid = DiskGrid(n_r=n_r, n_theta=32)
-            nut = solve_nutrient(_map_coefs(s, grid), id_model, grid)
+            nut = solve_nutrient(_map_coefs(s, grid), id_model)
             low.append(np.fft.rfft(nut.flux)[:6] / grid.n_theta)
         assert np.max(np.abs(low[1] - low[0])) <= 1e-9
 
 
 class TestMappedOperator:
+    def test_map_holds_the_grid_it_samples(self, small_grid):
+        rho = ShapeState.from_modes([(2, 1e-2, 0.3)], 1.2).to_grid(small_grid.n_theta)
+        coefs = MappedCoefficients.from_boundary(rho, 1.2, small_grid)
+        assert coefs.grid is small_grid
+        assert coefs.a_rr.shape == (small_grid.n_r, small_grid.n_theta)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            coefs.grid = DiskGrid(n_r=16, n_theta=small_grid.n_theta)
+
+    @pytest.mark.parametrize("n_theta", [32, 128])
+    def test_map_refuses_samples_of_another_grid(self, small_grid, n_theta):
+        # a map whose arrays and grid disagree cannot be built, so no solve
+        # sees one
+        rho = ShapeState.from_modes([(2, 1e-2, 0.3)], 1.2).to_grid(n_theta)
+        with pytest.raises(ValidationError, match=f"rho has {n_theta} samples, "
+                           f"the grid {small_grid.n_theta} angles"):
+            MappedCoefficients.from_boundary(rho, 1.2, small_grid)
+
     @pytest.mark.parametrize("rho_mode", [2, 3])
     def test_exact_harmonics_in_kernel(self, rho_mode, small_grid):
         # Re(z^m) is harmonic; its pullback must sit in the operator kernel
@@ -576,7 +592,7 @@ class TestMappedOperator:
         z = mapped_phi(coefs, grid.r) * R * np.exp(1j * grid.theta[None, :])
         for m in (2, 3, 5):
             V = (z**m).real
-            res = apply_mapped_laplacian(grid, coefs, V)   # the interior rows
+            res = apply_mapped_laplacian(coefs, V)   # the interior rows
             assert np.max(np.abs(res)) < 1e-5 * R**m
 
     def test_reduces_to_polar_laplacian_unperturbed(self, small_grid):
@@ -586,7 +602,7 @@ class TestMappedOperator:
         coefs = _map_coefs(s, grid)
         for k in (0, 1, 2, 3, 4, 7):
             V = grid.r[:, None] ** k * np.cos(k * grid.theta[None, :] + 0.4)
-            res = apply_mapped_laplacian(grid, coefs, V)
+            res = apply_mapped_laplacian(coefs, V)
             assert np.max(np.abs(res)) < 1e-8
 
     def test_interior_kernel_matches_the_operator(self, small_grid, rng):
@@ -598,9 +614,8 @@ class TestMappedOperator:
         W = rng.standard_normal((grid.n_r, grid.n_theta))
         W[0, :] = 0.0
         potential = rng.uniform(0.5, 2.0, (grid.n_r - 1, grid.n_theta))
-        expected = apply_mapped_laplacian(grid, coefs, W) - potential * W[1:, :]
-        got = mapped_laplacian_kernel(grid, coefs, grid.to_modes(W),
-                                      potential=potential)
+        expected = apply_mapped_laplacian(coefs, W) - potential * W[1:, :]
+        got = mapped_laplacian_kernel(coefs, grid.to_modes(W), potential=potential)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_mapped_radius_inverts_map(self, small_grid):
@@ -618,8 +633,9 @@ class TestMappedOperator:
 
 def _curvature(shape, n_theta):
     """The boundary curvature that the map of the shape carries."""
-    return MappedCoefficients.from_boundary(shape.to_grid(n_theta),
-                                            shape.radius_scale, [1.0]).curvature
+    return MappedCoefficients.from_boundary(
+        shape.to_grid(n_theta), shape.radius_scale,
+        DiskGrid(n_r=4, n_theta=n_theta)).curvature
 
 
 class TestCurvature:
@@ -688,12 +704,12 @@ class TestModePreconditioner:
         # roundoff by the size of the D2 rows next to the boundary, about
         # 1e-8 relative on 64 x 128 for either this or an LU solve.)
         grid = DiskGrid(n_r=n_r, n_theta=n_theta)
-        coefs = MappedCoefficients.from_boundary(np.zeros(n_theta), 1.7, grid.r)
+        coefs = MappedCoefficients.from_boundary(np.zeros(n_theta), 1.7, grid)
         potential = 2.0 * grid.r**2 * (1.0 + grid.r**2) if with_potential \
             else np.zeros(n_r)
         V = rng.standard_normal((n_r, n_theta))
         V[0, :] = 0.0
-        res = apply_mapped_laplacian(grid, coefs, V) \
+        res = apply_mapped_laplacian(coefs, V) \
             - potential[1:, None] * V[1:, :]            # the interior rows
         back = ModePreconditioner(grid, potential).solve_interior(
             grid.to_modes(res))
@@ -739,7 +755,7 @@ class TestModePreconditioner:
             return solve(matvec, psolve, b, **kwargs)
 
         monkeypatch.setattr(fields, "gmres", recorded)
-        solve_nutrient(_map_coefs(s, grid), id_model, grid)
+        solve_nutrient(_map_coefs(s, grid), id_model)
         calls = count_transforms()
         matvec, psolve, b = solved[0]
         matvec(psolve(b))
@@ -761,7 +777,7 @@ class TestModePreconditioner:
         coefs = _map_coefs(s, grid)
         fields._equilibrium(n_r, n_theta, unit_steady.R_A, id_model)
         calls = count_transforms()
-        solve_nutrient(coefs, id_model, grid)
+        solve_nutrient(coefs, id_model)
         assert iterations == [k]
         assert calls.count("rfft") == k + 2
         assert calls.count("irfft") == k + 4
@@ -831,7 +847,7 @@ class TestModePreconditioner:
             monkeypatch.setattr(fields, "_equilibrium",
                                 lambda n_r, n_theta, R, model: (v0, precond))
             applies.clear()
-            nut = solve_nutrient(coefs, poly_model, grid)
+            nut = solve_nutrient(coefs, poly_model)
             return nut, len(applies)
 
         own, own_applies = solve(per_shape)
@@ -843,7 +859,7 @@ class TestModePreconditioner:
         # f' varies for this model, so the Newton loop takes several steps
         grid = DiskGrid(n_r=16, n_theta=32)
         s = ShapeState.from_modes([(2, 3e-2, 0.0), (3, 2e-2, 0.5)], 1.2)
-        solve_nutrient(_map_coefs(s, grid), poly_model, grid)
+        solve_nutrient(_map_coefs(s, grid), poly_model)
         assert built == [(16, 32)]
 
     def test_standalone_phi_is_the_first_velocity_of_an_evolve(self, poly_model,

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from tumorspec.errors import ValidationError
+from tumorspec.radial import boundary_ratio, solve_U
+from tumorspec.shapes import ShapeState
 from tumorspec.spectrum import build_table, g_star, l_G_index, report_dict
 
 from oracles import identity_g_star, identity_g_threshold, identity_mu
@@ -157,6 +159,22 @@ class TestValidation:
     def test_small_k_max_rejected(self, id_model, unit_radius_A):
         with pytest.raises(ValidationError):
             build_table(A=unit_radius_A, G=1.0, model=id_model, k_max=1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("call, message", [
+        (lambda x, m: ShapeState.from_modes([(2, 1e-3, 0.0)], x),
+         "radius_scale must be positive"),
+        (lambda x, m: build_table(0.5, 2.0, m, R=x), "R must be positive"),
+        (lambda x, m: build_table(0.5, x, m, R=1.0), "G must be finite"),
+        (lambda x, m: solve_U(x, m), "lam must be nonnegative"),
+        (lambda x, m: boundary_ratio(2, x, solve_U(1.0, m), m),
+         "R_A must be positive"),
+    ], ids=["radius_scale", "R", "G", "lam", "R_A"])
+    def test_non_finite_value_rejected_where_it_enters(self, id_model, call,
+                                                       message, value):
+        # not a solver failure further in, nor a NaN passed on
+        with pytest.raises(ValidationError, match=message):
+            call(value, id_model)
 
     def test_table_uses_steady_radius_by_default(self, id_model, unit_radius_A,
                                                  unit_steady):
