@@ -12,18 +12,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ADMISSIBLE_SUP_NORM", "BracketError", "DEFAULT_K_MAX", "DiskField",
-    "DiskGrid", "DomainValidityError", "GrowthFit", "NutrientModel",
-    "PhiResult", "RadialProfile", "ShapeState", "SolverError", "SpectrumTable",
-    "SteadyState", "Trajectory", "TrajectoryPoint", "TumorSpecError",
-    "ValidationError", "appendix_series", "boundary_ratio", "build_table",
-    "evolve_linear", "evolve_nonlinear", "fit_growth_rate", "g_star",
-    "identity_model", "l_G_index", "parse_model_spec", "phi",
-    "polynomial_model", "solve_U", "solve_nutrient", "solve_pressure",
-    "solve_u_n", "steady_radius",
-]
-
 _MODULES = {
     "dynamics": ("PhiResult", "Trajectory", "TrajectoryPoint",
                  "evolve_nonlinear", "phi"),
@@ -42,6 +30,7 @@ _MODULES = {
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items()
               for name in names}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):

@@ -254,11 +254,11 @@ def cmd_spectrum(cfg):
     return EXIT_OK
 
 
-def _trajectory_rows(shapes, k_top):
+def _trajectory_rows(points, k_top):
     ks = range(k_top + 1)
     return [["t", "sup_norm"] + [f"amp_{k}" for k in ks]] + [
-        [_fmt(t), _fmt(s.sup_norm())] + [_fmt(s.amplitude(k)) for k in ks]
-        for t, s in shapes]
+        [_fmt(t), _fmt(sup)] + [_fmt(s.amplitude(k)) for k in ks]
+        for t, s, sup in points]
 
 
 def _snapshot(t, shape):
@@ -290,25 +290,26 @@ def cmd_evolve(cfg):
         table = build_table(A, G, model, R, k_top)   # all the modes evolve_linear reads
         shapes = [(float(t), evolve_linear(shape0, float(t), table))
                   for t in np.linspace(0.0, t_end, cfg["n_samples"] + 1)]
+        points = [(t, s, s.sup_norm()) for t, s in shapes]
     else:
         grid = DiskGrid(n_r=cfg["n_r"], n_theta=cfg["n_theta"])
         traj = evolve_nonlinear(shape0, t_end, A, G, model, grid,
                                 cfg["err_target"] or ERR_TARGET)
         status = traj.status
-        shapes = [(p.t, p.shape) for p in traj.points]
+        points = [(p.t, p.shape, p.sup_norm) for p in traj.points]
 
     rates = {}
     seeded = [k for k in range(1, k_top + 1)
               if shape0.amplitude(k) > 0.0]
     for k in seeded:
-        series = [(t, s.amplitude(k)) for t, s in shapes if s.amplitude(k) > 0]
+        series = [(t, s.amplitude(k)) for t, s, _ in points if s.amplitude(k) > 0]
         if len(series) >= 3:
             fit = fit_growth_rate(series)
             rates[str(k)] = {"rate": fit.rate, "residual": fit.residual}
 
     # everything is computed before the output directory is made, so a
     # shape that cannot be sampled leaves no artifact
-    rows = _trajectory_rows(shapes, k_top)
+    rows = _trajectory_rows(points, k_top)
     snap = {
         "status": status,
         "mode": mode,
@@ -317,12 +318,12 @@ def cmd_evolve(cfg):
         "R": R,
         "t_end": t_end,
         "fitted_rates": rates,
-        "snapshots": [_snapshot(*shapes[0]), _snapshot(*shapes[-1])],
+        "snapshots": [_snapshot(*points[0][:2]), _snapshot(*points[-1][:2])],
     }
     out = _outdir(cfg)
     _write_csv(out / "trajectory.csv", rows)
     _write_json(out / "snapshots.json", snap)
-    print(f"{mode} evolution to t = {_fmt(shapes[-1][0])}, status = {status}")
+    print(f"{mode} evolution to t = {_fmt(points[-1][0])}, status = {status}")
     return EXIT_LEFT_NEIGHBOURHOOD if status == "left_neighbourhood" else EXIT_OK
 
 

@@ -17,11 +17,12 @@ and returns its n_r - 1 interior rows only, the rows that every Dirichlet
 residual and Krylov matvec reads.
 
 A perturbed domain is pulled back to this disk by one map per shape,
-:class:`MappedCoefficients`: it splits rho into its half-turn parts once and
-holds its :class:`DiskGrid`, the transformed Laplacian's coefficients, the
-scale R**2 phi**2 and the boundary quantities (h, beta, phi_r(1), curvature)
-that the field solves and the boundary velocity read. The mapped radius phi and
-the half-turn parts themselves are not kept; the tests derive them from h
+:class:`MappedCoefficients`: built from the shape's spectrum, which it splits
+into its half-turn parts once, it refuses shapes it cannot map and holds its
+:class:`DiskGrid`, the transformed Laplacian's coefficients, the scale R**2
+phi**2 and the boundary quantities (h, beta, phi_r(1), curvature) that the
+field solves and the boundary velocity read. The mapped radius phi and the
+half-turn parts themselves are not kept; the tests derive them from h
 (``tests/oracles.py``).
 
 The Chebyshev toolkit at the top of this module (points, barycentric weights,
@@ -257,21 +258,19 @@ class MappedCoefficients:
     R: float
 
     @classmethod
-    def from_boundary(cls, rho, R, grid: DiskGrid):
-        """The map of the shape rho (samples on the angles of ``grid``) on its nodes.
-
-        E and O are the even- and odd-mode parts of rho's spectrum, so one
-        rfft and one stacked irfft give them with their theta-derivatives.
-        """
-        n = len(rho)
-        if n != grid.n_theta:
-            raise ValidationError(f"rho has {n} samples, the grid {grid.n_theta} angles")
-        spec = np.fft.rfft(rho)
+    def from_boundary(cls, shape, grid: DiskGrid):
+        """The map of ``shape`` (a ShapeState of radius R = shape.radius_scale)
+        on the nodes of ``grid``, refusing an inadmissible shape, where the map
+        may fold over, and a grid that does not resolve its modes. E and O are
+        the even- and odd-mode parts of its spectrum, so one stacked irfft
+        gives them with their theta-derivatives."""
+        shape.require_admissible()
+        spec = shape.spectrum(grid.n_theta)
         q = np.arange(len(spec))
         parts = spec * np.array([q % 2 == 0, q % 2 == 1])   # even and odd modes
-        dq = 1j * q * (2 * q != n)   # the unpaired Nyquist mode has no odd derivative
         E, O, Ep, Op, Epp, Opp = np.fft.irfft(
-            np.concatenate([parts, dq * parts, -q**2 * parts]), n=n)
+            np.concatenate([parts, 1j * q * parts, -q**2 * parts]), n=grid.n_theta)
+        R = float(shape.radius_scale)
 
         r = grid.r[:, None]
         phi = r * (1.0 + E + r * O)
@@ -286,13 +285,13 @@ class MappedCoefficients:
                                       -2.0 * phi**2 * O / J**3 + phi / J
                                       - g_t + g * g_r]))
 
-        h = 1.0 + rho
+        h = 1.0 + E + O
         rho_p, rho_pp = Ep + Op, Epp + Opp
         curvature = ((h**2 + 2.0 * rho_p**2 - h * rho_pp)
                      / (R * (h**2 + rho_p**2) ** 1.5))
         return cls(grid=grid, a_rr=a_rr, a_r=a_r, a_rt=-2.0 * g,
                    scale=(R * phi) ** 2, h=h, beta=rho_p / h,
-                   J1=1.0 + E + 2.0 * O, curvature=curvature, R=float(R))
+                   J1=1.0 + E + 2.0 * O, curvature=curvature, R=R)
 
 
 def mapped_laplacian_kernel(coefs: MappedCoefficients, X, potential=None):

@@ -65,23 +65,21 @@ def phi(shape: ShapeState, A, G, model: NutrientModel, grid: DiskGrid = None,
     """Evaluate the boundary velocity for the given shape.
 
     The fields are solved on ``grid`` (the default 64x128 DiskGrid if None).
-    The map of the shape is built once here and shared by both field solves.
+    The map of the shape is built once here and shared by both field solves;
+    it refuses a shape it cannot map (inadmissible, or unresolved on grid).
     ``nutrient_start`` is the Newton start of the nutrient solve (such as the
     nutrient field of a nearby shape); None starts from the radial
     equilibrium.
     """
-    shape.require_admissible()
-    grid = grid or DiskGrid()
-    R = shape.radius_scale
-
-    coefs = MappedCoefficients.from_boundary(shape.to_grid(grid.n_theta), R, grid)
+    coefs = MappedCoefficients.from_boundary(shape, grid or DiskGrid())
     nut = solve_nutrient(coefs, model, start=nutrient_start)
     pres = solve_pressure(coefs, A, G)
-    values = np.hypot(1.0, coefs.beta) / R * (G * nut.flux - pres) \
+    values = np.hypot(1.0, coefs.beta) / coefs.R * (G * nut.flux - pres) \
         - 0.5 * A * G * coefs.h
 
     # the coefficients the stepper evolves, those below the 2/3-rule cutoff
-    coeffs = np.fft.rfft(values)[:grid.n_theta // 3 + 1] / grid.n_theta
+    n = len(values)
+    coeffs = np.fft.rfft(values)[:n // 3 + 1] / n
     return PhiResult(coeffs=coeffs, nutrient=nut)
 
 

@@ -70,15 +70,20 @@ class ShapeState:
             return 0.0 + 0.0j
         return complex(self.coeffs[k]) if k >= 0 else complex(np.conj(self.coeffs[-k]))
 
-    def to_grid(self, n_theta):
-        """Sample rho on n_theta equispaced angles."""
-        if n_theta < 2 * self.n_modes + 1:
+    def spectrum(self, n_theta):
+        """The rfft of rho on n_theta angles, which must resolve every mode
+        (n_theta > 2 n_modes): the coefficients times n_theta, zero-padded."""
+        if n_theta <= 2 * self.n_modes:
             raise ValidationError(
                 f"n_theta={n_theta} cannot resolve {self.n_modes} modes")
         spec = np.zeros(n_theta // 2 + 1, dtype=complex)
         spec[:self.n_modes + 1] = self.coeffs
+        return spec * n_theta
+
+    def to_grid(self, n_theta):
+        """Sample rho on n_theta equispaced angles."""
         with np.errstate(over="ignore", invalid="ignore"):
-            values = np.fft.irfft(spec * n_theta, n=n_theta)
+            values = np.fft.irfft(self.spectrum(n_theta), n=n_theta)
         if not np.all(np.isfinite(values)):
             raise ValidationError(
                 f"the samples of rho on {n_theta} angles overflow double precision")

@@ -53,6 +53,8 @@ def build_table(A, G, model: NutrientModel, R=None, k_max=DEFAULT_K_MAX):
         raise ValidationError(f"A must lie in (0, f(1)) = (0, {f1}); got {A}")
     if R is not None and not 0 < R < math.inf:
         raise ValidationError("R must be positive and finite")
+    if R is not None and R * R == math.inf:
+        raise ValidationError(f"R = {R} overflows double precision when squared")
     if not math.isfinite(G):
         raise ValidationError("G must be finite")
     if k_max < 2:

@@ -165,6 +165,14 @@ def oracle_boundary(n, a):
     return a * rho(2 * np.pi * np.arange(n) / n) / sup
 
 
+def oracle_shape(n, a, R):
+    """:func:`oracle_boundary` as a ``ShapeState`` of radius R: the modes
+    0..7 of the rfft of its n >= 16 samples, of which 3 and 7 are nonzero."""
+    from tumorspec.shapes import ShapeState
+    return ShapeState(coeffs=np.fft.rfft(oracle_boundary(n, a))[:8] / n,
+                      radius_scale=R)
+
+
 def exact_harmonic(z, R):
     """q = Re F(z) with F(z) = e^{z/R} + (z/R)**5, and F'(z): the derivative
     of q along a unit complex direction d at z is Re(F'(z) d)."""

@@ -187,13 +187,12 @@ def test_criterion_8_field_solvers(capsys, id_model, unit_steady, small_grid):
 
     # unperturbed nutrient against the shooting profile
     z = ShapeState.zero(4, R)
-    nut = solve_nutrient(MappedCoefficients.from_boundary(z.to_grid(grid.n_theta),
-                                                          R, grid), id_model)
+    nut = solve_nutrient(MappedCoefficients.from_boundary(z, grid), id_model)
     err_nut = float(np.max(np.abs(nut.values - v0.at(grid.r)[:, None])))
 
     # pressure mean-value property at the center
     s = ShapeState.from_modes([(2, 1e-2, 0.0), (5, 5e-3, 0.9)], R)
-    coefs = MappedCoefficients.from_boundary(s.to_grid(grid.n_theta), R, grid)
+    coefs = MappedCoefficients.from_boundary(s, grid)
     pres = harmonic_values(grid, coefs, pressure_data(coefs, unit_steady.A, 2.0),
                            solve_pressure(coefs, unit_steady.A, 2.0))
     radii = np.array([mapped_radius(coefs, 0.5, j)
@@ -208,8 +207,7 @@ def test_criterion_8_field_solvers(capsys, id_model, unit_steady, small_grid):
     errs = []
     for eps in (1e-2, 1e-3):
         sp = ShapeState.from_modes([(k, eps, 0.0)], R)
-        coefs_p = MappedCoefficients.from_boundary(sp.to_grid(grid.n_theta),
-                                                   R, grid)
+        coefs_p = MappedCoefficients.from_boundary(sp, grid)
         nutp = solve_nutrient(coefs_p, id_model)
         radii_p = np.array([mapped_radius(coefs_p, 0.6, j)
                             for j in range(grid.n_theta)])
@@ -277,7 +275,7 @@ def test_criterion_9_property_suite(capsys, id_model, poly_model, unit_table,
             [(kc, eps, float(rng.uniform(0, 2 * np.pi)))], R)
         rho = sc.to_grid(128)
         kappa = MappedCoefficients.from_boundary(
-            rho, R, DiskGrid(n_r=4, n_theta=len(rho))).curvature
+            sc, DiskGrid(n_r=4, n_theta=128)).curvature
         linear = 1.0 / R - (1.0 - kc**2) * rho / R   # rho'' = -kc**2 rho
         if float(np.max(np.abs(kappa - linear))) >= 100.0 * eps**2 * kc**4 / R:
             failures.append(f"case {case}: curvature linearization")

@@ -175,6 +175,33 @@ class TestSpectrumCommand:
         assert "choose a smaller R (or a larger A)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["spectrum"],
+                                         ["evolve", "--mode", "linear"],
+                                         ["evolve", "--mode", "nonlinear"]],
+                             ids=["spectrum", "linear", "nonlinear"])
+    def test_radius_whose_square_overflows_exits_2(self, tmp_path, capsys,
+                                                   command):
+        # lam = R**2 overflows from R = 1.35e154; the message names R, the
+        # value the user gave, not lam
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"R": 1e200}))
+        out = tmp_path / "out"
+        assert main(command + ["--A", "0.5", "--G", "2", "--config",
+                               str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "R = 1e+200 overflows" in err and "lam" not in err
+        assert not out.exists()
+
+    def test_huge_finite_radius_exits_3(self, tmp_path, capsys):
+        # R = 1e100 squares to a finite lam, unresolved like R = 100 above
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"R": 1e100}))
+        out = tmp_path / "out"
+        assert main(["spectrum", "--A", "0.5", "--G", "2", "--config",
+                     str(cfg_path), "--out", str(out)]) == 3
+        assert "R = sqrt(lam) = 1e+100)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_negative_zero(self, tmp_path):
         # lambda_0 = -0 / R**3 used to be written as "-0"
         assert main(["spectrum", "--A", "0.5", "--G", "2.0", "--kmax", "8",

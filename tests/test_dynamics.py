@@ -1,12 +1,14 @@
 """Nonlinear boundary velocity and its time integration."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from tumorspec import dynamics, fields
+from tumorspec.cli import main
 from tumorspec.dynamics import ERR_TARGET, evolve_nonlinear, phi
 from tumorspec.errors import ValidationError
 from tumorspec.disk import DiskGrid, MappedCoefficients
@@ -56,13 +58,14 @@ class TestVelocityAtEquilibrium:
 
     def test_assembly_takes_one_transform(self, setup, id_model, small_grid,
                                           monkeypatch, count_transforms):
-        # past the map and the field solves: one rfft for the coefficients,
-        # which the 2/3 rule keeps up to n // 3
+        # past the map, which checks and reads the shape, and the field
+        # solves: one rfft for the coefficients, which the 2/3 rule keeps up
+        # to n // 3
         A, G, table = setup
         n = small_grid.n_theta
         s = ShapeState.from_modes([(3, 2e-2, 0.0), (2, 1e-2, 0.3)], table.R)
         ref = phi(s, A, G, id_model, small_grid)
-        coefs = MappedCoefficients.from_boundary(s.to_grid(n), table.R, small_grid)
+        coefs = MappedCoefficients.from_boundary(s, small_grid)
         pres = solve_pressure(coefs, A, G)
         monkeypatch.setattr(dynamics.MappedCoefficients, "from_boundary",
                             lambda *args: coefs)
@@ -70,12 +73,8 @@ class TestVelocityAtEquilibrium:
                             lambda *args, **kwargs: ref.nutrient)
         monkeypatch.setattr(dynamics, "solve_pressure", lambda *args: pres)
         calls = count_transforms()
-        s.require_admissible()      # the transforms phi makes of the shape
-        s.to_grid(n)
-        shape_calls = len(calls)
-        calls.clear()
         got = phi(s, A, G, id_model, small_grid)
-        assert len(calls) == shape_calls + 1
+        assert calls == ["rfft"]
         assert np.array_equal(got.coeffs, ref.coeffs)
         values = np.hypot(1.0, coefs.beta) / table.R \
             * (G * ref.nutrient.flux - pres) - 0.5 * A * G * coefs.h
@@ -83,13 +82,14 @@ class TestVelocityAtEquilibrium:
         assert np.max(np.abs(got.coeffs - expected)) <= \
             1e-14 * np.max(np.abs(expected))
 
-    def test_velocity_of_criterion_7a_takes_25_transforms(
+    def test_velocity_of_criterion_7a_takes_23_transforms(
             self, supercritical, id_model, small_grid, krylov_iterations,
             count_transforms):
-        # the seed's admissibility and samples (2), the map (8), a nutrient
-        # solve of k = 3 GMRES iterations (2k + 6), the dealiased pressure
-        # data (2) and the coefficients (1); the cached preconditioner and
-        # log weights, which an evolve builds once, are built first
+        # the map (8: the seed's admissibility, one stacked irfft of its
+        # spectrum and three dealiased products), a nutrient solve of k = 3
+        # GMRES iterations (2k + 6), the dealiased pressure data (2) and the
+        # coefficients (1); the cached preconditioner and log weights, which
+        # an evolve builds once, are built first
         A, G, table = supercritical
         s = ShapeState.from_modes([(2, 1e-3, 0.0)], table.R)
         fields._equilibrium(small_grid.n_r, small_grid.n_theta, table.R,
@@ -99,7 +99,7 @@ class TestVelocityAtEquilibrium:
         calls = count_transforms()
         phi(s, A, G, id_model, small_grid)
         assert iterations == [3]
-        assert len(calls) == 25
+        assert len(calls) == 23
 
 
 class TestTranslatedDisk:
@@ -413,6 +413,32 @@ class TestExponentialStepper:
         traj = evolve_nonlinear(seed, 0.5, A, G, id_model, small_grid)
         assert len(traj.points) == 5
         assert len(calls) == 18
+
+    @pytest.mark.parametrize("mode, n_rows, count", [("nonlinear", 6, 19),
+                                                     ("linear", 202, 202)])
+    def test_sup_norm_calls_of_the_evolve_command(self, monkeypatch, tmp_path,
+                                                  supercritical, mode, n_rows,
+                                                  count):
+        # criterion 7a through the command: its check of the seed, then the
+        # 18 of the evolve above, whose trajectory rows reuse the points'
+        # sup-norms; a linear run takes one per row (201)
+        A, G, table = supercritical
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"R": table.R, "n_r": 32, "n_theta": 64}))
+        calls = []
+        sup_norm = ShapeState.sup_norm
+
+        def counted(shape):
+            calls.append(1)
+            return sup_norm(shape)
+
+        monkeypatch.setattr(ShapeState, "sup_norm", counted)
+        assert main(["evolve", "--config", str(cfg_path), "--A", repr(A),
+                     "--G", repr(G), "--mode", mode, "--t-end", "0.5",
+                     "--seed-shape", "2:1e-3", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert len(rows) == n_rows   # the header and the points
+        assert len(calls) == count
 
     def test_few_matvecs_on_criterion_7a(self, monkeypatch, supercritical,
                                          id_model, small_grid):

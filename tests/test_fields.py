@@ -16,7 +16,7 @@ from tumorspec.disk import (DiskGrid, MappedCoefficients, ModePreconditioner,
                             chebyshev_points, mapped_laplacian_kernel,
                             radial_fold)
 from tumorspec.dynamics import evolve_nonlinear, phi
-from tumorspec.errors import SolverError, ValidationError
+from tumorspec.errors import DomainValidityError, SolverError, ValidationError
 from tumorspec.fields import gmres, solve_nutrient, solve_pressure
 from tumorspec.models import parse_model_spec
 from tumorspec.radial import solve_u_n, steady_radius
@@ -25,8 +25,8 @@ from tumorspec.shapes import ShapeState
 from oracles import (center_value, eval_field_columns, exact_harmonic,
                      fold_interpolation, harmonic_residual, harmonic_values,
                      linearized_mode_profile, mapped_phi, mapped_radius,
-                     oracle_boundary, pressure_data, translated_disk,
-                     translated_nutrient)
+                     oracle_shape, pressure_data, translated_disk,
+                     translated_nutrient, translated_shape)
 
 
 @pytest.fixture
@@ -48,11 +48,6 @@ def built(monkeypatch):
     return built
 
 
-def _map_coefs(shape, grid):
-    return MappedCoefficients.from_boundary(shape.to_grid(grid.n_theta),
-                                            shape.radius_scale, grid)
-
-
 def _translated_nutrient_solve(model, A, d, n_r, n_theta):
     """The grid, the map, the nutrient solve and the model of the translated
     disk of sup|rho| = d at the model's steady radius."""
@@ -60,7 +55,7 @@ def _translated_nutrient_solve(model, A, d, n_r, n_theta):
     R = steady_radius(A, model).R_A
     grid = DiskGrid(n_r=n_r, n_theta=n_theta)
     coefs = MappedCoefficients.from_boundary(
-        translated_disk(n_theta, d, R, A, 1.0)[0], R, grid)
+        translated_shape(d, R, n_theta // 2 - 1), grid)
     return grid, coefs, solve_nutrient(coefs, model), model
 
 
@@ -75,7 +70,7 @@ class TestNutrientAtEquilibrium:
     def test_matches_radial_profile(self, unit_steady, id_model, small_grid):
         grid = small_grid
         z = ShapeState.zero(4, unit_steady.R_A)
-        nut = solve_nutrient(_map_coefs(z, grid), id_model)
+        nut = solve_nutrient(MappedCoefficients.from_boundary(z, grid), id_model)
         expected = unit_steady.v0.at(grid.r)[:, None]
         assert np.max(np.abs(nut.values - expected)) < 1e-8
 
@@ -83,14 +78,14 @@ class TestNutrientAtEquilibrium:
                                                   small_grid):
         grid = small_grid
         z = ShapeState.zero(4, unit_steady.R_A)
-        nut = solve_nutrient(_map_coefs(z, grid), id_model)
+        nut = solve_nutrient(MappedCoefficients.from_boundary(z, grid), id_model)
         assert np.max(np.abs(unit_steady.R_A * nut.flux
                              - unit_steady.v0.deriv_values[-1])) < 1e-8
 
     def test_center_value(self, unit_steady, id_model, small_grid):
         grid = small_grid
         z = ShapeState.zero(4, unit_steady.R_A)
-        nut = solve_nutrient(_map_coefs(z, grid), id_model)
+        nut = solve_nutrient(MappedCoefficients.from_boundary(z, grid), id_model)
         assert center_value(grid, nut.values) == pytest.approx(
             unit_steady.v0.values[0], abs=1e-10)
 
@@ -98,7 +93,7 @@ class TestNutrientAtEquilibrium:
                                                    small_grid):
         grid = small_grid
         s = ShapeState.from_modes([(3, 5e-2, 0.4)], unit_steady.R_A)
-        nut = solve_nutrient(_map_coefs(s, grid), id_model)
+        nut = solve_nutrient(MappedCoefficients.from_boundary(s, grid), id_model)
         assert np.all(nut.values > 0.0)
         assert np.all(nut.values <= 1.0 + 1e-10)
 
@@ -110,7 +105,8 @@ class TestPressure:
         grid = small_grid
         z = ShapeState.zero(4, unit_steady.R_A)
         A, G = unit_steady.A, 2.0
-        values = _pressure_values(grid, _map_coefs(z, grid), A, G)
+        values = _pressure_values(grid, MappedCoefficients.from_boundary(z, grid),
+                                  A, G)
         expected = 1.0 / unit_steady.R_A - 0.25 * A * G * unit_steady.R_A**2
         assert np.max(np.abs(values - expected)) < 1e-10
 
@@ -118,7 +114,7 @@ class TestPressure:
         grid = small_grid
         s = ShapeState.from_modes([(2, 1e-2, 0.0), (5, 5e-3, 0.9)],
                                   unit_steady.R_A)
-        coefs = _map_coefs(s, grid)
+        coefs = MappedCoefficients.from_boundary(s, grid)
         values = _pressure_values(grid, coefs, unit_steady.A, 2.0)
         # the mean over any interior physical circle equals the center value
         for frac in (0.3, 0.6):
@@ -142,7 +138,7 @@ class TestPressure:
         grid = small_grid
         s = ShapeState.from_modes([(2, 5e-2, 0.3), (5, 2e-2, 0.9)],
                                   unit_steady.R_A)
-        coefs = _map_coefs(s, grid)
+        coefs = MappedCoefficients.from_boundary(s, grid)
         A, G = unit_steady.A, 2.0
         solve_pressure(coefs, A, G)
         data = pressure_data(coefs, A, G)
@@ -152,7 +148,7 @@ class TestPressure:
     def test_harmonic_residual_small(self, unit_steady, small_grid):
         grid = small_grid
         s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
-        coefs = _map_coefs(s, grid)
+        coefs = MappedCoefficients.from_boundary(s, grid)
         values = _pressure_values(grid, coefs, unit_steady.A, 2.0)
         assert harmonic_residual(coefs, values) < 1e-7
 
@@ -165,7 +161,7 @@ class TestPressure:
         R = unit_steady.R_A
         A, G = unit_steady.A, 2.0
         s = ShapeState.from_modes([(k, eps, 0.0)], R)
-        coefs = _map_coefs(s, grid)
+        coefs = MappedCoefficients.from_boundary(s, grid)
         spec_b = np.fft.rfft(pressure_data(coefs, A, G)) / grid.n_theta
         spec_d = np.fft.rfft(R * solve_pressure(coefs, A, G)) / grid.n_theta
         assert spec_d[k] == pytest.approx(k * spec_b[k], rel=1e-4)
@@ -182,7 +178,7 @@ class TestPressure:
         # the physical normal derivative of a field that is harmonic
         # everywhere, from its samples on the boundary nodes
         grid = DiskGrid(n_r=8, n_theta=n)
-        coefs = MappedCoefficients.from_boundary(oracle_boundary(n, a), R, grid)
+        coefs = MappedCoefficients.from_boundary(oracle_shape(n, a, R), grid)
         y = R * coefs.h * np.exp(1j * grid.theta)
         q, dF = exact_harmonic(y, R)
         got = fields._harmonic_field(coefs, q)
@@ -206,7 +202,7 @@ class TestPressure:
         monkeypatch.setattr(np.linalg, "solve", counted("solve", solve))
         monkeypatch.setattr(np.linalg, "qr", counted("qr", qr))
         grid = DiskGrid(n_r=8, n_theta=n)
-        coefs = MappedCoefficients.from_boundary(oracle_boundary(n, 0.03), 1.0, grid)
+        coefs = MappedCoefficients.from_boundary(oracle_shape(n, 0.03, 1.0), grid)
         y = coefs.h * np.exp(1j * grid.theta)
         fields._harmonic_field(coefs, exact_harmonic(y, 1.0)[0])
         assert calls == ["solve"]
@@ -219,9 +215,10 @@ class TestPressure:
         # at the steady radius, sup|rho| = d: the pressure is affine, and its
         # flux is -(A G / 2) c.nu at every node
         R = steady_radius(A, parse_model_spec(model)).R_A
-        rho, exact = translated_disk(n, d, R, A, G)
+        exact = translated_disk(n, d, R, A, G)[1]
         grid = DiskGrid(n_r=8, n_theta=n)
-        coefs = MappedCoefficients.from_boundary(rho, R, grid)
+        coefs = MappedCoefficients.from_boundary(translated_shape(d, R, n // 2 - 1),
+                                                 grid)
         got = solve_pressure(coefs, A, G)
         assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(exact))
 
@@ -230,8 +227,8 @@ class TestPressure:
     def test_values_of_an_exact_harmonic(self, small_grid, a, R):
         # every grid row, the one next to the boundary (r = 0.9988) included
         grid = small_grid
-        coefs = MappedCoefficients.from_boundary(oracle_boundary(grid.n_theta, a),
-                                                 R, grid)
+        coefs = MappedCoefficients.from_boundary(oracle_shape(grid.n_theta, a, R),
+                                                 grid)
         y = R * coefs.h * np.exp(1j * grid.theta)
         q = exact_harmonic(y, R)[0]
         values = harmonic_values(grid, coefs, q,
@@ -245,7 +242,7 @@ class TestPressure:
         # all 15 interior rows at once would hold 250 MB
         grid = DiskGrid(n_r=16, n_theta=1024)
         s = ShapeState.from_modes([(3, 0.1, 0.0), (40, 0.01, 0.5)], 1.0)
-        coefs = _map_coefs(s, grid)
+        coefs = MappedCoefficients.from_boundary(s, grid)
         fields._log_weights.cache_clear()
         tracemalloc.start()
         try:
@@ -260,7 +257,8 @@ class TestPressure:
         # sample is computed
         grid = small_grid
         s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
-        flux = solve_pressure(_map_coefs(s, grid), unit_steady.A, 2.0)
+        flux = solve_pressure(MappedCoefficients.from_boundary(s, grid),
+                              unit_steady.A, 2.0)
         assert type(flux) is np.ndarray and flux.shape == (grid.n_theta,)
 
 
@@ -372,7 +370,7 @@ class TestPerturbedNutrient:
         errs = []
         for eps in (1e-2, 1e-3):
             s = ShapeState.from_modes([(k, eps, 0.0)], R)
-            coefs = _map_coefs(s, grid)
+            coefs = MappedCoefficients.from_boundary(s, grid)
             nut = solve_nutrient(coefs, id_model)
             prof = linearized_mode_profile(k, 1.0, v0, uk)
             frac = 0.6
@@ -398,7 +396,7 @@ class TestPerturbedNutrient:
         errs = []
         for eps in (1e-2, 1e-3):
             s = ShapeState.from_modes([(k, eps, 0.0)], R)
-            nut = solve_nutrient(_map_coefs(s, grid), id_model)
+            nut = solve_nutrient(MappedCoefficients.from_boundary(s, grid), id_model)
             pred = (v0.deriv_values[-1] + eps * np.cos(k * grid.theta)
                     * (v0_rr + prof.deriv_values[-1])) / R
             errs.append(np.max(np.abs(nut.flux - pred)))
@@ -414,7 +412,7 @@ class TestPerturbedNutrient:
         with pytest.raises(SolverError, match=r"after 10 cycles \(600 "
                            r"iterations\); relative residual \S+ on 480 "
                            r"equations;"):
-            solve_nutrient(_map_coefs(s, grid), id_model)
+            solve_nutrient(MappedCoefficients.from_boundary(s, grid), id_model)
 
     def test_interior_solve_returns_the_residual_samples(self, poly_model):
         # the residual is the samples of rhs - (operator - potential) W of
@@ -422,7 +420,7 @@ class TestPerturbedNutrient:
         # recomputed afresh it agrees to roundoff, 1e-14 of max|rhs|
         grid = DiskGrid(n_r=16, n_theta=32)
         s = ShapeState.from_modes([(2, 3e-2, 0.0), (3, 2e-2, 0.5)], 1.2)
-        coefs = _map_coefs(s, grid)
+        coefs = MappedCoefficients.from_boundary(s, grid)
         v0, precond = fields._equilibrium(grid.n_r, grid.n_theta, 1.2,
                                           poly_model)
         v = np.broadcast_to(v0, (grid.n_r, grid.n_theta)).copy()
@@ -477,7 +475,7 @@ class TestPerturbedNutrient:
         s = ShapeState.from_modes([(3, 2e-2, 0.0)], unit_steady.R_A)
         with pytest.raises(SolverError, match=r"nutrient Newton iteration did "
                            r"not converge; residual history: \d\.\d{3}e-\d\d$"):
-            solve_nutrient(_map_coefs(s, grid), poly_model)
+            solve_nutrient(MappedCoefficients.from_boundary(s, grid), poly_model)
 
     @pytest.mark.parametrize("n_r, n_theta, modes", [
         (32, 64, [(2, 1e-3, 0.0)]),
@@ -499,7 +497,7 @@ class TestPerturbedNutrient:
         monkeypatch.setattr(fields, "gmres", counted)
         grid = DiskGrid(n_r=n_r, n_theta=n_theta)
         s = ShapeState.from_modes(modes, unit_steady.R_A)
-        solve_nutrient(_map_coefs(s, grid), id_model)
+        solve_nutrient(MappedCoefficients.from_boundary(s, grid), id_model)
         assert len(solves) == 1
 
     @pytest.mark.parametrize("n_r, n_theta", [(32, 64), (64, 128), (256, 32)],
@@ -516,7 +514,7 @@ class TestPerturbedNutrient:
         bound = max(1e3 * fields.NEWTON_TOL, np.finfo(float).eps
                     * np.linalg.norm(r**2 * fold.D2[0] + r * fold.D[0], np.inf))
         s = ShapeState.from_modes([(2, 3e-2, 0.0), (3, 2e-2, 0.5)], 1.2)
-        coefs = _map_coefs(s, grid)
+        coefs = MappedCoefficients.from_boundary(s, grid)
         for model in (id_model, poly_model):
             v = solve_nutrient(coefs, model).values
             F = apply_mapped_laplacian(coefs, v) \
@@ -542,7 +540,7 @@ class TestPerturbedNutrient:
         grid = DiskGrid()
         s = ShapeState.from_modes([(3, 0.15, 0.0), (7, 0.05, 0.4)], 3.0)
         assert s.sup_norm() == pytest.approx(0.196, abs=5e-4)
-        coefs = _map_coefs(s, grid)
+        coefs = MappedCoefficients.from_boundary(s, grid)
         v = solve_nutrient(coefs, poly_model).values
         scale = coefs.scale[1:, :]
         F = apply_mapped_laplacian(coefs, v) - scale * poly_model.f_at(v[1:, :])
@@ -559,28 +557,49 @@ class TestPerturbedNutrient:
         low = []
         for n_r in (64, 256):
             grid = DiskGrid(n_r=n_r, n_theta=32)
-            nut = solve_nutrient(_map_coefs(s, grid), id_model)
+            nut = solve_nutrient(MappedCoefficients.from_boundary(s, grid), id_model)
             low.append(np.fft.rfft(nut.flux)[:6] / grid.n_theta)
         assert np.max(np.abs(low[1] - low[0])) <= 1e-9
 
 
 class TestMappedOperator:
     def test_map_holds_the_grid_it_samples(self, small_grid):
-        rho = ShapeState.from_modes([(2, 1e-2, 0.3)], 1.2).to_grid(small_grid.n_theta)
-        coefs = MappedCoefficients.from_boundary(rho, 1.2, small_grid)
-        assert coefs.grid is small_grid
+        s = ShapeState.from_modes([(2, 1e-2, 0.3)], 1.2)
+        coefs = MappedCoefficients.from_boundary(s, small_grid)
+        assert coefs.grid is small_grid and coefs.R == 1.2
         assert coefs.a_rr.shape == (small_grid.n_r, small_grid.n_theta)
         with pytest.raises(dataclasses.FrozenInstanceError):
             coefs.grid = DiskGrid(n_r=16, n_theta=small_grid.n_theta)
 
+    @pytest.mark.parametrize("a", [0.5, 0.8])
+    def test_map_refuses_an_inadmissible_shape(self, a):
+        # at a = 0.5 the map's coefficients were NaN, and the nutrient solve
+        # ran 600 GMRES iterations before it failed; at a = 0.8 the map
+        # folded over (min J1 = -0.6) and the pressure solve returned a flux
+        s = ShapeState.from_modes([(1, a, 0.0)], 1.0)
+        with pytest.raises(DomainValidityError, match="admissible"):
+            MappedCoefficients.from_boundary(s, DiskGrid(n_r=16, n_theta=64))
+
     @pytest.mark.parametrize("n_theta", [32, 128])
-    def test_map_refuses_samples_of_another_grid(self, small_grid, n_theta):
-        # a map whose arrays and grid disagree cannot be built, so no solve
-        # sees one
-        rho = ShapeState.from_modes([(2, 1e-2, 0.3)], 1.2).to_grid(n_theta)
-        with pytest.raises(ValidationError, match=f"rho has {n_theta} samples, "
-                           f"the grid {small_grid.n_theta} angles"):
-            MappedCoefficients.from_boundary(rho, 1.2, small_grid)
+    def test_map_refuses_a_grid_that_cannot_resolve_the_shape(self, n_theta):
+        # 64 modes need n_theta > 128; to_grid refuses in the same words
+        s = ShapeState.from_modes([(2, 1e-2, 0.3), (64, 1e-3, 0.0)], 1.2)
+        message = f"n_theta={n_theta} cannot resolve 64 modes"
+        with pytest.raises(ValidationError, match=message):
+            MappedCoefficients.from_boundary(s, DiskGrid(n_r=8, n_theta=n_theta))
+        with pytest.raises(ValidationError, match=message):
+            s.to_grid(n_theta)
+
+    def test_one_shape_maps_alike_on_finer_angles(self):
+        # the boundary quantities of a shape do not depend on the grid that
+        # resolves it: 128 angles hold the 64 angles at their even indices
+        s = ShapeState.from_modes([(2, 5e-2, 0.3), (3, 2e-2, 1.0), (7, 1e-2, 2.0)],
+                                  1.3)
+        coarse, fine = (MappedCoefficients.from_boundary(s, DiskGrid(32, n))
+                        for n in (64, 128))
+        for name in ("h", "beta", "J1", "curvature"):
+            a, b = getattr(coarse, name), getattr(fine, name)[::2]
+            assert np.max(np.abs(a - b)) <= 1e-14, name
 
     @pytest.mark.parametrize("rho_mode", [2, 3])
     def test_exact_harmonics_in_kernel(self, rho_mode, small_grid):
@@ -588,7 +607,7 @@ class TestMappedOperator:
         grid = small_grid
         R = 2.0
         s = ShapeState.from_modes([(rho_mode, 1e-2, 0.3)], R)
-        coefs = _map_coefs(s, grid)
+        coefs = MappedCoefficients.from_boundary(s, grid)
         z = mapped_phi(coefs, grid.r) * R * np.exp(1j * grid.theta[None, :])
         for m in (2, 3, 5):
             V = (z**m).real
@@ -599,7 +618,7 @@ class TestMappedOperator:
         # r**k cos(k theta + c) is harmonic, for either parity of k
         grid = small_grid
         s = ShapeState.zero(4, 1.5)
-        coefs = _map_coefs(s, grid)
+        coefs = MappedCoefficients.from_boundary(s, grid)
         for k in (0, 1, 2, 3, 4, 7):
             V = grid.r[:, None] ** k * np.cos(k * grid.theta[None, :] + 0.4)
             res = apply_mapped_laplacian(coefs, V)
@@ -609,8 +628,8 @@ class TestMappedOperator:
         # the interior rows of the operator, minus a potential, on a field
         # that vanishes on the boundary, as the Krylov matvec applies them
         grid = small_grid
-        coefs = _map_coefs(ShapeState.from_modes([(2, 5e-2, 0.3), (3, 2e-2, 1.0)],
-                                                 1.4), grid)
+        s = ShapeState.from_modes([(2, 5e-2, 0.3), (3, 2e-2, 1.0)], 1.4)
+        coefs = MappedCoefficients.from_boundary(s, grid)
         W = rng.standard_normal((grid.n_r, grid.n_theta))
         W[0, :] = 0.0
         potential = rng.uniform(0.5, 2.0, (grid.n_r - 1, grid.n_theta))
@@ -621,7 +640,7 @@ class TestMappedOperator:
     def test_mapped_radius_inverts_map(self, small_grid):
         grid = small_grid
         s = ShapeState.from_modes([(3, 2e-2, 0.7)], 1.0)
-        coefs = _map_coefs(s, grid)
+        coefs = MappedCoefficients.from_boundary(s, grid)
         rho = s.to_grid(grid.n_theta)
         half = grid.n_theta // 2
         for j in (0, 5, 17):
@@ -634,8 +653,7 @@ class TestMappedOperator:
 def _curvature(shape, n_theta):
     """The boundary curvature that the map of the shape carries."""
     return MappedCoefficients.from_boundary(
-        shape.to_grid(n_theta), shape.radius_scale,
-        DiskGrid(n_r=4, n_theta=n_theta)).curvature
+        shape, DiskGrid(n_r=4, n_theta=n_theta)).curvature
 
 
 class TestCurvature:
@@ -704,7 +722,7 @@ class TestModePreconditioner:
         # roundoff by the size of the D2 rows next to the boundary, about
         # 1e-8 relative on 64 x 128 for either this or an LU solve.)
         grid = DiskGrid(n_r=n_r, n_theta=n_theta)
-        coefs = MappedCoefficients.from_boundary(np.zeros(n_theta), 1.7, grid)
+        coefs = MappedCoefficients.from_boundary(ShapeState.zero(4, 1.7), grid)
         potential = 2.0 * grid.r**2 * (1.0 + grid.r**2) if with_potential \
             else np.zeros(n_r)
         V = rng.standard_normal((n_r, n_theta))
@@ -755,7 +773,7 @@ class TestModePreconditioner:
             return solve(matvec, psolve, b, **kwargs)
 
         monkeypatch.setattr(fields, "gmres", recorded)
-        solve_nutrient(_map_coefs(s, grid), id_model)
+        solve_nutrient(MappedCoefficients.from_boundary(s, grid), id_model)
         calls = count_transforms()
         matvec, psolve, b = solved[0]
         matvec(psolve(b))
@@ -774,7 +792,7 @@ class TestModePreconditioner:
         iterations = krylov_iterations()
         grid = DiskGrid(n_r=n_r, n_theta=n_theta)
         s = ShapeState.from_modes([(3, amplitude, 0.0)], unit_steady.R_A)
-        coefs = _map_coefs(s, grid)
+        coefs = MappedCoefficients.from_boundary(s, grid)
         fields._equilibrium(n_r, n_theta, unit_steady.R_A, id_model)
         calls = count_transforms()
         solve_nutrient(coefs, id_model)
@@ -824,7 +842,7 @@ class TestModePreconditioner:
         R = 3.0
         s = ShapeState.from_modes([(3, 0.15, 0.0), (7, 0.05, 0.4)], R)
         assert s.sup_norm() == pytest.approx(0.196, abs=5e-4)
-        coefs = _map_coefs(s, grid)
+        coefs = MappedCoefficients.from_boundary(s, grid)
         v0, equilibrium = fields._equilibrium(grid.n_r, grid.n_theta, R,
                                               poly_model)
         start = np.broadcast_to(v0, (grid.n_r, grid.n_theta)).copy()
@@ -859,7 +877,7 @@ class TestModePreconditioner:
         # f' varies for this model, so the Newton loop takes several steps
         grid = DiskGrid(n_r=16, n_theta=32)
         s = ShapeState.from_modes([(2, 3e-2, 0.0), (3, 2e-2, 0.5)], 1.2)
-        solve_nutrient(_map_coefs(s, grid), poly_model)
+        solve_nutrient(MappedCoefficients.from_boundary(s, grid), poly_model)
         assert built == [(16, 32)]
 
     def test_standalone_phi_is_the_first_velocity_of_an_evolve(self, poly_model,

@@ -37,9 +37,11 @@ def unused_imports(tree):
 
 
 def exported_names(tree):
+    """The names of a literal ``__all__``; a computed one names none."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets) \
+                and isinstance(node.value, (ast.List, ast.Tuple)):
             return [ast.literal_eval(elt) for elt in node.value.elts]
     return []
 
